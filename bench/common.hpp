@@ -126,13 +126,13 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
     blame.register_metrics(&cluster.obs().registry);
   }
   const std::string metrics = "bench_out/" + name + ".metrics.json";
-  if (!obs::write_metrics_json(cluster.obs(), cluster.sim().now(), metrics,
+  if (!obs::write_metrics_json(cluster.obs(), cluster.now(), metrics,
                                &mem)) {
     std::cerr << "warning: failed to write " << metrics << "\n";
   }
   if (traced) {
     const std::string bpath = "bench_out/" + name + ".blame.json";
-    if (!obs::write_blame_json(blame, cluster.sim().now(), bpath,
+    if (!obs::write_blame_json(blame, cluster.now(), bpath,
                                &cluster.obs().watchdog)) {
       std::cerr << "warning: failed to write " << bpath << "\n";
     }
@@ -160,8 +160,9 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 // Command-line options shared by every bench binary.
 //
 //   --threads N   worker threads for the partitioned simulation kernel
-//                 (ClusterParams::nthreads); default 1 = the serial
-//                 kernel, byte-identical to the pre-partitioning figures
+//                 (ClusterParams::nthreads); default 1 runs every
+//                 partition on the main thread. Results do not depend
+//                 on N
 //   --smoke       reduced grid / shortened run for CI smoke jobs
 //   --trace       enable span tracing (same effect as REDBUD_TRACE=1)
 //   --sample-interval M

@@ -27,8 +27,8 @@
 // the sampled series per point into bench_out/timeseries.json
 // (schemas/timeseries.schema.json).
 //
-// Runs under the partitioned kernel with force_partitioned, so results
-// are bit-identical for any --threads value. --smoke shrinks the fleet
+// Results are bit-identical for any --threads value (the partitioned
+// kernel's contract, sim/parallel.hpp). --smoke shrinks the fleet
 // to 10^4 clients and two load points for CI.
 #include <cstdint>
 #include <cstdio>
@@ -146,8 +146,6 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
   p.nclients = kHosts;
   p.nshards = kShards;
   p.nthreads = nthreads;
-  // Identical results for every worker count (see sim/parallel.hpp).
-  p.force_partitioned = true;
   p.array.ndisks = 4;
   p.array.disk.total_blocks = 1 << 22;
   p.metadata_disk.total_blocks = 1 << 22;

@@ -132,12 +132,12 @@ int run_traced(const bench::Options& cli) {
   blame.analyze(c.obs().tracer);
   blame.register_metrics(&c.obs().registry);
   const obs::ProcessMem mem = bench::read_proc_mem();
-  if (!obs::write_metrics_json(c.obs(), c.sim().now(),
+  if (!obs::write_metrics_json(c.obs(), c.now(),
                                "bench_out/metrics.json", &mem)) {
     std::cerr << "FAILED to write bench_out/metrics.json\n";
     ok = false;
   }
-  if (!obs::write_blame_json(blame, c.sim().now(),
+  if (!obs::write_blame_json(blame, c.now(),
                              "bench_out/latency_blame.json",
                              &c.obs().watchdog)) {
     std::cerr << "FAILED to write bench_out/latency_blame.json\n";
@@ -233,9 +233,8 @@ int run_traced(const bench::Options& cli) {
 int main(int argc, char** argv) {
   const bench::Options cli = bench::Options::parse(argc, argv);
   if (cli.trace) return run_traced(cli);
-  // --threads N runs every configuration under the partitioned kernel
-  // with N worker threads (default 1 = the serial kernel, byte-identical
-  // to the pre-partitioning figures).
+  // --threads N runs every configuration's partitioned kernel with N
+  // worker threads (default 1); results do not depend on N.
   const unsigned kthreads = cli.threads;
   core::print_banner(
       std::cout, "MDS scaling — sharded metadata service",

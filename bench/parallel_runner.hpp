@@ -43,7 +43,7 @@ struct RunRecord {
   std::string label;
   double wall_s = 0.0;
   std::uint64_t events = 0;
-  // Kernel worker threads the configuration ran with (1 = serial kernel).
+  // Kernel worker threads the configuration ran with.
   unsigned nthreads = 1;
   KernelStats kernel;
   [[nodiscard]] double events_per_sec() const {

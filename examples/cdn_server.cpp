@@ -52,10 +52,10 @@ void run(client::CommitMode mode, const char* label) {
 
   SimTime burst = SimTime::zero();
   SimTime durable = SimTime::zero();
-  cluster.sim().spawn(
-      edge_server(cluster.sim(), cluster.client(0), &burst, &durable));
-  cluster.sim().run_until(SimTime::seconds(120));
-  cluster.sim().check_failures();
+  Simulation& csim = cluster.client_sim(0);
+  csim.spawn(edge_server(csim, cluster.client(0), &burst, &durable));
+  cluster.run_until(SimTime::seconds(120));
+  cluster.check_failures();
 
   auto& fs = cluster.client(0);
   std::printf("%s\n", label);

@@ -40,11 +40,12 @@ void crash_once(client::CommitMode mode, const char* label) {
   Cluster cluster(params);
   cluster.start();
   for (std::size_t c = 0; c < cluster.nclients(); ++c) {
-    cluster.sim().spawn(writer(cluster.sim(), cluster.client(c), int(c)));
+    cluster.client_sim(c).spawn(
+        writer(cluster.client_sim(c), cluster.client(c), int(c)));
   }
 
   // CRASH: stop the world 40 ms in, with writes and commits in flight.
-  cluster.sim().run_until(SimTime::millis(40));
+  cluster.run_until(SimTime::millis(40));
 
   // Whole-cluster check: every shard's durable commit log against the
   // shared array.

@@ -82,8 +82,9 @@ int main() {
 
   Cluster cluster(params);
   cluster.start();
-  cluster.sim().spawn(demo(cluster.sim(), cluster, cluster.client(0)));
-  cluster.sim().run_until(SimTime::seconds(10));
-  cluster.sim().check_failures();
+  Simulation& csim = cluster.client_sim(0);
+  csim.spawn(demo(csim, cluster, cluster.client(0)));
+  cluster.run_until(SimTime::seconds(10));
+  cluster.check_failures();
   return 0;
 }

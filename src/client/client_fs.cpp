@@ -584,15 +584,14 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
     }
   }
 
-  // Fetch missing runs from the array, grouped per physical extent.
+  // Fetch missing runs from the array, grouped per physical extent. The
+  // array lives in another partition: the tokens travel with the
+  // completion.
   struct Fetch {
     std::uint32_t index;  // into out.tokens
-    storage::PhysAddr addr;
     std::uint32_t count;
-    SimFuture<Done> fut;  // serial path: completion signal, then peek()
-    SimFuture<std::vector<storage::ContentToken>> tfut;  // parallel path
+    SimFuture<std::vector<storage::ContentToken>> fut;
   };
-  const bool parallel_array = array_->parallel();
   std::vector<Fetch> fetches;
   {
     FileState& st = state(file);
@@ -621,25 +620,12 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
       storage::PhysAddr addr{covering->addr.device,
                              covering->addr.block +
                                  (blk - covering->file_block)};
-      if (parallel_array) {
-        // The array lives in another partition: the tokens travel with
-        // the completion instead of being peeked from the device.
-        fetches.push_back(
-            Fetch{i, addr, run, {}, array_->read_tokens(*sim_, addr, run)});
-      } else {
-        fetches.push_back(Fetch{i, addr, run, array_->read(addr, run), {}});
-      }
+      fetches.push_back(Fetch{i, run, array_->read_tokens(*sim_, addr, run)});
       i += run;
     }
   }
   for (auto& f : fetches) {
-    std::vector<storage::ContentToken> toks;
-    if (parallel_array) {
-      toks = co_await f.tfut;
-    } else {
-      co_await f.fut;
-      toks = array_->peek(f.addr, f.count);
-    }
+    const std::vector<storage::ContentToken> toks = co_await f.fut;
     for (std::uint32_t k = 0; k < f.count; ++k) {
       out.tokens[f.index + k] = toks[k];
       cache_.put_clean(file, range.first + f.index + k, toks[k]);

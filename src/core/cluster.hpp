@@ -8,17 +8,15 @@
 // operations with the ShardMap; file data goes to the shared FC disk
 // array directly.
 //
-// nshards == 1 (the default) is the paper's single-MDS testbed,
-// event-for-event identical to the pre-sharding implementation; the
+// nshards == 1 (the default) is the paper's single-MDS testbed; the
 // singular accessors (mds(), journal(), ...) alias shard 0 so existing
 // tests and benches read naturally.
 //
-// With nthreads > 1 the cluster becomes a partitioned SimDomain: one
-// event-loop partition per MDS shard, per client host, and one for the
-// disk array, synchronized in conservative time windows bounded by the
-// network's minimum cross-node latency (see sim/parallel.hpp). nthreads
-// <= 1 (the default) collapses to the single serial Simulation,
-// event-for-event identical to the pre-partitioning kernel.
+// The cluster runs on a partitioned SimDomain: one event-loop partition
+// per MDS shard, per client host, and one for the disk array,
+// synchronized in conservative time windows bounded by the network's
+// minimum cross-node latency (see sim/parallel.hpp). Results are
+// bit-identical for any worker count `nthreads`.
 //
 // Declaration order matters: the SimDomain (which owns every Simulation)
 // must outlive every component, so it is the first stateful member.
@@ -58,12 +56,11 @@ enum class SpacePartition : std::uint8_t {
 struct ClusterParams {
   std::uint32_t nclients = 7;  // the paper's eight-node cluster: 7 + MDS
   std::uint32_t nshards = 1;   // metadata shards (1 = the paper's testbed)
-  // Worker threads driving the partitioned kernel; <= 1 = serial kernel.
+  // Worker threads driving the partitioned kernel (1 = the coordinator
+  // thread alone).
   std::uint32_t nthreads = 1;
-  // Keep the partitioned window kernel even at nthreads == 1, so a run's
-  // results are bit-identical for ANY worker count (see sim/parallel.hpp).
-  // Off by default: the classic serial kernel's event interleaving is
-  // pinned by replay goldens.
+  // Ignored: every cluster is partitioned. Still declared so that callers
+  // written when nthreads = 1 meant a serial kernel keep compiling.
   bool force_partitioned = false;
   SpacePartition partition = SpacePartition::kSliceDevices;
   net::NetworkParams network;
@@ -86,12 +83,9 @@ class Cluster {
   // pools). Call once before running.
   void start();
 
-  // The partition owning shard 0 — the whole cluster when serial. Parallel
-  // callers drive the cluster through the domain accessors below instead.
-  [[nodiscard]] redbud::sim::Simulation& sim() { return domain_.partition(0); }
   [[nodiscard]] redbud::sim::SimDomain& domain() { return domain_; }
-  [[nodiscard]] bool parallel() const { return domain_.parallel(); }
-  // The partition simulating client host `i` (== sim() serially).
+  // The partition simulating client host `i`: spawn a client's workload
+  // coroutines here.
   [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t i) {
     return *client_sims_[i];
   }
@@ -142,9 +136,9 @@ class Cluster {
     return metadata_scheduler(0);
   }
 
-  // The partition simulating the disk array (== sim() serially).
+  // The partition simulating the disk array.
   [[nodiscard]] redbud::sim::Simulation& array_sim() { return *array_sim_; }
-  // The partition simulating shard `s` (== sim() serially).
+  // The partition simulating shard `s`.
   [[nodiscard]] redbud::sim::Simulation& shard_sim(std::size_t s) {
     return *shard_sims_[s];
   }
@@ -193,7 +187,7 @@ class Cluster {
   // hold non-owning registry views and tracer pointers.
   obs::Obs obs_;
   redbud::sim::SimDomain domain_;
-  // Partition assignment (all aliases of partition 0 when serial).
+  // Partition assignment.
   std::vector<redbud::sim::Simulation*> shard_sims_;
   std::vector<redbud::sim::Simulation*> client_sims_;
   redbud::sim::Simulation* array_sim_ = nullptr;

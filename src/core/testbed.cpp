@@ -138,14 +138,6 @@ void Testbed::start() {
   }
 }
 
-redbud::sim::Simulation& Testbed::sim() {
-  return cluster_ ? cluster_->sim() : baseline_->sim;
-}
-
-bool Testbed::parallel() const {
-  return cluster_ != nullptr && cluster_->parallel();
-}
-
 redbud::sim::Simulation& Testbed::client_sim(std::size_t i) {
   return cluster_ ? cluster_->client_sim(i) : baseline_->sim;
 }

@@ -46,16 +46,13 @@ class Testbed {
 
   void start();
 
-  [[nodiscard]] redbud::sim::Simulation& sim();
   [[nodiscard]] std::size_t nclients() const { return fs_.size(); }
   [[nodiscard]] fsapi::FsClient& fs(std::size_t i) { return *fs_[i]; }
   [[nodiscard]] Protocol protocol() const { return params_.protocol; }
 
-  // Partitioned-kernel dispatchers. Baselines are always serial, so these
-  // collapse to the plain Simulation calls for them (and for serial
-  // Redbud clusters).
-  [[nodiscard]] bool parallel() const;
-  // The partition simulating client host `i` (== sim() serially).
+  // Kernel dispatchers over the Redbud cluster's partitioned domain, or
+  // the baseline stack's single Simulation. client_sim(i) is where client
+  // `i`'s coroutines run (the one Simulation for a baseline).
   [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t i);
   void run_until(redbud::sim::SimTime t);
   [[nodiscard]] redbud::sim::SimTime now();

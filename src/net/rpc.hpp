@@ -212,13 +212,8 @@ class RpcEndpoint {
            (xid & 0xffffffffffffull);
   }
 
-  redbud::sim::Process deliver_request(RpcEndpoint* server, std::uint64_t xid,
-                                       RequestBody body, std::size_t bytes,
-                                       obs::TraceContext ctx, bool retryable);
-  redbud::sim::Process deliver_response(NodeId to, std::uint64_t xid,
-                                        ResponseBody body, std::size_t bytes);
   // Server-side arrival bookkeeping + enqueue. Runs in the server's
-  // partition (directly from the wire-arrival event in parallel mode).
+  // partition, from the wire-arrival event.
   void receive_request(std::uint64_t xid, NodeId from, RequestBody body,
                        obs::TraceContext ctx, bool retryable);
   void complete_call(std::uint64_t xid, ResponseBody body);
@@ -237,8 +232,6 @@ class RpcEndpoint {
   redbud::sim::Channel<IncomingRpc> incoming_;
   std::unordered_map<std::uint64_t, PendingCall> pending_;
   std::unordered_map<std::uint64_t, RetryCall> retry_pending_;
-  // Reverse lookup: who do we send replies to. Registered on first call.
-  std::unordered_map<NodeId, RpcEndpoint*> peers_;
   // Server-side exactly-once-execution state for retryable requests:
   // requests currently queued or executing (duplicates dropped), and a
   // bounded FIFO cache of sent replies (duplicates answered from cache).

@@ -79,9 +79,9 @@ void CriticalPath::analyze(const Tracer& tracer) {
   completed_ = 0;
   open_ = {};
 
-  // Pass 1: index the collapsed span log. Span records are stable once
-  // the lanes are collapsed (quiescent domain), so raw pointers are safe
-  // for the analyzer's lifetime.
+  // Pass 1: index the merged span log. Span records stay put until the
+  // tracer records again, so raw pointers are safe for the analyzer's
+  // lifetime.
   for (const SpanRecord& s : tracer.spans()) {
     switch (s.stage) {
       case Stage::kClientWrite:
@@ -91,7 +91,7 @@ void CriticalPath::analyze(const Tracer& tracer) {
         chains_[s.trace].has_qwait = true;
         break;
       case Stage::kCommitE2e:
-        // Requeue re-records per checkout; collapsed order is
+        // Requeue re-records per checkout; merged order is
         // deterministic, so last-wins is too (the acked attempt).
         chains_[s.trace].e2e = &s;
         break;

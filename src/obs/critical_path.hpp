@@ -1,6 +1,6 @@
 // Critical-path latency attribution over the delayed-commit span chains.
 //
-// CriticalPath consumes a quiescent Tracer's collapsed span log and
+// CriticalPath consumes a quiescent Tracer's merged span log and
 // decomposes every *completed* write chain's end-to-end latency into
 // seven contiguous blame stages (queueing vs service — DESIGN.md §6c):
 //
@@ -84,8 +84,9 @@ class CriticalPath {
   CriticalPath& operator=(const CriticalPath&) = delete;
 
   // Index the tracer's span log and aggregate blame over every write
-  // root. Quiescent domain only (the tracer collapses its lanes). The
-  // tracer must outlive this analyzer.
+  // root. Quiescent domain only (the tracer merges its lanes). The
+  // tracer must outlive this analyzer and record nothing more while it
+  // is in use.
   void analyze(const Tracer& tracer);
 
   // Decompose a single root trace using the indexes built by analyze().

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,28 +120,23 @@ class Tracer {
   void set_enabled(bool on) { params_.enabled = on; }
 
   // Partitioned kernels give every partition its own tracer lane so spans
-  // can be recorded from worker threads without locks. Lane 0 keeps the
-  // plain id counters (so serial runs are untouched); lane i >= 1 tags its
-  // ids with i << 48. Lanes are merged deterministically — spans sorted by
-  // (start, trace, span, ...) with per-lane-deterministic contents — the
-  // first time the span log or stage histograms are read after a run.
+  // can be recorded from worker threads without locks; a tracer starts
+  // with one lane. Lane i tags its minted ids with i << 48 (lane 0's ids
+  // are the plain counters). Readers merge what the lanes recorded since
+  // the last read into one log; the lanes keep recording afterwards.
   void set_lane_count(std::size_t nlanes);
 
   // Mint a fresh context: a new root chain, or a child span of `parent`
   // (same trace). Inert context when disabled.
   [[nodiscard]] TraceContext mint() {
     if (!enabled()) return {};
-    if (Lane* l = lane()) {
-      return TraceContext{l->tag | ++l->next_trace, l->tag | ++l->next_span};
-    }
-    return TraceContext{++next_trace_, ++next_span_};
+    Lane& l = lane();
+    return TraceContext{l.tag | ++l.next_trace, l.tag | ++l.next_span};
   }
   [[nodiscard]] TraceContext child(TraceContext parent) {
     if (!enabled() || !parent.active()) return {};
-    if (Lane* l = lane()) {
-      return TraceContext{parent.trace, l->tag | ++l->next_span};
-    }
-    return TraceContext{parent.trace, ++next_span_};
+    Lane& l = lane();
+    return TraceContext{parent.trace, l.tag | ++l.next_span};
   }
 
   // Record a completed stage traversal for `ctx` (no-op when the context
@@ -159,20 +153,21 @@ class Tracer {
   // Name a Perfetto track row (idempotent; later names win).
   void name_track(Track track, std::string process, std::string thread);
 
-  // Readers collapse any extra lanes into lane 0 first. Only call these
-  // while the domain is quiescent (between run_until calls).
+  // Readers merge the lanes first. Only call these while the domain is
+  // quiescent (between run_until calls).
   [[nodiscard]] const std::vector<SpanRecord>& spans() const {
-    collapse_lanes();
+    merge_lanes();
     return spans_;
   }
   [[nodiscard]] std::uint64_t spans_dropped() const {
-    collapse_lanes();
-    return dropped_;
+    std::uint64_t n = 0;
+    for (const Lane& l : lanes_) n += l.dropped;
+    return n;
   }
   [[nodiscard]] const std::map<std::pair<std::uint32_t, Stage>,
                                redbud::sim::LatencyHistogram>&
   stage_latency() const {
-    collapse_lanes();
+    merge_lanes();
     return stage_lat_;
   }
   // Track names keyed by (pid, tid); tid 0 rows name the process group.
@@ -183,41 +178,40 @@ class Tracer {
   }
 
  private:
-  // Per-partition recording state for lanes >= 1; lane 0 lives directly in
-  // the members below so serial tracing stays exactly as it was.
-  struct Lane {
+  // One partition's recording state: spans and histograms recorded since
+  // the last merge, plus its lifetime id counters and span cap. Lanes sit
+  // a cache line apart: neighbouring lanes are written by different
+  // workers.
+  struct alignas(64) Lane {
     std::uint64_t tag = 0;  // high bits OR-ed into every minted id
     std::uint64_t next_trace = 0;
     std::uint64_t next_span = 0;
+    std::uint64_t kept = 0;  // spans recorded, against max_spans
     std::uint64_t dropped = 0;
     std::vector<SpanRecord> spans;
     std::map<std::pair<std::uint32_t, Stage>, redbud::sim::LatencyHistogram>
         stage_lat;
   };
 
-  // The lane of the partition the calling thread is executing, or nullptr
-  // for lane 0 / serial operation.
-  [[nodiscard]] Lane* lane() {
-    if (extra_lanes_.empty()) return nullptr;
+  // The lane of the partition the calling thread is executing (lane 0
+  // outside a partition window).
+  [[nodiscard]] Lane& lane() {
     const std::uint32_t p = redbud::sim::Simulation::current_partition();
-    if (p == 0 || p > extra_lanes_.size()) return nullptr;
-    return extra_lanes_[p - 1].get();
+    return p < lanes_.size() ? lanes_[p] : lanes_[0];
   }
-  // Deterministic merge of the extra lanes into lane 0; requires a
-  // quiescent domain. Logically const: readers trigger it lazily.
-  void collapse_lanes() const;
+  // Move every lane's new spans and histograms into the merged log;
+  // requires a quiescent domain. Logically const: readers trigger it.
+  void merge_lanes() const;
 
   TracerParams params_;
-  std::uint64_t next_trace_ = 0;
-  std::uint64_t next_span_ = 0;
-  std::uint64_t dropped_ = 0;
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
+  // The merged log and histograms.
   std::vector<SpanRecord> spans_;
   std::map<std::pair<std::uint32_t, Stage>, redbud::sim::LatencyHistogram>
       stage_lat_;
   std::map<std::pair<std::uint32_t, std::uint32_t>,
            std::pair<std::string, std::string>>
       tracks_;
-  std::vector<std::unique_ptr<Lane>> extra_lanes_;
 };
 
 }  // namespace redbud::obs

@@ -13,7 +13,7 @@
 // Because the probe fires at deterministic grid instants on the
 // coordinator thread (workers parked at the window barrier), the incident
 // log is byte-identical with the watchdog armed or not, and bit-identical
-// across worker counts under force_partitioned — the same argument as the
+// across worker counts — the same argument as the
 // sampler's (DESIGN.md §6b, §6c).
 #pragma once
 

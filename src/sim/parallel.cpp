@@ -48,11 +48,8 @@ struct Backoff {
 
 }  // namespace detail
 
-SimDomain::SimDomain(unsigned nthreads, SimTime lookahead,
-                     bool force_partitioned)
-    : nthreads_(nthreads == 0 ? 1 : nthreads),
-      lookahead_(lookahead),
-      force_partitioned_(force_partitioned) {
+SimDomain::SimDomain(unsigned nthreads, SimTime lookahead)
+    : nthreads_(nthreads == 0 ? 1 : nthreads), lookahead_(lookahead) {
   REDBUD_REQUIRE(lookahead_ > SimTime::zero(),
                  "domain lookahead must be positive");
   wstats_.resize(nthreads_);
@@ -67,7 +64,6 @@ SimDomain::~SimDomain() {
 }
 
 Simulation& SimDomain::add_partition() {
-  if (!parallel() && !parts_.empty()) return *parts_[0];
   REDBUD_REQUIRE(workers_.empty(), "cannot add partitions after first run");
   auto sim = std::make_unique<Simulation>();
   sim->partition_id_ = static_cast<std::uint32_t>(parts_.size());
@@ -82,14 +78,6 @@ void SimDomain::post(Simulation& src, std::uint32_t dst, SimTime at,
   REDBUD_REQUIRE(dst < parts_.size(), "injection into unknown partition");
   REDBUD_REQUIRE(at >= src.now() + lookahead_,
                  "cross-partition injection inside the lookahead window");
-  if (!parallel()) {
-    // One partition, one thread: schedule directly. Staging would hold
-    // the callback until the next run_until call, past its due time.
-    ++injections_staged_serial_;
-    ++injections_delivered_;
-    parts_[dst]->call_at(at, std::move(fn));
-    return;
-  }
   Lane& lane = lanes_[src.partition_id()];
   ++lane.staged_total;
   lane.staged.push_back(
@@ -201,16 +189,6 @@ void SimDomain::fire_probes(SimTime upto) {
 
 void SimDomain::run_until(SimTime t) {
   REDBUD_REQUIRE(!parts_.empty(), "domain has no partitions");
-  if (!parallel()) {
-    // Serial delegation still feeds the profile: the whole run is one
-    // worker's busy time, with no rounds and no stalls.
-    const std::uint64_t t0 = detail::wall_now_ns();
-    parts_[0]->run_until(t);
-    const std::uint64_t dt = detail::wall_now_ns() - t0;
-    wall_ns_ += dt;
-    wstats_[0].busy_ns += dt;
-    return;
-  }
   ensure_workers();
   const std::uint64_t t0 = detail::wall_now_ns();
   for (;;) {
@@ -239,13 +217,8 @@ void SimDomain::run_until(SimTime t) {
 }
 
 void SimDomain::set_probe(SimTime first, SimTime stride, void* ctx,
-                          Simulation::ProbeFn fn) {
-  REDBUD_REQUIRE(!parts_.empty(), "probe on a domain with no partitions");
+                          ProbeFn fn) {
   REDBUD_REQUIRE(stride > SimTime::zero(), "probe stride must be positive");
-  if (!parallel()) {
-    parts_[0]->set_probe(first, stride, ctx, fn);
-    return;
-  }
   probe_next_ = first;
   probe_stride_ = stride;
   probe_ctx_ = ctx;
@@ -257,7 +230,6 @@ KernelProfile SimDomain::kernel_profile() const {
   kp.rounds = rounds_;
   kp.wall_ns = wall_ns_;
   kp.injections_delivered = injections_delivered_;
-  kp.injections_staged = injections_staged_serial_;
   for (const Lane& lane : lanes_) kp.injections_staged += lane.staged_total;
   kp.partitions.resize(parts_.size());
   for (std::size_t i = 0; i < parts_.size(); ++i) {

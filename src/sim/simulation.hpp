@@ -127,31 +127,6 @@ class Simulation {
     if (now_ < t) now_ = t;
   }
 
-  // ---- Off-event probe (see obs/timeseries.hpp) -------------------------
-  //
-  // A probe is a passive observer fired from the run loop whenever the
-  // clock is about to cross a grid instant `first + k * stride`: it runs
-  // after every event strictly before the instant and before the first
-  // event at or after it, without ever entering the event queue. Because
-  // nothing is scheduled, sequence numbers and the event stream are
-  // byte-identical with the probe installed or not. The callback must not
-  // schedule events or otherwise mutate simulation state.
-  using ProbeFn = void (*)(void* ctx, SimTime instant);
-  void set_probe(SimTime first, SimTime stride, void* ctx, ProbeFn fn) {
-    assert(stride > SimTime::zero() && "probe stride must be positive");
-    probe_next_ = first;
-    probe_stride_ = stride;
-    probe_ctx_ = ctx;
-    probe_fn_ = fn;
-  }
-  void clear_probe() {
-    probe_next_ = SimTime::max();
-    probe_fn_ = nullptr;
-    probe_ctx_ = nullptr;
-  }
-  // Next grid instant that has not fired yet (SimTime::max() when none).
-  [[nodiscard]] SimTime probe_next() const { return probe_next_; }
-
  private:
   friend struct Process::FinalAwaiter;
   friend class SimDomain;
@@ -161,14 +136,8 @@ class Simulation {
   bool step(SimTime limit);
   void dispatch_payload(std::uint64_t payload);
   void drain_retired();
-  // Fire every pending grid instant <= upto (cold path of the probe check).
-  void fire_probes(SimTime upto);
 
   SimTime now_ = SimTime::zero();
-  SimTime probe_next_ = SimTime::max();
-  SimTime probe_stride_ = SimTime::zero();
-  void* probe_ctx_ = nullptr;
-  ProbeFn probe_fn_ = nullptr;
   std::uint32_t partition_id_ = 0;
   static thread_local std::uint32_t tls_partition_;
   std::uint64_t next_seq_ = 0;

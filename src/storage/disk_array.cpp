@@ -24,8 +24,9 @@ ContentToken make_token(std::uint64_t file_id, std::uint64_t block_in_file,
   return z == kUnwrittenToken ? 1 : z;
 }
 
-DiskArray::DiskArray(redbud::sim::Simulation& sim, ArrayParams params)
-    : sim_(&sim), params_(params) {
+DiskArray::DiskArray(redbud::sim::SimDomain& domain,
+                     redbud::sim::Simulation& sim, ArrayParams params)
+    : domain_(&domain), sim_(&sim), params_(params) {
   assert(params_.ndisks > 0);
   for (std::uint32_t i = 0; i < params_.ndisks; ++i) {
     DiskParams dp = params_.disk;
@@ -42,40 +43,9 @@ void DiskArray::start() {
   for (auto& s : schedulers_) s->start();
 }
 
-Process DiskArray::write_proc(PhysAddr addr, std::uint32_t nblocks,
-                              std::vector<ContentToken> tokens,
-                              SimPromise<Done> p) {
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  // Future obtained in its own statement: GCC 12 double-destroys
-  // non-trivially-destructible by-value call arguments placed inside a
-  // co_await expression, so never pass the token vector there directly.
-  auto io = schedulers_[addr.device]->submit(IoKind::kWrite, addr.block,
-                                             nblocks, std::move(tokens));
-  co_await io;
-  p.set_value(Done{});
-}
-
-Process DiskArray::read_proc(PhysAddr addr, std::uint32_t nblocks,
-                             SimPromise<Done> p) {
-  co_await schedulers_[addr.device]->submit(IoKind::kRead, addr.block, nblocks);
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  p.set_value(Done{});
-}
-
-SimFuture<Done> DiskArray::write(PhysAddr addr, std::uint32_t nblocks,
-                                 std::vector<ContentToken> tokens) {
-  assert(addr.device < disks_.size());
-  assert(tokens.size() == nblocks);
-  SimPromise<Done> p(*sim_);
-  auto fut = p.future();
-  sim_->spawn(write_proc(addr, nblocks, std::move(tokens), std::move(p)));
-  return fut;
-}
-
 SimFuture<Done> DiskArray::write(redbud::sim::Simulation& issuer,
                                  PhysAddr addr, std::uint32_t nblocks,
                                  std::vector<ContentToken> tokens) {
-  if (!parallel()) return write(addr, nblocks, std::move(tokens));
   assert(addr.device < disks_.size());
   assert(tokens.size() == nblocks);
   SimPromise<Done> p(issuer);
@@ -112,38 +82,17 @@ Process DiskArray::write_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
                 [p]() mutable { p.set_value(Done{}); });
 }
 
-SimFuture<Done> DiskArray::read(PhysAddr addr, std::uint32_t nblocks) {
-  assert(addr.device < disks_.size());
-  SimPromise<Done> p(*sim_);
-  auto fut = p.future();
-  sim_->spawn(read_proc(addr, nblocks, std::move(p)));
-  return fut;
-}
-
 SimFuture<std::vector<ContentToken>> DiskArray::read_tokens(
     redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks) {
   assert(addr.device < disks_.size());
   SimPromise<std::vector<ContentToken>> p(issuer);
   auto fut = p.future();
-  if (!parallel()) {
-    // Same event pattern as read(); the tokens are captured at completion
-    // instead of peeked afterwards by the caller.
-    sim_->spawn(read_tokens_proc(addr, nblocks, std::move(p)));
-    return fut;
-  }
   domain_->post(
       issuer, sim_->partition_id(), issuer.now() + params_.fc_latency,
       [this, addr, nblocks, p, ipart = issuer.partition_id()]() mutable {
         sim_->spawn(read_arrival_proc(addr, nblocks, std::move(p), ipart));
       });
   return fut;
-}
-
-Process DiskArray::read_tokens_proc(PhysAddr addr, std::uint32_t nblocks,
-                                    SimPromise<std::vector<ContentToken>> p) {
-  co_await schedulers_[addr.device]->submit(IoKind::kRead, addr.block, nblocks);
-  co_await fc_->transfer(std::size_t(nblocks) * kBlockSize);
-  p.set_value(disks_[addr.device]->load(addr.block, nblocks));
 }
 
 Process DiskArray::read_arrival_proc(PhysAddr addr, std::uint32_t nblocks,

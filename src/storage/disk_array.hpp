@@ -6,6 +6,11 @@
 // share one FC fabric pipe, so heavy large-file traffic queues there —
 // which is why Redbud still beats NFS3 on large files (NFS3 pushes data
 // through the single server's 1 Gb Ethernet NIC instead).
+//
+// The array, its schedulers and the fabric pipe live in one partition of
+// a SimDomain; issuers in other partitions reach it through timestamped
+// FC-latency mailbox hops (command/payload out, durable ack or read data
+// back), so fc_latency must be at least the domain lookahead.
 #pragma once
 
 #include <cstdint>
@@ -33,43 +38,31 @@ struct ArrayParams {
 
 class DiskArray {
  public:
-  DiskArray(redbud::sim::Simulation& sim, ArrayParams params);
+  // `sim` is the domain partition that simulates the array.
+  DiskArray(redbud::sim::SimDomain& domain, redbud::sim::Simulation& sim,
+            ArrayParams params);
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
   // Spawn per-device dispatch daemons. Call once before any I/O.
   void start();
 
-  // Attach the partitioned domain (parallel clusters only). The array and
-  // its schedulers live in `sim_`'s partition; cross-partition issuers
-  // reach it through timestamped FC-latency mailbox hops.
-  void bind_domain(redbud::sim::SimDomain* domain) { domain_ = domain; }
-  [[nodiscard]] bool parallel() const {
-    return domain_ != nullptr && domain_->parallel();
-  }
-
-  // Data-path write: FC transfer of the payload, then the device write.
-  // Resolves when the blocks are durable on the platter.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
-      PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens);
-  // Partition-aware variant: the completion resolves in `issuer`'s
-  // partition. Serially identical to write() above.
+  // Data-path write from `issuer`'s partition: FC transfer of the payload,
+  // then the device write. Resolves in `issuer`'s partition once the
+  // blocks are durable on the platter and the ack has crossed the fabric.
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks,
       std::vector<ContentToken> tokens);
 
-  // Data-path read: device read, then FC transfer back. Fetch the tokens
-  // with peek() after the future resolves.
-  [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> read(
-      PhysAddr addr, std::uint32_t nblocks);
-  // Partition-aware read: resolves in `issuer`'s partition with the block
-  // tokens captured at read completion (a cross-partition issuer cannot
-  // peek() the device from its own thread).
+  // Data-path read from `issuer`'s partition: device read, then FC
+  // transfer back. Resolves in `issuer`'s partition with the block tokens
+  // captured at read completion (the issuer cannot peek() the device from
+  // its own thread).
   [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read_tokens(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks);
 
-  // Durable content inspection (used by reads after completion, by the
-  // crash-consistency checker, and by tests).
+  // Durable content inspection (used by the crash-consistency checker and
+  // by tests, while the domain is quiescent).
   [[nodiscard]] std::vector<ContentToken> peek(PhysAddr addr,
                                                std::uint32_t nblocks) const;
 
@@ -99,14 +92,6 @@ class DiskArray {
   void reset_stats();
 
  private:
-  redbud::sim::Process write_proc(PhysAddr addr, std::uint32_t nblocks,
-                                  std::vector<ContentToken> tokens,
-                                  redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_proc(PhysAddr addr, std::uint32_t nblocks,
-                                 redbud::sim::SimPromise<redbud::sim::Done> p);
-  redbud::sim::Process read_tokens_proc(
-      PhysAddr addr, std::uint32_t nblocks,
-      redbud::sim::SimPromise<std::vector<ContentToken>> p);
   redbud::sim::Process write_arrival_proc(
       PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens,
       redbud::sim::SimPromise<redbud::sim::Done> p,
@@ -116,8 +101,8 @@ class DiskArray {
       redbud::sim::SimPromise<std::vector<ContentToken>> p,
       std::uint32_t issuer_partition);
 
+  redbud::sim::SimDomain* domain_;
   redbud::sim::Simulation* sim_;
-  redbud::sim::SimDomain* domain_ = nullptr;
   ArrayParams params_;
   std::vector<std::unique_ptr<Disk>> disks_;
   std::vector<std::unique_ptr<IoScheduler>> schedulers_;

@@ -131,11 +131,8 @@ OpClass OpenLoopEngine::sample_class() {
 }
 
 Process OpenLoopEngine::dispatcher() {
-  // Spawned before the cluster runs, so now() here is 0 in every kernel
-  // and the wait below lands at the same absolute instant regardless of
-  // worker count. (Spawning mid-run from the host thread would anchor
-  // the dispatcher at a partition-local now() that differs between the
-  // serial and partitioned kernels.)
+  // Spawned before the cluster runs, so now() here is 0 and the wait
+  // below lands at the same absolute instant however the run is sliced.
   if (sched_.start_at > sim_->now()) {
     co_await sim_->delay(sched_.start_at - sim_->now());
   }

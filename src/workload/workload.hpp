@@ -16,11 +16,10 @@
 
 namespace redbud::workload {
 
-// Shared mutable state for one workload run. The serial driver uses one
-// context for every client; the partitioned driver gives each client host
-// its own slot (with an independent RNG stream split from the master
-// seed) so workload threads never share mutable state across partitions,
-// then merges the slots into one result.
+// Mutable state for one client of a workload run. The driver gives each
+// client host its own slot (with an independent RNG stream split from the
+// master seed) so workload threads never share mutable state across
+// partitions, then merges the slots into one result.
 struct WorkloadContext {
   explicit WorkloadContext(std::uint64_t seed) : master_rng(seed) {}
   explicit WorkloadContext(redbud::sim::Rng rng) : master_rng(rng) {}
@@ -100,10 +99,10 @@ class Workload {
   [[nodiscard]] virtual bool fixed_work() const { return false; }
 
   // Pre-grow any lazily-sized shared containers to their full `nclients`
-  // extent. The partitioned driver calls this before spawning anything so
-  // client threads running on different partitions never reallocate a
-  // shared vector concurrently; per-element state stays owned by one
-  // client. Serial runs never call it. Default: nothing shared, no-op.
+  // extent. The driver calls this before spawning anything so client
+  // threads running on different partitions never reallocate a shared
+  // vector concurrently; per-element state stays owned by one client.
+  // Default: nothing shared, no-op.
   virtual void presize(std::uint32_t nclients) { (void)nclients; }
 
   // Per-client preparation (populate filesets). Runs before measurement.

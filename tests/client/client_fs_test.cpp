@@ -37,13 +37,14 @@ ClusterParams small_cluster(CommitMode mode, bool delegation = true) {
 }
 
 // Runs `body(cluster)` (a Process factory — usually a capturing lambda
-// coroutine) to completion. The closure outlives the coroutine because it
-// is held here until the simulation has drained.
+// coroutine) to completion on client `host`'s partition; the body drives
+// that client. The closure outlives the coroutine because it is held here
+// until the simulation has drained.
 template <typename F>
-void run_in_cluster(Cluster& c, F body) {
-  auto ref = c.sim().spawn(body(c));
-  c.sim().run_until(c.sim().now() + SimTime::seconds(600));
-  c.sim().check_failures();
+void run_in_cluster(Cluster& c, F body, std::size_t host = 0) {
+  auto ref = c.client_sim(host).spawn(body(c));
+  c.run_until(c.now() + SimTime::seconds(600));
+  c.check_failures();
   ASSERT_TRUE(ref.done()) << "cluster body did not finish in sim time";
 }
 
@@ -113,11 +114,11 @@ TEST(ClientFs, DelayedWriteLatencyFarBelowSync) {
       (void)co_await pfut;
       auto pffut = fs.fsync(id);
       (void)co_await pffut;
-      co_await cl.sim().delay(SimTime::millis(100));
-      const SimTime t0 = cl.sim().now();
+      co_await cl.client_sim(0).delay(SimTime::millis(100));
+      const SimTime t0 = cl.client_sim(0).now();
       auto wfut = fs.write(id, 4096, 32768);
       (void)co_await wfut;
-      *out = cl.sim().now() - t0;
+      *out = cl.client_sim(0).now() - t0;
     });
   }
   // Sync waits for the data write + commit round trip; delayed returns
@@ -232,7 +233,7 @@ TEST(ClientFs, DelegationServesSmallWritesWithoutLayoutRpc) {
     const auto id = co_await cfut;
     auto w0 = fs.write(id, 0, 4096);
     (void)co_await w0;
-    co_await cl.sim().delay(SimTime::millis(50));
+    co_await cl.client_sim(0).delay(SimTime::millis(50));
     const auto calls_before = fs.endpoint().calls_sent();
     for (int i = 1; i <= 8; ++i) {
       auto wfut = fs.write(id, std::uint64_t(i) * 4096, 4096);
@@ -368,7 +369,7 @@ TEST(ClientFs, AdaptiveCommitThreadsScaleWithBacklog) {
     }
     std::uint32_t peak = fs.commit_pool().live_threads();
     for (int i = 0; i < 20; ++i) {
-      co_await cl.sim().delay(SimTime::millis(50));
+      co_await cl.client_sim(0).delay(SimTime::millis(50));
       peak = std::max(peak, fs.commit_pool().live_threads());
     }
     EXPECT_GT(peak, 1u);
@@ -377,7 +378,7 @@ TEST(ClientFs, AdaptiveCommitThreadsScaleWithBacklog) {
       (void)co_await sfut;
     }
     for (int i = 0; i < 30 && fs.commit_pool().live_threads() > 1; ++i) {
-      co_await cl.sim().delay(SimTime::millis(100));
+      co_await cl.client_sim(0).delay(SimTime::millis(100));
     }
     EXPECT_EQ(fs.commit_pool().live_threads(), 1u);
     EXPECT_EQ(fs.commit_queue().size(), 0u);
@@ -421,16 +422,20 @@ TEST(ClientFs, CommitsAreCompoundedAtFixedDegree) {
 TEST(ClientFs, TwoClientsShareTheNamespace) {
   Cluster c(small_cluster(CommitMode::kDelayed));
   c.start();
-  bool ok = false;
-  run_in_cluster(c, [&ok](Cluster& cl) -> Process {
+  net::FileId id = net::kInvalidFile;
+  run_in_cluster(c, [&id](Cluster& cl) -> Process {
     auto& a = cl.client(0);
-    auto& b = cl.client(1);
     auto cfut = a.create(net::kRootDir, "shared");
-    const auto id = co_await cfut;
+    id = co_await cfut;
     auto wfut = a.write(id, 0, 8192);
     (void)co_await wfut;
     auto sfut = a.fsync(id);
     (void)co_await sfut;
+  });
+  bool ok = false;
+  run_in_cluster(c, [&ok, id](Cluster& cl) -> Process {
+    auto& a = cl.client(0);
+    auto& b = cl.client(1);
     auto ofut = b.open(net::kRootDir, "shared");
     OpenResult orr = co_await ofut;
     EXPECT_EQ(orr.status, Status::kOk);
@@ -444,7 +449,7 @@ TEST(ClientFs, TwoClientsShareTheNamespace) {
                  rr.tokens[1] == a.expected_token(id, 1);
     EXPECT_TRUE(match);
     ok = match;
-  });
+  }, /*host=*/1);
   EXPECT_TRUE(ok);
 }
 

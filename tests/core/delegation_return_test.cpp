@@ -39,9 +39,9 @@ ClusterParams delegation_cluster() {
 
 template <typename F>
 void run_in_cluster(Cluster& c, F body) {
-  auto ref = c.sim().spawn(body(c));
-  c.sim().run_until(c.sim().now() + SimTime::seconds(600));
-  c.sim().check_failures();
+  auto ref = c.client_sim(0).spawn(body(c));
+  c.run_until(c.now() + SimTime::seconds(600));
+  c.check_failures();
   ASSERT_TRUE(ref.done()) << "cluster body did not finish in sim time";
 }
 

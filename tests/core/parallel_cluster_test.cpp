@@ -1,11 +1,10 @@
 // Partitioned-cluster tests: the full Redbud stack driven through the
 // SimDomain. The determinism contract under test: a metadata-only
 // workload with per-client RNG streams and staggered starts completes
-// every operation at the same simulated instant whether the kernel runs
-// serial (nthreads = 1, the classic code paths) or partitioned over any
-// number of worker threads — the parallel network/RPC paths must
-// reproduce the serial timing exactly. Data-path workloads additionally
-// smoke-test the parallel disk-array and workload-driver plumbing.
+// every operation at the same simulated instant whether one worker runs
+// every partition or several workers share them. Data-path workloads
+// additionally smoke-test the cross-partition disk-array and
+// workload-driver plumbing.
 //
 // Naming: suites start with "Parallel" for the TSan job's `ctest -R
 // Parallel` filter.
@@ -90,23 +89,21 @@ std::vector<std::vector<std::int64_t>> run_meta_churn(std::uint32_t nthreads) {
 }
 
 TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
-  const auto serial = run_meta_churn(1);
-  for (const auto& log : serial) ASSERT_GT(log.size(), 40u);
+  const auto one = run_meta_churn(1);
+  for (const auto& log : one) ASSERT_GT(log.size(), 40u);
   const auto two = run_meta_churn(2);
   const auto four = run_meta_churn(4);
-  EXPECT_EQ(serial, two)
-      << "partitioned kernel diverged from the serial timing";
-  EXPECT_EQ(serial, four);
-  // And the partitioned kernel replays itself.
+  EXPECT_EQ(one, two) << "2 workers diverged from the 1-worker timing";
+  EXPECT_EQ(one, four) << "4 workers diverged from the 1-worker timing";
+  // And a worker count replays itself.
   EXPECT_EQ(two, run_meta_churn(2));
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
-  // Write / fsync / read-verify through the parallel disk-array path:
-  // content tokens must round-trip even though reads cannot peek the
-  // array's state across partitions.
+  // Write / fsync / read-verify through the cross-partition disk-array
+  // path: content tokens must round-trip even though reads cannot peek
+  // the array's state across partitions.
   Cluster c(small_cluster(2));
-  ASSERT_TRUE(c.parallel());
   c.start();
   bool done = false;
   Simulation& csim = c.client_sim(0);
@@ -139,14 +136,13 @@ TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
 }
 
 TEST(ParallelCluster, WorkloadDriverRunsAndStaysConsistent) {
-  // The partitioned workload driver end-to-end: fileserver over 2 shards
-  // and 2 worker threads, then the whole-cluster consistency check.
+  // The workload driver end-to-end: fileserver over 2 shards and 2 worker
+  // threads, then the whole-cluster consistency check.
   core::TestbedParams tp;
   tp.protocol = Protocol::kRedbudDelayed;
   tp.nclients = 4;
   tp.redbud = small_cluster(2);
   core::Testbed bed(tp);
-  ASSERT_TRUE(bed.parallel());
   bed.start();
 
   workload::FilebenchParams fp;

@@ -38,9 +38,9 @@ ClusterParams sharded_cluster(std::uint32_t nshards, CommitMode mode) {
 
 template <typename F>
 void run_in_cluster(Cluster& c, F body) {
-  auto ref = c.sim().spawn(body(c));
-  c.sim().run_until(c.sim().now() + SimTime::seconds(600));
-  c.sim().check_failures();
+  auto ref = c.client_sim(0).spawn(body(c));
+  c.run_until(c.now() + SimTime::seconds(600));
+  c.check_failures();
   ASSERT_TRUE(ref.done()) << "cluster body did not finish in sim time";
 }
 
@@ -135,7 +135,7 @@ TEST(ShardedCluster, WholeClusterConsistencyAndGc) {
   Cluster c(sharded_cluster(4, CommitMode::kDelayed));
   c.start();
   for (std::size_t i = 0; i < c.nclients(); ++i) {
-    c.sim().spawn([](Cluster& cl, std::size_t ci) -> Process {
+    c.client_sim(i).spawn([](Cluster& cl, std::size_t ci) -> Process {
       auto& fs = cl.client(ci);
       for (int f = 0; f < 40; ++f) {
         auto cfut = fs.create(
@@ -145,11 +145,11 @@ TEST(ShardedCluster, WholeClusterConsistencyAndGc) {
         if (id == net::kInvalidFile) continue;
         auto wfut = fs.write(id, 0, 16384);
         (void)co_await wfut;
-        co_await cl.sim().delay(SimTime::millis(2));
+        co_await cl.client_sim(ci).delay(SimTime::millis(2));
       }
     }(c, i));
   }
-  c.sim().run_until(SimTime::millis(80));  // crash mid-churn
+  c.run_until(SimTime::millis(80));  // crash mid-churn
 
   // Ordered writes hold on every shard.
   const auto report = check_consistency(c);

@@ -6,7 +6,6 @@
 namespace redbud::net {
 namespace {
 
-using redbud::sim::Process;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
@@ -23,11 +22,8 @@ TEST(Network, SendDeliversAfterEgressFabricIngress) {
   const auto a = net.add_node();
   const auto b = net.add_node();
   SimTime done = SimTime::zero();
-  sim.spawn([](Simulation& s, Network& n, NodeId a, NodeId b,
-               SimTime& out) -> Process {
-    co_await n.send(a, b, std::size_t(100 * kMiB));  // 1s on each pipe
-    out = s.now();
-  }(sim, net, a, b, done));
+  // 1s on each pipe.
+  net.deliver(a, b, std::size_t(100 * kMiB), [&] { done = sim.now(); });
   sim.run();
   // 1s egress + 30us + 10us + 1s ingress + 30us.
   EXPECT_EQ(done, SimTime::seconds(2) + SimTime::micros(70));
@@ -45,11 +41,9 @@ TEST(Network, ManySendersCongestReceiverIngress) {
   std::vector<SimTime> done(4);
   for (int i = 0; i < 4; ++i) {
     const auto c = net.add_node();
-    sim.spawn([](Simulation& s, Network& n, NodeId from, NodeId to,
-                 SimTime& out) -> Process {
-      co_await n.send(from, to, std::size_t(10 * kMiB));  // 1s each
-      out = s.now();
-    }(sim, net, c, server, done[i]));
+    SimTime& out = done[i];
+    // 1s each.
+    net.deliver(c, server, std::size_t(10 * kMiB), [&] { out = sim.now(); });
   }
   sim.run();
   // Each sender transmits in parallel (1s egress), but the server ingress
@@ -72,16 +66,8 @@ TEST(Network, SendsBetweenDistinctPairsProceedInParallel) {
   const auto c = net.add_node();
   const auto d = net.add_node();
   std::vector<SimTime> done(2);
-  sim.spawn([](Simulation& s, Network& n, NodeId x, NodeId y,
-               SimTime& out) -> Process {
-    co_await n.send(x, y, std::size_t(10 * kMiB));
-    out = s.now();
-  }(sim, net, a, b, done[0]));
-  sim.spawn([](Simulation& s, Network& n, NodeId x, NodeId y,
-               SimTime& out) -> Process {
-    co_await n.send(x, y, std::size_t(10 * kMiB));
-    out = s.now();
-  }(sim, net, c, d, done[1]));
+  net.deliver(a, b, std::size_t(10 * kMiB), [&] { done[0] = sim.now(); });
+  net.deliver(c, d, std::size_t(10 * kMiB), [&] { done[1] = sim.now(); });
   sim.run();
   EXPECT_EQ(done[0], SimTime::seconds(2));
   EXPECT_EQ(done[1], SimTime::seconds(2));
@@ -105,8 +91,8 @@ TEST(Network, CountsMessagesAndBytes) {
   Network net(sim, NetworkParams{});
   const auto a = net.add_node();
   const auto b = net.add_node();
-  (void)net.send(a, b, 1000);
-  (void)net.send(b, a, 500);
+  net.deliver(a, b, 1000, [] {});
+  net.deliver(b, a, 500, [] {});
   sim.run();
   EXPECT_EQ(net.messages_sent(), 2u);
   EXPECT_EQ(net.bytes_sent(), 1500u);
@@ -160,11 +146,7 @@ TEST(Network, DroppedFramesStillConsumeEgress) {
   net.deliver(a, b, std::size_t(10 * kMiB), [&arrived] { ++arrived; });
   net.set_link_loss(a, 0.0);  // loss is drawn at deliver() entry
   SimTime healthy_done = SimTime::zero();
-  sim.spawn([](Simulation& s, Network& n, NodeId from, NodeId to,
-               SimTime& out) -> Process {
-    co_await n.send(from, to, std::size_t(10 * kMiB));
-    out = s.now();
-  }(sim, net, a, b, healthy_done));
+  net.deliver(a, b, std::size_t(10 * kMiB), [&] { healthy_done = sim.now(); });
   sim.run();
   EXPECT_EQ(arrived, 0);
   EXPECT_EQ(net.link_dropped(a), 2u);
@@ -184,11 +166,7 @@ TEST(Network, ExtraLinkDelayShiftsArrival) {
   const auto b = net.add_node();
   net.set_link_delay(a, SimTime::millis(3));
   SimTime done = SimTime::zero();
-  sim.spawn([](Simulation& s, Network& n, NodeId from, NodeId to,
-               SimTime& out) -> Process {
-    co_await n.send(from, to, std::size_t(100 * kMiB));
-    out = s.now();
-  }(sim, net, a, b, done));
+  net.deliver(a, b, std::size_t(100 * kMiB), [&] { done = sim.now(); });
   sim.run();
   // The lossless-path timing from SendDeliversAfterEgressFabricIngress,
   // shifted by exactly the injected 3ms.

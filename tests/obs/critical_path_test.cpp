@@ -2,7 +2,7 @@
 // hand-built span chain, dedup-merge and batch-rider attribution,
 // open-chain classification, chains_open metric export, a golden
 // latency_blame.json on a pinned small-testbed run, and bit-identity of
-// the blame artifact across worker counts under force_partitioned.
+// the blame artifact across worker counts.
 //
 // Regenerate the golden file after an intentional format change:
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests \
@@ -266,9 +266,6 @@ ClusterParams traced_params(std::uint32_t nthreads) {
   ClusterParams p;
   p.nclients = 2;
   p.nthreads = nthreads;
-  // Same partitioned window kernel for every worker count, so the blame
-  // artifact is required to be bit-identical across {1, 2, 4}.
-  p.force_partitioned = true;
   p.array.ndisks = 2;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;

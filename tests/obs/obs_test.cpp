@@ -1,7 +1,7 @@
 // Tests for the observability layer: span propagation across an RPC
 // round-trip, dedup-merge span linking in the commit queue, registry
-// label cardinality, chain reconstruction, and a golden-file check of
-// the Perfetto export.
+// label cardinality, chain reconstruction, per-partition tracer lanes on
+// a partitioned cluster, and a golden-file check of the Perfetto export.
 //
 // Regenerate the golden file after an intentional export-format change:
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
@@ -14,6 +14,7 @@
 #include <string>
 
 #include "client/commit_queue.hpp"
+#include "core/cluster.hpp"
 #include "net/rpc.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
@@ -50,6 +51,73 @@ TEST(Tracer, ChildSharesTraceWithFreshSpan) {
   EXPECT_TRUE(root.active());
   EXPECT_EQ(kid.trace, root.trace);
   EXPECT_NE(kid.span, root.span);
+}
+
+// --- Partitioned tracer lanes --------------------------------------------
+//
+// Suite names start with "Parallel" so the TSan job (`ctest -R Parallel`)
+// races the lanes with two workers.
+
+core::ClusterParams traced_cluster(std::uint32_t nthreads) {
+  core::ClusterParams p;
+  p.nclients = 2;
+  p.nshards = 2;
+  p.nthreads = nthreads;
+  p.array.ndisks = 2;
+  p.array.disk.total_blocks = 1 << 20;
+  p.metadata_disk.total_blocks = 1 << 20;
+  p.journal.region_blocks = 1 << 16;
+  p.client.chunk_blocks = 1024;
+  p.obs.tracing.enabled = true;
+  return p;
+}
+
+Process write_churn(core::Cluster& cl, std::uint32_t h) {
+  auto& fs = cl.client(h);
+  for (int f = 0; f < 4; ++f) {
+    auto cfut = fs.create(net::kRootDir,
+                          "t" + std::to_string(h) + "_" + std::to_string(f));
+    const net::FileId id = co_await cfut;
+    EXPECT_NE(id, net::kInvalidFile);
+    if (id == net::kInvalidFile) co_return;
+    for (int i = 0; i < 4; ++i) {
+      auto wfut = fs.write(id, std::uint64_t(i) * 4096, 4096);
+      (void)co_await wfut;
+      co_await cl.client_sim(h).delay(SimTime::millis(2));
+    }
+    auto sfut = fs.fsync(id);
+    (void)co_await sfut;
+  }
+}
+
+// Run the churn, optionally reading the tracer half-way, and return the
+// final span log as a Perfetto export.
+std::string traced_log(std::uint32_t nthreads, bool read_midway) {
+  core::Cluster c(traced_cluster(nthreads));
+  c.start();
+  for (std::uint32_t h = 0; h < c.nclients(); ++h) {
+    c.client_sim(h).spawn(write_churn(c, h));
+  }
+  c.run_until(SimTime::millis(15));
+  std::size_t midway = 0;
+  if (read_midway) {
+    midway = c.obs().tracer.spans().size();
+    EXPECT_GT(midway, 0u);
+    EXPECT_FALSE(c.obs().tracer.stage_latency().empty());
+    EXPECT_EQ(c.obs().tracer.spans_dropped(), 0u);
+  }
+  c.run_until(SimTime::seconds(2));
+  c.check_failures();
+  EXPECT_GT(c.obs().tracer.spans().size(), midway);
+  return perfetto_json(c.obs().tracer);
+}
+
+TEST(ParallelTracer, MidRunReadKeepsLanesAndFinalLog) {
+  const std::string one = traced_log(1, /*read_midway=*/true);
+  EXPECT_EQ(one, traced_log(2, true))
+      << "span log after a mid-run read depends on the worker count";
+  EXPECT_EQ(one, traced_log(1, false))
+      << "a mid-run read changed the final span log";
 }
 
 // --- RPC round-trip propagation ------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the time-series telemetry plane: the kernel probe's
+// Tests for the time-series telemetry plane: the domain probe's
 // off-event grid semantics, the sampler ring, channel freezing and
 // name-based re-resolution, sampled-series determinism across worker
 // counts, the KernelProfile's accounting invariants, and a golden-file
@@ -9,6 +9,7 @@
 //       --gtest_filter=TimeSeriesExport.PerfettoCounterGoldenFile
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <fstream>
@@ -37,69 +38,75 @@ using redbud::sim::Simulation;
 
 constexpr SimTime kLookahead = SimTime::micros(40);
 
-// --- Serial probe: grid semantics ----------------------------------------
+// --- Domain probe: grid semantics ----------------------------------------
 
 struct ProbeLog {
-  Simulation* sim = nullptr;
-  // (tag, instant-or-event time ns, now() ns when it ran)
-  std::vector<std::array<std::int64_t, 3>> entries;
+  // (tag, instant-or-event time ns): tag 0 = probe, 1 = event
+  std::vector<std::array<std::int64_t, 2>> entries;
 
   static void thunk(void* ctx, SimTime instant) {
-    auto* self = static_cast<ProbeLog*>(ctx);
-    self->entries.push_back({0, instant.ns(), self->sim->now().ns()});
+    static_cast<ProbeLog*>(ctx)->entries.push_back({0, instant.ns()});
   }
-  void event(std::int64_t at_ns) { entries.push_back({1, at_ns, at_ns}); }
+  void event(std::int64_t at_ns) { entries.push_back({1, at_ns}); }
 };
 
-TEST(KernelProbe, FiresAtExactGridInstantsBeforeCrossingEvents) {
-  Simulation sim;
+TEST(KernelProbe, FiresEveryGridInstantWithinOneWindow) {
+  SimDomain domain(1, kLookahead);
+  Simulation& sim = domain.add_partition();
   ProbeLog log;
-  log.sim = &sim;
-  sim.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
-                &ProbeLog::thunk);
-  for (const std::int64_t us : {5, 25, 40, 104}) {
+  domain.set_probe(SimTime::micros(10), SimTime::micros(10), &log,
+                   &ProbeLog::thunk);
+  for (const std::int64_t us : {5, 25, 60, 104}) {
     sim.call_at(SimTime::micros(us), [&log, us] { log.event(us * 1000); });
   }
-  sim.run_until(SimTime::micros(120));
+  domain.run_until(SimTime::micros(120));
 
-  // Probes fired at every exact grid instant up to the horizon, and the
-  // clock had NOT yet reached the instant when each one ran (t_k^-).
+  // Every grid instant up to the horizon fires once, in order. Each fires
+  // after every event before it and before every event a window or more
+  // past it (the sample lags by less than the lookahead).
   std::vector<std::int64_t> probe_instants;
-  for (const auto& e : log.entries) {
-    if (e[0] == 0) {
-      probe_instants.push_back(e[1]);
-      EXPECT_LT(e[2], e[1]) << "probe must run before the clock crosses it";
+  for (std::size_t i = 0; i < log.entries.size(); ++i) {
+    if (log.entries[i][0] != 0) continue;
+    const std::int64_t instant = log.entries[i][1];
+    probe_instants.push_back(instant);
+    for (std::size_t j = 0; j < log.entries.size(); ++j) {
+      if (log.entries[j][0] != 1) continue;
+      const std::int64_t at = log.entries[j][1];
+      if (at < instant) {
+        EXPECT_LT(j, i) << "event " << at << " ran late";
+      }
+      if (j < i) {
+        EXPECT_LT(at, instant + kLookahead.ns());
+      }
     }
   }
   std::vector<std::int64_t> want;
   for (std::int64_t us = 10; us <= 120; us += 10) want.push_back(us * 1000);
   EXPECT_EQ(probe_instants, want);
 
-  // An event AT a grid instant runs after that instant's probe: the probe
-  // at 40us precedes the event at 40us in the log.
-  std::size_t probe40 = 0, event40 = 0;
-  for (std::size_t i = 0; i < log.entries.size(); ++i) {
-    if (log.entries[i] == std::array<std::int64_t, 3>{0, 40000, 25000}) {
-      probe40 = i;
-    }
-    if (log.entries[i][0] == 1 && log.entries[i][1] == 40000) event40 = i;
-  }
-  EXPECT_LT(probe40, event40);
-  EXPECT_EQ(sim.now(), SimTime::micros(120));
+  // A round starting exactly on a grid instant samples it exactly: the
+  // probe at 60us precedes the event at 60us.
+  const auto at = [&log](std::array<std::int64_t, 2> e) {
+    return std::find(log.entries.begin(), log.entries.end(), e) -
+           log.entries.begin();
+  };
+  EXPECT_LT(at({0, 60000}), at({1, 60000}));
+  EXPECT_EQ(domain.now(), SimTime::micros(120));
 }
 
-// --- Serial probe: sampling cannot perturb the event stream --------------
+// --- Domain probe: sampling cannot perturb the event stream --------------
 
 std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
-  Simulation sim;
+  SimDomain domain(1, kLookahead);
+  Simulation& sim = domain.add_partition();
   MetricsRegistry reg;
   Counter ops;
   reg.register_counter("churn.ops", {}, &ops);
   TimeSeriesSampler sampler(SamplerParams{SimTime::micros(15), 4096});
   sampler.bind(&reg);
   if (with_sampler) {
-    sim.set_probe(sampler.interval(), sampler.interval(), &sampler,
-                  &TimeSeriesSampler::probe_thunk);
+    domain.set_probe(sampler.interval(), sampler.interval(), &sampler,
+                     &TimeSeriesSampler::probe_thunk);
   }
 
   std::uint64_t digest = 1469598103934665603ull;
@@ -124,8 +131,8 @@ std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
   Chain c{&sim, &ops, &fold};
   c.arm(1, 0, SimTime::micros(7));
   c.arm(2, 0, SimTime::micros(35));
-  sim.run_until(SimTime::millis(5));
-  fold(sim.events_processed());
+  domain.run_until(SimTime::millis(5));
+  fold(domain.events_processed());
   if (samples_out != nullptr) *samples_out = sampler.samples_taken();
   return digest;
 }
@@ -203,7 +210,7 @@ struct DomainHarness {
   static constexpr std::uint32_t kParts = 4;
 
   explicit DomainHarness(unsigned nthreads, SimTime interval)
-      : domain(nthreads, kLookahead, /*force_partitioned=*/true),
+      : domain(nthreads, kLookahead),
         sampler(SamplerParams{interval, 8192}) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
@@ -301,23 +308,23 @@ TEST(ParallelKernelProfile, EventsConserveAndTimeSplitsIntoBusyAndStall) {
   EXPECT_EQ(prof.injections_staged, prof.injections_delivered);
 }
 
-TEST(ParallelKernelProfile, SerialDomainReportsWallAsWorkerZeroBusy) {
-  SimDomain d(1, kLookahead);
-  Simulation& s = d.add_partition();
-  int fired = 0;
-  for (int i = 1; i <= 64; ++i) {
-    s.call_at(SimTime::micros(i * 3), [&fired] { ++fired; });
-  }
-  d.run_until(SimTime::millis(1));
-  EXPECT_EQ(fired, 64);
+TEST(ParallelKernelProfile, OneWorkerDomainRunsEveryWindowOnTheCoordinator) {
+  DomainHarness h(1, SimTime::micros(100));
+  h.start();
+  h.domain.run_until(SimTime::millis(10));
 
-  const KernelProfile prof = d.kernel_profile();
-  ASSERT_EQ(prof.partitions.size(), 1u);
+  const KernelProfile prof = h.domain.kernel_profile();
   ASSERT_EQ(prof.workers.size(), 1u);
-  EXPECT_EQ(prof.partitions[0].events, s.events_processed());
-  EXPECT_EQ(prof.workers[0].busy_ns, prof.wall_ns);
-  EXPECT_EQ(prof.workers[0].stall_ns, 0u);
-  EXPECT_EQ(prof.rounds, 0u) << "the serial path runs no barrier rounds";
+  EXPECT_GT(prof.rounds, 0u);
+  // The coordinator claims every partition window of every round.
+  std::uint64_t windows = 0;
+  for (const KernelProfile::Partition& p : prof.partitions) {
+    EXPECT_EQ(p.windows, prof.rounds);
+    windows += p.windows;
+  }
+  EXPECT_EQ(prof.workers[0].windows_run, windows);
+  EXPECT_LE(prof.workers[0].busy_ns + prof.workers[0].stall_ns, prof.wall_ns);
+  EXPECT_EQ(prof.injections_staged, prof.injections_delivered);
 }
 
 // --- Perfetto counter-track export (golden file) -------------------------

@@ -304,7 +304,7 @@ TestbedRunResult run_small_testbed(std::uint64_t seed) {
   opt.warmup = SimTime::millis(200);
   opt.duration = SimTime::millis(800);
   auto r = run_workload(bed, w, opt);
-  return {bed.sim().events_processed(), r.ops, r.ops_per_sec, r.mb_per_sec,
+  return {bed.events_processed(), r.ops, r.ops_per_sec, r.mb_per_sec,
           r.verify_failures + r.op_errors};
 }
 

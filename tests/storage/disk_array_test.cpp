@@ -1,12 +1,16 @@
-// Tests for the FC-attached disk array.
+// Tests for the FC-attached disk array. The array lives in its own
+// partition of a two-partition domain and every test issues I/O from the
+// other (issuer) partition, as a client host does.
 #include <gtest/gtest.h>
 
+#include "sim/parallel.hpp"
 #include "storage/disk_array.hpp"
 
 namespace redbud::storage {
 namespace {
 
 using redbud::sim::Process;
+using redbud::sim::SimDomain;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
@@ -17,96 +21,99 @@ ArrayParams small_array() {
   return p;
 }
 
+struct Rig {
+  SimDomain domain{1, SimTime::micros(40)};
+  Simulation& issuer = domain.add_partition();
+  Simulation& array_sim = domain.add_partition();
+  DiskArray arr{domain, array_sim, small_array()};
+
+  Rig() { arr.start(); }
+  void run() { domain.run_until(SimTime::seconds(10)); }
+};
+
 TEST(DiskArray, WriteThenPeekSeesTokens) {
-  Simulation sim;
-  DiskArray arr(sim, small_array());
-  arr.start();
+  Rig rig;
   bool done = false;
-  sim.spawn([](Simulation&, DiskArray& a, bool& out) -> Process {
+  rig.issuer.spawn([](Simulation& s, DiskArray& a, bool& out) -> Process {
     std::vector<ContentToken> t{11, 22};
-    co_await a.write(PhysAddr{0, 100}, 2, std::move(t));
+    co_await a.write(s, PhysAddr{0, 100}, 2, std::move(t));
     out = true;
-  }(sim, arr, done));
-  sim.run();
+  }(rig.issuer, rig.arr, done));
+  rig.run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(arr.peek({0, 100}, 2), (std::vector<ContentToken>{11, 22}));
+  EXPECT_EQ(rig.arr.peek({0, 100}, 2), (std::vector<ContentToken>{11, 22}));
 }
 
 TEST(DiskArray, DevicesAreIndependent) {
-  Simulation sim;
-  DiskArray arr(sim, small_array());
-  arr.start();
-  sim.spawn([](Simulation&, DiskArray& a) -> Process {
+  Rig rig;
+  rig.issuer.spawn([](Simulation& s, DiskArray& a) -> Process {
     std::vector<ContentToken> t1{1}, t2{2};
-    co_await a.write(PhysAddr{0, 100}, 1, std::move(t1));
-    co_await a.write(PhysAddr{1, 100}, 1, std::move(t2));
-  }(sim, arr));
-  sim.run();
-  EXPECT_EQ(arr.peek({0, 100}, 1)[0], 1u);
-  EXPECT_EQ(arr.peek({1, 100}, 1)[0], 2u);
+    co_await a.write(s, PhysAddr{0, 100}, 1, std::move(t1));
+    co_await a.write(s, PhysAddr{1, 100}, 1, std::move(t2));
+  }(rig.issuer, rig.arr));
+  rig.run();
+  EXPECT_EQ(rig.arr.peek({0, 100}, 1)[0], 1u);
+  EXPECT_EQ(rig.arr.peek({1, 100}, 1)[0], 2u);
 }
 
 TEST(DiskArray, ReadCompletesAfterDiskAndFc) {
-  Simulation sim;
-  DiskArray arr(sim, small_array());
-  arr.start();
+  Rig rig;
+  SimTime write_done = SimTime::zero();
   SimTime read_done = SimTime::zero();
-  sim.spawn([](Simulation& s, DiskArray& a, SimTime& out) -> Process {
+  std::vector<ContentToken> got;
+  rig.issuer.spawn([](Simulation& s, DiskArray& a, SimTime& wdone,
+                      SimTime& rdone,
+                      std::vector<ContentToken>& out) -> Process {
     std::vector<ContentToken> t{1, 2, 3, 4};
-    co_await a.write(PhysAddr{0, 10}, 4, std::move(t));
-    co_await a.read(PhysAddr{0, 10}, 4);
-    out = s.now();
-  }(sim, arr, read_done));
-  sim.run();
-  EXPECT_GT(read_done, SimTime::zero());
-  EXPECT_EQ(arr.peek({0, 10}, 4), (std::vector<ContentToken>{1, 2, 3, 4}));
+    co_await a.write(s, PhysAddr{0, 10}, 4, std::move(t));
+    wdone = s.now();
+    out = co_await a.read_tokens(s, PhysAddr{0, 10}, 4);
+    rdone = s.now();
+  }(rig.issuer, rig.arr, write_done, read_done, got));
+  rig.run();
+  // The read pays the command hop, the device and the data hop back.
+  const SimTime two_hops = small_array().fc_latency * std::int64_t{2};
+  EXPECT_GT(read_done, write_done + two_hops);
+  EXPECT_EQ(got, (std::vector<ContentToken>{1, 2, 3, 4}));
 }
 
 TEST(DiskArray, FcPipeCarriesPayloadBytes) {
-  Simulation sim;
-  DiskArray arr(sim, small_array());
-  arr.start();
-  sim.spawn([](Simulation&, DiskArray& a) -> Process {
-    co_await a.write(PhysAddr{0, 0}, 8, std::vector<ContentToken>(8, 9));
-  }(sim, arr));
-  sim.run();
-  EXPECT_EQ(arr.fc_pipe().meter().bytes(), 8 * kBlockSize);
+  Rig rig;
+  rig.issuer.spawn([](Simulation& s, DiskArray& a) -> Process {
+    co_await a.write(s, PhysAddr{0, 0}, 8, std::vector<ContentToken>(8, 9));
+  }(rig.issuer, rig.arr));
+  rig.run();
+  EXPECT_EQ(rig.arr.fc_pipe().meter().bytes(), 8 * kBlockSize);
 }
 
 TEST(DiskArray, AggregateStatsSumDevices) {
-  Simulation sim;
-  DiskArray arr(sim, small_array());
-  arr.start();
-  sim.spawn([](Simulation&, DiskArray& a) -> Process {
+  Rig rig;
+  rig.issuer.spawn([](Simulation& s, DiskArray& a) -> Process {
     std::vector<ContentToken> t1{1}, t2{2};
-    co_await a.write(PhysAddr{0, 100}, 1, std::move(t1));
-    co_await a.write(PhysAddr{1, 200}, 1, std::move(t2));
-  }(sim, arr));
-  sim.run();
-  EXPECT_EQ(arr.total_submitted(), 2u);
-  EXPECT_EQ(arr.total_dispatched(), 2u);
-  arr.reset_stats();
-  EXPECT_EQ(arr.total_submitted(), 0u);
+    co_await a.write(s, PhysAddr{0, 100}, 1, std::move(t1));
+    co_await a.write(s, PhysAddr{1, 200}, 1, std::move(t2));
+  }(rig.issuer, rig.arr));
+  rig.run();
+  EXPECT_EQ(rig.arr.total_submitted(), 2u);
+  EXPECT_EQ(rig.arr.total_dispatched(), 2u);
+  rig.arr.reset_stats();
+  EXPECT_EQ(rig.arr.total_submitted(), 0u);
 }
 
 TEST(DiskArray, ConcurrentAdjacentWritesMergeOnOneDevice) {
-  Simulation sim;
-  ArrayParams ap = small_array();
-  DiskArray arr(sim, ap);
-  arr.start();
+  Rig rig;
   // A far-away blocker parks the device busy, then adjacent writes pile up.
-  sim.spawn([](Simulation& s, DiskArray& a) -> Process {
-    (void)a.write(PhysAddr{0, 900'000}, 1, std::vector<ContentToken>{1});
+  rig.issuer.spawn([](Simulation& s, DiskArray& a) -> Process {
+    (void)a.write(s, PhysAddr{0, 900'000}, 1, std::vector<ContentToken>{1});
     co_await s.delay(SimTime::millis(1));
     for (int i = 0; i < 8; ++i) {
-      (void)a.write({0, BlockNo(1000 + i * 4)}, 4,
+      (void)a.write(s, {0, BlockNo(1000 + i * 4)}, 4,
                     std::vector<ContentToken>(4, ContentToken(i + 1)));
     }
-    co_await a.scheduler(0).drained();
-  }(sim, arr));
-  sim.run();
-  EXPECT_GT(arr.total_merged(), 0u);
-  EXPECT_GT(arr.merge_ratio(), 0.0);
+  }(rig.issuer, rig.arr));
+  rig.run();
+  EXPECT_GT(rig.arr.total_merged(), 0u);
+  EXPECT_GT(rig.arr.merge_ratio(), 0.0);
 }
 
 }  // namespace

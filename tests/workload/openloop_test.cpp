@@ -47,13 +47,6 @@ Fleet make_fleet(std::uint32_t nthreads, ArrivalKind kind) {
   p.nclients = 3;  // hosts
   p.nshards = 2;
   p.nthreads = nthreads;
-  // All worker counts (including 1) run the partitioned window kernel:
-  // that is the cross-worker-count replay contract an open-loop sweep
-  // relies on. The classic serial kernel orders same-instant cross-node
-  // ties by global insertion order instead of the domain's
-  // (time, src, seq) injection order, so it is deliberately NOT part of
-  // this comparison (see sim/parallel.hpp).
-  p.force_partitioned = true;
   p.array.ndisks = 2;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
@@ -85,10 +78,8 @@ std::uint64_t run_fleet_digest(std::uint32_t nthreads, ArrivalKind kind) {
   c.start();
 
   // Everything is spawned BEFORE the kernel runs and all phase
-  // transitions happen in-sim at absolute instants from the Schedule.
-  // Spawning or flag-flipping from the host thread between run_until
-  // calls would anchor on partition-local now(), which differs between
-  // the serial and partitioned kernels and breaks cross-thread replay.
+  // transitions happen in-sim at absolute instants from the Schedule, so
+  // nothing depends on how the host slices its run_until calls.
   std::vector<redbud::sim::SimFuture<redbud::sim::Done>> prep;
   prep.reserve(f.engines.size());
   for (auto& e : f.engines) prep.push_back(e->prepare());
