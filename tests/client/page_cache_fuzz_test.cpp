@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include "client/page_cache.hpp"
 #include "sim/random.hpp"
@@ -21,13 +22,17 @@ struct Ref {
   std::map<std::pair<net::FileId, std::uint64_t>, Page> pages;
 };
 
+// gtest names each case by a byte dump of this struct, so it must have no
+// padding: padding bytes are uninitialised and would change the test names
+// from one build (or run) to the next.
 struct FuzzCase {
   std::uint64_t seed;
-  int ops;
+  std::int64_t ops;
   std::size_t capacity;
   std::uint64_t files;
   std::uint64_t blocks;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>);
 
 class PageCacheFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

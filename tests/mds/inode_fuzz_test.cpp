@@ -6,6 +6,7 @@
 
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include "mds/inode.hpp"
 #include "sim/random.hpp"
@@ -15,12 +16,16 @@ namespace {
 
 using net::Extent;
 
+// gtest names each case by a byte dump of this struct, so it must have no
+// padding: padding bytes are uninitialised and would change the test names
+// from one build (or run) to the next.
 struct FuzzCase {
   std::uint64_t seed;
-  int commits;
+  std::int64_t commits;
   std::uint64_t file_blocks;  // logical file size bound, in blocks
-  std::uint32_t max_extent;
+  std::uint64_t max_extent;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>);
 
 class InodeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
