@@ -3,8 +3,10 @@
 // against std::map while validating structural invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mds/btree.hpp"
@@ -141,11 +143,14 @@ TEST(BPlusTree, ItemsEnumerateInOrder) {
 
 // --- randomized differential property tests --------------------------------
 
+// 64-bit fields only: gtest names each case by the struct's bytes, so
+// padding would put uninitialised bytes into the test name.
 struct FuzzCase {
   std::uint64_t seed;
   std::uint64_t key_space;
-  int ops;
+  std::int64_t ops;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>);
 
 class BPlusTreeFuzz : public ::testing::TestWithParam<FuzzCase> {};
 

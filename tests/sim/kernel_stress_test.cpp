@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,13 +21,16 @@ namespace {
 // Producers inject exactly N tokens with random pacing; consumers drain
 // them. Conservation: every token received exactly once, in FIFO order
 // per producer.
+// No padding: gtest names each case by the struct's bytes, so padding
+// would put uninitialised bytes into the test name.
 struct ChannelCase {
   std::uint64_t seed;
-  int producers;
-  int consumers;
-  int per_producer;
-  std::size_t capacity;
+  std::int32_t producers;
+  std::int32_t consumers;
+  std::int64_t per_producer;
+  std::uint64_t capacity;
 };
+static_assert(std::has_unique_object_representations_v<ChannelCase>);
 
 class ChannelStress : public ::testing::TestWithParam<ChannelCase> {};
 
@@ -44,10 +48,10 @@ TEST_P(ChannelStress, ConservationAndPerProducerFifo) {
         co_await s.delay(SimTime::micros(std::int64_t(r.next_below(50))));
         co_await chan.send({id, i});
       }
-    }(sim, ch, p, c.per_producer, rng.next_u64()));
+    }(sim, ch, p, static_cast<int>(c.per_producer), rng.next_u64()));
   }
 
-  const int total = c.producers * c.per_producer;
+  const int total = c.producers * static_cast<int>(c.per_producer);
   std::vector<std::vector<int>> seen(std::size_t(c.producers));
   int received = 0;
   for (int k = 0; k < c.consumers; ++k) {

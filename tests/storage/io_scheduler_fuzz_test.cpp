@@ -10,7 +10,9 @@
 //  4. merge accounting never exceeds submissions.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <type_traits>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -25,14 +27,18 @@ using redbud::sim::Rng;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
+// No padding: gtest names each case by the struct's bytes, so padding
+// would put uninitialised bytes into the test name. The flags are 16-bit
+// to fill the tail after max_len.
 struct FuzzCase {
   std::uint64_t seed;
-  int nrequests;
+  std::int64_t nrequests;
   BlockNo space;         // block range requests fall into
   std::uint32_t max_len;
-  bool merging;
-  bool elevator;
+  std::uint16_t merging;
+  std::uint16_t elevator;
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>);
 
 class IoSchedulerFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -43,8 +49,8 @@ TEST_P(IoSchedulerFuzz, EveryFutureResolvesAndQueueDrains) {
   dp.total_blocks = 1 << 22;
   Disk disk(sim, dp);
   SchedulerParams sp;
-  sp.merging = c.merging;
-  sp.elevator = c.elevator;
+  sp.merging = c.merging != 0;
+  sp.elevator = c.elevator != 0;
   IoScheduler sched(sim, disk, sp);
   sched.start();
 
