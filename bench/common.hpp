@@ -88,7 +88,6 @@ inline KernelStats kernel_stats(core::Cluster& cluster) {
   s.events = kp.events_total();
   s.rounds = kp.rounds;
   s.busy_ns = kp.busy_ns_total();
-  s.stall_ns = kp.stall_ns_total();
   s.injections_staged = kp.injections_staged;
   s.injections_delivered = kp.injections_delivered;
   s.max_partition_events = kp.max_partition_events();
@@ -159,10 +158,6 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 
 // Command-line options shared by every bench binary.
 //
-//   --threads N   worker threads for the partitioned simulation kernel
-//                 (ClusterParams::nthreads); default 1 runs every
-//                 partition on the main thread. Results do not depend
-//                 on N
 //   --smoke       reduced grid / shortened run for CI smoke jobs
 //   --trace       enable span tracing (same effect as REDBUD_TRACE=1)
 //   --sample-interval M
@@ -173,7 +168,6 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 // Unknown arguments warn on stderr and are otherwise ignored, so adding a
 // flag never breaks an older bench invocation in a CI matrix.
 struct Options {
-  unsigned threads = 1;
   bool smoke = false;
   bool trace = false;
   double sample_interval_ms = 0.0;
@@ -182,12 +176,7 @@ struct Options {
     Options o;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a == "--threads" && i + 1 < argc) {
-        o.threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (a.rfind("--threads=", 0) == 0) {
-        o.threads =
-            static_cast<unsigned>(std::strtoul(a.c_str() + 10, nullptr, 10));
-      } else if (a == "--smoke") {
+      if (a == "--smoke") {
         o.smoke = true;
       } else if (a == "--trace") {
         o.trace = true;
@@ -197,11 +186,9 @@ struct Options {
         o.sample_interval_ms = std::strtod(a.c_str() + 18, nullptr);
       } else {
         std::cerr << "warning: unknown bench option '" << a
-                  << "' (known: --threads N, --smoke, --trace, "
-                     "--sample-interval M)\n";
+                  << "' (known: --smoke, --trace, --sample-interval M)\n";
       }
     }
-    if (o.threads == 0) o.threads = 1;
     if (o.sample_interval_ms < 0) o.sample_interval_ms = 0;
     return o;
   }
@@ -222,7 +209,6 @@ inline core::TestbedParams paper_testbed(core::Protocol proto,
   core::TestbedParams p;
   p.protocol = proto;
   p.redbud.obs = opt.obs();
-  p.redbud.nthreads = opt.threads;
   p.nclients = 7;  // eight-node cluster: one MDS + seven clients
   p.redbud.array.ndisks = 4;
   // Scaled-down client cache: the xcdn namespace must dwarf it, as the

@@ -17,7 +17,7 @@
 //
 // Results land in bench_out/BENCH_faults.json (schema:
 // schemas/bench_faults.schema.json). --smoke runs the reduced grid the CI
-// job uses; --threads N drives every cell under the partitioned kernel.
+// job uses.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -97,11 +97,10 @@ struct CellResult {
   std::vector<double> drop_totals;
 };
 
-ClusterParams cell_cluster(std::uint32_t nshards, std::uint32_t nthreads) {
+ClusterParams cell_cluster(std::uint32_t nshards) {
   ClusterParams p;
   p.nclients = 4;
   p.nshards = nshards;
-  p.nthreads = nthreads;
   p.array.ndisks = 4;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
@@ -292,8 +291,7 @@ FaultScheduleParams cell_faults(const CellSpec& c) {
 }
 
 // Fileserver-style churn: create / write / fsync per file, with the fsync
-// completion latency recorded client-side. One histogram per client —
-// partitions run on distinct workers under --threads, so no sharing.
+// completion latency recorded client-side, one histogram per client.
 Process churn(Simulation& sim, client::ClientFs& fs, std::uint32_t client_id,
               int nfiles, LatencyHistogram* fsync_lat, std::uint64_t* ops,
               std::uint64_t* failures) {
@@ -326,10 +324,10 @@ Process churn(Simulation& sim, client::ClientFs& fs, std::uint32_t client_id,
   }
 }
 
-CellResult run_cell(const CellSpec& spec, std::uint32_t nthreads, bool smoke) {
+CellResult run_cell(const CellSpec& spec, bool smoke) {
   CellResult r;
   r.spec = spec;
-  Cluster c(cell_cluster(spec.nshards, nthreads));
+  Cluster c(cell_cluster(spec.nshards));
   const auto& cp = c.params();
   FaultSchedule sched = FaultSchedule::generate(
       cell_faults(spec), cp.array.ndisks, cp.nclients, cp.nshards);
@@ -447,12 +445,11 @@ CellResult run_cell(const CellSpec& spec, std::uint32_t nthreads, bool smoke) {
   return r;
 }
 
-void write_faults_json(const std::vector<CellResult>& cells,
-                       std::uint32_t nthreads, bool smoke) {
+void write_faults_json(const std::vector<CellResult>& cells, bool smoke) {
   std::filesystem::create_directories("bench_out");
   std::ofstream out("bench_out/BENCH_faults.json", std::ios::trunc);
   out << "{\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"nthreads\": " << nthreads << ",\n  \"cells\": [\n";
+      << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& r = cells[i];
     out << "    {\"fault\": \"" << r.spec.fault << "\", \"intensity\": \""
@@ -485,7 +482,6 @@ void write_faults_json(const std::vector<CellResult>& cells,
 int main(int argc, char** argv) {
   const bench::Options cli = bench::Options::parse(argc, argv);
   const bool smoke = cli.smoke;
-  const std::uint32_t nthreads = cli.threads;
   core::print_banner(
       std::cout, "Fault scenario matrix",
       smoke ? "reduced CI grid: fault kind x intensity, 2 shards"
@@ -513,7 +509,7 @@ int main(int argc, char** argv) {
   std::map<std::uint32_t, CellResult> baselines;  // nshards -> "none" cell
   bool ok = true;
   for (const CellSpec& spec : grid) {
-    CellResult r = run_cell(spec, nthreads, smoke);
+    CellResult r = run_cell(spec, smoke);
     if (std::string_view(spec.fault) == "none") {
       baselines[spec.nshards] = r;
       r.within_bound = true;
@@ -531,7 +527,7 @@ int main(int argc, char** argv) {
          r.op_failures == 0 && r.ops > 0 && r.incidents_covered;
     cells.push_back(std::move(r));
   }
-  write_faults_json(cells, nthreads, smoke);
+  write_faults_json(cells, smoke);
 
   core::Table table({"fault", "intensity", "shards", "ops", "fsync p99 us",
                      "commit p99 us", "x base (f/c)", "drops", "failover",

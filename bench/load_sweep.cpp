@@ -27,9 +27,7 @@
 // the sampled series per point into bench_out/timeseries.json
 // (schemas/timeseries.schema.json).
 //
-// Results are bit-identical for any --threads value (the partitioned
-// kernel's contract, sim/parallel.hpp). --smoke shrinks the fleet
-// to 10^4 clients and two load points for CI.
+// --smoke shrinks the fleet to 10^4 clients and two load points for CI.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -135,8 +133,7 @@ bool wants_export(const std::string& name) {
 }
 
 PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
-                      unsigned nthreads, SimTime sample_interval,
-                      bool trace) {
+                      SimTime sample_interval, bool trace) {
   const double offered_ops = pt.offered_ops;
   PointResult res;
   res.offered_ops = offered_ops;
@@ -145,7 +142,6 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
   ClusterParams p;
   p.nclients = kHosts;
   p.nshards = kShards;
-  p.nthreads = nthreads;
   p.array.ndisks = 4;
   p.array.disk.total_blocks = 1 << 22;
   p.metadata_disk.total_blocks = 1 << 22;
@@ -337,11 +333,11 @@ Saturation detect_saturation(const std::vector<PointResult>& points) {
 
 void write_load_json(const std::vector<PointResult>& points,
                      const Saturation& sat, std::uint32_t clients_total,
-                     unsigned nthreads, bool smoke) {
+                     bool smoke) {
   std::filesystem::create_directories("bench_out");
   std::ofstream out("bench_out/BENCH_load.json", std::ios::trunc);
   out << "{\n  \"smoke\": " << (smoke ? "true" : "false")
-      << ",\n  \"nthreads\": " << nthreads << ",\n  \"hosts\": " << kHosts
+      << ",\n  \"hosts\": " << kHosts
       << ",\n  \"shards\": " << kShards
       << ",\n  \"clients_total\": " << clients_total
       << ",\n  \"saturation_ops_s\": " << sat.saturation_ops_s
@@ -461,13 +457,11 @@ int main(int argc, char** argv) {
     const LoadPoint& pt = loads[i];
     PointResult& slot = points[i];
     runner.add("offered=" + std::to_string(std::uint64_t(pt.offered_ops)),
-               cli.threads,
                [&pt, &slot, &cli, clients_per_host,
                 sample_interval]() -> bench::KernelStats {
                  std::fprintf(stderr, "  point: %.0f ops/s offered...\n",
                               pt.offered_ops);
-                 slot = run_point(pt, clients_per_host, cli.threads,
-                                  sample_interval,
+                 slot = run_point(pt, clients_per_host, sample_interval,
                                   cli.obs().tracing.enabled);
                  return slot.kernel;
                });
@@ -478,7 +472,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const PointResult& r : points) ok = ok && r.ok;
   const Saturation sat = detect_saturation(points);
-  write_load_json(points, sat, clients_total, cli.threads, cli.smoke);
+  write_load_json(points, sat, clients_total, cli.smoke);
   write_sweep_timeseries(points, sat, sample_interval);
 
   core::Table table({"offered ops/s", "measured ops/s", "write p50 us",

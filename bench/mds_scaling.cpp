@@ -46,10 +46,8 @@ workload::FilebenchParams small_file_params() {
   return f;
 }
 
-core::TestbedParams scaling_testbed(std::uint32_t nshards,
-                                    std::uint32_t nthreads = 1) {
+core::TestbedParams scaling_testbed(std::uint32_t nshards) {
   auto p = bench::paper_testbed(Protocol::kRedbudDelayed);
-  p.redbud.nthreads = nthreads;
   p.nclients = 16;
   // Wide enough that the data path never binds: a single MDS serves
   // ~4k RPC/s, which drives roughly the same IOPS — 16 spindles
@@ -233,9 +231,6 @@ int run_traced(const bench::Options& cli) {
 int main(int argc, char** argv) {
   const bench::Options cli = bench::Options::parse(argc, argv);
   if (cli.trace) return run_traced(cli);
-  // --threads N runs every configuration's partitioned kernel with N
-  // worker threads (default 1); results do not depend on N.
-  const unsigned kthreads = cli.threads;
   core::print_banner(
       std::cout, "MDS scaling — sharded metadata service",
       "fileserver small-file workload; aggregate throughput vs shard count");
@@ -246,10 +241,10 @@ int main(int argc, char** argv) {
     const std::uint32_t n = kShardCounts[i];
     Row& row = rows[i];
     row.nshards = n;
-    runner.add("shards/" + std::to_string(n), kthreads,
-               [n, kthreads, &row]() -> bench::KernelStats {
+    runner.add("shards/" + std::to_string(n),
+               [n, &row]() -> bench::KernelStats {
       FileserverWorkload w(small_file_params());
-      core::Testbed bed(scaling_testbed(n, kthreads));
+      core::Testbed bed(scaling_testbed(n));
       bed.start();
       auto opt = bench::paper_run();
       const auto r = run_workload(bed, w, opt);
@@ -297,32 +292,6 @@ int main(int argc, char** argv) {
   runner.run_all();
   runner.write_json("mds_scaling");
   write_shards_json(rows);
-
-  // Kernel thread-scaling sweep: the 8-shard configuration re-run under
-  // the partitioned kernel at 1 / 2 / 4 / 8 worker threads. Sequential
-  // (one configuration at a time) so each run owns every core the host
-  // has, and shorter than the figure runs — this measures the kernel's
-  // events/sec, not the filesystem. Results land in BENCH_kernel.json
-  // under "mds_scaling_threads" with nthreads per row.
-  {
-    constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-    bench::ParallelRunner sweep(1);
-    for (const unsigned nt : kThreadCounts) {
-      sweep.add("shards/8 threads/" + std::to_string(nt), nt,
-                [nt]() -> bench::KernelStats {
-                  FileserverWorkload w(small_file_params());
-                  core::Testbed bed(scaling_testbed(8, nt));
-                  bed.start();
-                  auto opt = bench::paper_run();
-                  opt.warmup = redbud::sim::SimTime::seconds(1);
-                  opt.duration = redbud::sim::SimTime::seconds(2);
-                  (void)run_workload(bed, w, opt);
-                  return bench::kernel_stats(bed);
-                });
-    }
-    sweep.run_all();
-    sweep.write_json("mds_scaling_threads");
-  }
 
   core::Table table({"shards", "ops/s", "commit entries/s", "speedup",
                      "shard commit spread", "consistent"});

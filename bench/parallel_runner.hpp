@@ -32,7 +32,6 @@ struct KernelStats {
   std::uint64_t events = 0;
   std::uint64_t rounds = 0;    // partitioned synchronization rounds
   std::uint64_t busy_ns = 0;   // wall ns executing partition windows
-  std::uint64_t stall_ns = 0;  // wall ns in barrier wake/wait stalls
   std::uint64_t injections_staged = 0;
   std::uint64_t injections_delivered = 0;
   std::uint64_t max_partition_events = 0;  // imbalance numerator
@@ -43,8 +42,6 @@ struct RunRecord {
   std::string label;
   double wall_s = 0.0;
   std::uint64_t events = 0;
-  // Kernel worker threads the configuration ran with.
-  unsigned nthreads = 1;
   KernelStats kernel;
   [[nodiscard]] double events_per_sec() const {
     return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
@@ -65,13 +62,7 @@ class ParallelRunner {
   // configuration's kernel accounting (bench::kernel_stats builds it from
   // a Cluster or Testbed).
   void add(std::string label, std::function<KernelStats()> fn) {
-    jobs_.push_back({std::move(label), 1, std::move(fn)});
-  }
-  // Same, tagging the record with the kernel thread count the
-  // configuration runs its simulation with.
-  void add(std::string label, unsigned nthreads,
-           std::function<KernelStats()> fn) {
-    jobs_.push_back({std::move(label), nthreads, std::move(fn)});
+    jobs_.push_back({std::move(label), std::move(fn)});
   }
 
   // Run every configuration; records() preserves submission order no
@@ -91,7 +82,6 @@ class ParallelRunner {
         r.label = jobs_[i].label;
         r.wall_s = dt.count();
         r.events = stats.events;
-        r.nthreads = jobs_[i].nthreads;
         r.kernel = stats;
         std::fprintf(stderr, "  done: %-32s %7.2fs  %6.2fM events/s\n",
                      r.label.c_str(), r.wall_s, r.events_per_sec() / 1e6);
@@ -140,11 +130,9 @@ class ParallelRunner {
       own << "      {\"label\": \"" << r.label << "\", \"wall_s\": " << r.wall_s
           << ", \"events\": " << r.events
           << ", \"events_per_sec\": " << r.events_per_sec()
-          << ", \"nthreads\": " << r.nthreads
           << ", \"nparts\": " << r.kernel.nparts
           << ", \"rounds\": " << r.kernel.rounds
           << ", \"busy_ns\": " << r.kernel.busy_ns
-          << ", \"stall_ns\": " << r.kernel.stall_ns
           << ", \"injections_staged\": " << r.kernel.injections_staged
           << ", \"injections_delivered\": " << r.kernel.injections_delivered
           << ", \"max_partition_events\": " << r.kernel.max_partition_events
@@ -175,7 +163,6 @@ class ParallelRunner {
  private:
   struct Job {
     std::string label;
-    unsigned nthreads = 1;
     std::function<KernelStats()> fn;
   };
 

@@ -3,10 +3,6 @@
 #
 #   scripts/check.sh            # both passes
 #   SKIP_SANITIZE=1 scripts/check.sh   # plain pass only
-#   REDBUD_SANITIZE=thread scripts/check.sh
-#       # TSan pass only: Debug build, parallel-kernel suite (ctest -R
-#       # Parallel) — the surface where worker threads actually share
-#       # kernel state.
 #
 # The sanitizer pass builds Debug so asserts are live — the coroutine-frame
 # arena and the kernel's monotonic-time/live-index invariants are exactly
@@ -23,15 +19,6 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
 }
-
-if [[ "${REDBUD_SANITIZE:-}" == "thread" ]]; then
-  echo "== TSan build + parallel-kernel ctest =="
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DREDBUD_SANITIZE=thread
-  cmake --build build-tsan -j "$JOBS"
-  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -R Parallel
-  echo "check.sh: TSan parallel suite passed"
-  exit 0
-fi
 
 echo "== plain build + ctest =="
 run_suite build

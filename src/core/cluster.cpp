@@ -19,7 +19,7 @@ Cluster::Cluster(ClusterParams params)
     : params_(std::move(params)),
       shard_map_(params_.nshards),
       obs_(params_.obs),
-      domain_(params_.nthreads, cluster_lookahead(params_)) {
+      domain_(cluster_lookahead(params_)) {
   // Partition layout: one event loop per MDS shard, one per client host,
   // one for the disk array behind the FC fabric.
   for (std::uint32_t s = 0; s < params_.nshards; ++s) {
@@ -29,8 +29,6 @@ Cluster::Cluster(ClusterParams params)
     client_sims_.push_back(&domain_.add_partition());
   }
   array_sim_ = &domain_.add_partition();
-  // Per-partition trace lanes, merged deterministically at read.
-  obs_.tracer.set_lane_count(domain_.nparts());
 
   network_ = std::make_unique<net::Network>(domain_, params_.network);
   array_ = std::make_unique<storage::DiskArray>(domain_, *array_sim_,

@@ -15,8 +15,8 @@
 // The cluster runs on a partitioned SimDomain: one event-loop partition
 // per MDS shard, per client host, and one for the disk array,
 // synchronized in conservative time windows bounded by the network's
-// minimum cross-node latency (see sim/parallel.hpp). Results are
-// bit-identical for any worker count `nthreads`.
+// minimum cross-node latency (see sim/parallel.hpp), all run by the
+// thread that calls run_until.
 //
 // Declaration order matters: the SimDomain (which owns every Simulation)
 // must outlive every component, so it is the first stateful member.
@@ -56,8 +56,8 @@ enum class SpacePartition : std::uint8_t {
 struct ClusterParams {
   std::uint32_t nclients = 7;  // the paper's eight-node cluster: 7 + MDS
   std::uint32_t nshards = 1;   // metadata shards (1 = the paper's testbed)
-  // Worker threads driving the partitioned kernel (1 = the coordinator
-  // thread alone).
+  // Ignored: one thread runs every partition. Still declared because the
+  // benchmark harness assigns it.
   std::uint32_t nthreads = 1;
   // Ignored: every cluster is partitioned. Still declared so that callers
   // written when nthreads = 1 meant a serial kernel keep compiling.

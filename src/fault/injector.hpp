@@ -4,9 +4,9 @@
 // two timers per event — raise and clear — in the partition that owns the
 // faulted component: disk events in the array partition, link events in
 // the owning client's partition, crash/failover in the shard's partition.
-// Partition-local timers keep the parallel kernel deterministic: a fault
+// Partition-local timers keep the partitioned kernel deterministic: a fault
 // transition is just another event in its partition's totally-ordered
-// loop, so the same schedule produces the same run for any worker count.
+// loop, so the same schedule produces the same run.
 //
 // The injector is strictly one-shot and passive after arm(): it holds no
 // simulation state of its own beyond counters, and a cleared fault always

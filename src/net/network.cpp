@@ -76,8 +76,8 @@ Process Network::deliver_proc(NodeId from, NodeId to, std::size_t bytes,
 void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
                       SmallFn done) {
   assert(from < nodes_.size() && to < nodes_.size());
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  ++messages_;
+  bytes_ += bytes;
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
   // Loss draw + delay read at entry, in the source partition, in call
@@ -87,7 +87,7 @@ void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
   const bool lost = lose_frame(src);
   if (lost) {
     ++src.dropped;
-    drops_.fetch_add(1, std::memory_order_relaxed);
+    ++drops_;
   }
   if (domain_ == nullptr || src.partition == dst.partition) {
     src.sim->spawn(

@@ -16,7 +16,6 @@
 // a local coroutine instead.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -87,22 +86,17 @@ class Network {
     return *nodes_[n]->ingress;
   }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::uint64_t messages_sent() const {
-    return messages_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bytes_sent() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
   // --- fault injection ------------------------------------------------------
   // All fault state is per *source* node and is read/written only from the
   // source's own partition: the loss draw and the extra-delay read happen
   // synchronously at deliver() entry, in per-node RNG streams whose draw
-  // order equals the call order, for any worker count. A dropped frame
-  // still occupies its slot on the sender's egress pipe (the NIC
-  // transmitted it; the fabric lost it) but never arrives: the completion
-  // callback is never run, and recovery is the caller's (RPC retry)
-  // problem.
+  // order equals the call order. A dropped frame still occupies its slot
+  // on the sender's egress pipe (the NIC transmitted it; the fabric lost
+  // it) but never arrives: the completion callback is never run, and
+  // recovery is the caller's (RPC retry) problem.
   // Must be called from the node's owning partition.
   void set_link_loss(NodeId n, double loss_rate);
   // Fixed extra one-way latency added to every frame leaving `n` (a
@@ -117,14 +111,10 @@ class Network {
   [[nodiscard]] std::uint64_t link_dropped(NodeId n) const {
     return nodes_[n]->dropped;
   }
-  [[nodiscard]] std::uint64_t messages_dropped() const {
-    return drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t messages_dropped() const { return drops_; }
   // Register every node's frame-drop counter as
-  // net.frames_dropped{node=N}. Each counter is a plain value written
-  // only from the node's owning partition, so sampling it at a barrier
-  // instant is race-free — the same argument as the per-client RPC
-  // counters. Call once all nodes have been added.
+  // net.frames_dropped{node=N}, a plain value written only from the
+  // node's owning partition. Call once all nodes have been added.
   void register_metrics(redbud::obs::MetricsRegistry& registry) const;
   // Round-trip floor of the fabric: the least time a request + reply pair
   // can take. Retry timeouts below this could never observe a reply.
@@ -164,10 +154,9 @@ class Network {
   NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RpcEndpoint*> endpoints_;
-  // Relaxed atomics: bumped from whichever partition initiates a send.
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint64_t drops_ = 0;
 };
 
 }  // namespace redbud::net

@@ -219,8 +219,8 @@ std::string blame_json(const CriticalPath& cp, SimTime now,
   }
   out += "}},\n";
 
-  // Shares are exact-integer ratios (WideNanos sums), so they are
-  // bit-identical across worker counts whenever the span log is.
+  // Shares are exact-integer ratios (WideNanos sums), so they replay
+  // bit-identically whenever the span log does.
   const double total_ns = double(cp.total().total_ns);
   out += "  \"stages\": [\n";
   for (std::size_t i = 0; i < kBlameStageCount; ++i) {

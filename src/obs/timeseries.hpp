@@ -7,15 +7,13 @@
 // gauge and appends one column entry per channel into a keep-last-N ring.
 //
 // The sampling contract is *off-event*: the sampler is driven by the
-// kernel probe hook (SimDomain::set_probe), which fires on the
-// coordinator thread between synchronization rounds — it never schedules
-// events, never allocates sequence numbers and never suspends anything.
-// Enabling sampling therefore cannot change the event order of a run.
-// Every worker is parked at the barrier while the probe runs, so registry
-// reads are race-free, and because the firing sequence depends only on
-// the deterministic series of round start times, sampled series are
-// bit-identical across worker counts (instants inside a window lag by
-// < lookahead of simulated time — see SimDomain::set_probe).
+// kernel probe hook (SimDomain::set_probe), which fires between
+// synchronization rounds — it never schedules events, never allocates
+// sequence numbers and never suspends anything. Enabling sampling
+// therefore cannot change the event order of a run, and because the
+// firing sequence depends only on the deterministic series of round start
+// times, sampled series replay bit-identically (instants inside a window
+// lag by < lookahead of simulated time — see SimDomain::set_probe).
 //
 // The channel set is frozen at the first sample (sorted registry order:
 // counters, then raw values, then gauges); instruments registered later

@@ -27,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -119,24 +118,15 @@ class Tracer {
   [[nodiscard]] bool enabled() const { return kCompiledIn && params_.enabled; }
   void set_enabled(bool on) { params_.enabled = on; }
 
-  // Partitioned kernels give every partition its own tracer lane so spans
-  // can be recorded from worker threads without locks; a tracer starts
-  // with one lane. Lane i tags its minted ids with i << 48 (lane 0's ids
-  // are the plain counters). Readers merge what the lanes recorded since
-  // the last read into one log; the lanes keep recording afterwards.
-  void set_lane_count(std::size_t nlanes);
-
   // Mint a fresh context: a new root chain, or a child span of `parent`
   // (same trace). Inert context when disabled.
   [[nodiscard]] TraceContext mint() {
     if (!enabled()) return {};
-    Lane& l = lane();
-    return TraceContext{l.tag | ++l.next_trace, l.tag | ++l.next_span};
+    return TraceContext{++next_trace_, ++next_span_};
   }
   [[nodiscard]] TraceContext child(TraceContext parent) {
     if (!enabled() || !parent.active()) return {};
-    Lane& l = lane();
-    return TraceContext{parent.trace, l.tag | ++l.next_span};
+    return TraceContext{parent.trace, ++next_span_};
   }
 
   // Record a completed stage traversal for `ctx` (no-op when the context
@@ -153,21 +143,13 @@ class Tracer {
   // Name a Perfetto track row (idempotent; later names win).
   void name_track(Track track, std::string process, std::string thread);
 
-  // Readers merge the lanes first. Only call these while the domain is
-  // quiescent (between run_until calls).
   [[nodiscard]] const std::vector<SpanRecord>& spans() const {
-    merge_lanes();
     return spans_;
   }
-  [[nodiscard]] std::uint64_t spans_dropped() const {
-    std::uint64_t n = 0;
-    for (const Lane& l : lanes_) n += l.dropped;
-    return n;
-  }
+  [[nodiscard]] std::uint64_t spans_dropped() const { return dropped_; }
   [[nodiscard]] const std::map<std::pair<std::uint32_t, Stage>,
                                redbud::sim::LatencyHistogram>&
   stage_latency() const {
-    merge_lanes();
     return stage_lat_;
   }
   // Track names keyed by (pid, tid); tid 0 rows name the process group.
@@ -178,34 +160,10 @@ class Tracer {
   }
 
  private:
-  // One partition's recording state: spans and histograms recorded since
-  // the last merge, plus its lifetime id counters and span cap. Lanes sit
-  // a cache line apart: neighbouring lanes are written by different
-  // workers.
-  struct alignas(64) Lane {
-    std::uint64_t tag = 0;  // high bits OR-ed into every minted id
-    std::uint64_t next_trace = 0;
-    std::uint64_t next_span = 0;
-    std::uint64_t kept = 0;  // spans recorded, against max_spans
-    std::uint64_t dropped = 0;
-    std::vector<SpanRecord> spans;
-    std::map<std::pair<std::uint32_t, Stage>, redbud::sim::LatencyHistogram>
-        stage_lat;
-  };
-
-  // The lane of the partition the calling thread is executing (lane 0
-  // outside a partition window).
-  [[nodiscard]] Lane& lane() {
-    const std::uint32_t p = redbud::sim::Simulation::current_partition();
-    return p < lanes_.size() ? lanes_[p] : lanes_[0];
-  }
-  // Move every lane's new spans and histograms into the merged log;
-  // requires a quiescent domain. Logically const: readers trigger it.
-  void merge_lanes() const;
-
   TracerParams params_;
-  std::vector<Lane> lanes_ = std::vector<Lane>(1);
-  // The merged log and histograms.
+  std::uint64_t next_trace_ = 0;
+  std::uint64_t next_span_ = 0;
+  std::uint64_t dropped_ = 0;  // spans past max_spans
   std::vector<SpanRecord> spans_;
   std::map<std::pair<std::uint32_t, Stage>, redbud::sim::LatencyHistogram>
       stage_lat_;

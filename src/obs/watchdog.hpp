@@ -10,11 +10,10 @@
 //
 // Determinism: tick() only reads the registry and its own state; it never
 // schedules events, allocates sequence numbers or suspends anything.
-// Because the probe fires at deterministic grid instants on the
-// coordinator thread (workers parked at the window barrier), the incident
-// log is byte-identical with the watchdog armed or not, and bit-identical
-// across worker counts — the same argument as the
-// sampler's (DESIGN.md §6b, §6c).
+// Because the probe fires at deterministic grid instants between
+// synchronization rounds, the incident log is byte-identical with the
+// watchdog armed or not — the same argument as the sampler's (DESIGN.md
+// §6b, §6c).
 #pragma once
 
 #include <cstdint>

@@ -27,44 +27,17 @@ std::uint64_t wall_now_ns() {
           .count());
 }
 
-// Spin politely, then back off to real sleeps: rounds are short (tens of
-// microseconds of real time), but between run_until calls the driver may
-// run long serial phases (consistency checks, exports) and the pool must
-// not burn cores while it does.
-struct Backoff {
-  unsigned spins = 0;
-  void pause() {
-    if (spins < 64) {
-      ++spins;
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          spins < 256 ? 50 : 500));
-      if (spins < 256) ++spins;
-    }
-  }
-};
 }  // namespace
 
 }  // namespace detail
 
-SimDomain::SimDomain(unsigned nthreads, SimTime lookahead)
-    : nthreads_(nthreads == 0 ? 1 : nthreads), lookahead_(lookahead) {
+SimDomain::SimDomain(SimTime lookahead) : lookahead_(lookahead) {
   REDBUD_REQUIRE(lookahead_ > SimTime::zero(),
                  "domain lookahead must be positive");
-  wstats_.resize(nthreads_);
-}
-
-SimDomain::~SimDomain() {
-  if (!workers_.empty()) {
-    quit_.store(true, std::memory_order_relaxed);
-    round_gen_.fetch_add(1, std::memory_order_release);
-    for (auto& w : workers_) w.join();
-  }
 }
 
 Simulation& SimDomain::add_partition() {
-  REDBUD_REQUIRE(workers_.empty(), "cannot add partitions after first run");
+  REDBUD_REQUIRE(!started_, "cannot add partitions after first run");
   auto sim = std::make_unique<Simulation>();
   sim->partition_id_ = static_cast<std::uint32_t>(parts_.size());
   parts_.push_back(std::move(sim));
@@ -93,8 +66,8 @@ void SimDomain::deliver_staged() {
   if (deliver_buf_.empty()) return;
   injections_delivered_ += deliver_buf_.size();
   // Total order over injections: (time, src partition, per-source seq).
-  // Target-side sequence numbers are assigned in this order, so replay is
-  // identical for any worker count.
+  // Target-side sequence numbers are assigned in this order, so replay
+  // does not depend on the order the partitions ran in.
   std::sort(deliver_buf_.begin(), deliver_buf_.end(),
             [](const Injection& a, const Injection& b) {
               if (a.at != b.at) return a.at < b.at;
@@ -110,73 +83,17 @@ void SimDomain::deliver_staged() {
   deliver_buf_.clear();
 }
 
-void SimDomain::ensure_workers() {
-  if (!workers_.empty()) return;
-  workers_.reserve(nthreads_ - 1);
-  for (unsigned i = 1; i < nthreads_; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-void SimDomain::work_round(unsigned worker) {
-  WorkerStats& ws = wstats_[worker];
-  for (;;) {
-    const std::uint32_t i =
-        next_part_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= parts_.size()) return;
+void SimDomain::run_round(SimTime end, bool inclusive) {
+  for (std::size_t i = 0; i < parts_.size(); ++i) {
     Simulation& part = *parts_[i];
     PartStats& ps = pstats_[i];
     const std::uint64_t before = part.events_processed();
     const std::uint64_t t0 = detail::wall_now_ns();
-    part.run_window(round_end_, round_inclusive_);
-    const std::uint64_t dt = detail::wall_now_ns() - t0;
-    ps.busy_ns += dt;
+    part.run_window(end, inclusive);
+    ps.busy_ns += detail::wall_now_ns() - t0;
     ps.windows += 1;
     if (part.events_processed() != before) ps.windows_active += 1;
-    ws.busy_ns += dt;
-    ws.windows_run += 1;
   }
-}
-
-void SimDomain::worker_loop(unsigned worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    detail::Backoff backoff;
-    std::uint64_t gen;
-    while ((gen = round_gen_.load(std::memory_order_acquire)) == seen) {
-      backoff.pause();
-    }
-    seen = gen;
-    if (quit_.load(std::memory_order_relaxed)) return;
-    // Wake latency: the coordinator stamped round_start_wall_ns_ right
-    // before the release-increment we just acquired, so the difference is
-    // this worker's barrier-exit stall for the round.
-    const std::uint64_t woke = detail::wall_now_ns();
-    if (woke > round_start_wall_ns_) {
-      wstats_[worker].stall_ns += woke - round_start_wall_ns_;
-    }
-    work_round(worker);
-    done_workers_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void SimDomain::run_round(SimTime end, bool inclusive) {
-  round_end_ = end;
-  round_inclusive_ = inclusive;
-  next_part_.store(0, std::memory_order_relaxed);
-  done_workers_.store(0, std::memory_order_relaxed);
-  round_start_wall_ns_ = detail::wall_now_ns();
-  round_gen_.fetch_add(1, std::memory_order_release);
-  work_round(0);  // the coordinator participates
-  detail::Backoff backoff;
-  const auto target = static_cast<std::uint32_t>(workers_.size());
-  const std::uint64_t wait0 = detail::wall_now_ns();
-  while (done_workers_.load(std::memory_order_acquire) != target) {
-    backoff.pause();
-  }
-  // The coordinator's stall is the tail wait at the closing barrier: how
-  // long the slowest worker kept it idle after its own partitions ran dry.
-  wstats_[0].stall_ns += detail::wall_now_ns() - wait0;
 }
 
 void SimDomain::fire_probes(SimTime upto) {
@@ -189,7 +106,7 @@ void SimDomain::fire_probes(SimTime upto) {
 
 void SimDomain::run_until(SimTime t) {
   REDBUD_REQUIRE(!parts_.empty(), "domain has no partitions");
-  ensure_workers();
+  started_ = true;
   const std::uint64_t t0 = detail::wall_now_ns();
   for (;;) {
     deliver_staged();
@@ -237,12 +154,6 @@ KernelProfile SimDomain::kernel_profile() const {
     kp.partitions[i].windows = pstats_[i].windows;
     kp.partitions[i].windows_active = pstats_[i].windows_active;
     kp.partitions[i].busy_ns = pstats_[i].busy_ns;
-  }
-  kp.workers.resize(wstats_.size());
-  for (std::size_t i = 0; i < wstats_.size(); ++i) {
-    kp.workers[i].busy_ns = wstats_[i].busy_ns;
-    kp.workers[i].stall_ns = wstats_[i].stall_ns;
-    kp.workers[i].windows_run = wstats_[i].windows_run;
   }
   return kp;
 }

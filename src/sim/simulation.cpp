@@ -5,8 +5,6 @@
 
 namespace redbud::sim {
 
-thread_local std::uint32_t Simulation::tls_partition_ = 0;
-
 Simulation::~Simulation() {
   // Destroy any still-suspended frames (perpetual daemons). Locals in those
   // frames must not touch other simulation components from destructors.
@@ -97,7 +95,6 @@ void Simulation::run_until(SimTime t) {
 }
 
 void Simulation::run_window(SimTime end, bool inclusive) {
-  tls_partition_ = partition_id_;
   for (;;) {
     // Ring events are timestamped now_, which is always inside the window
     // (now_ only advances via heap events admitted below), so the ring
@@ -119,7 +116,6 @@ void Simulation::run_window(SimTime end, bool inclusive) {
     now_ = ev.at;
     dispatch_payload(ev.payload);
   }
-  tls_partition_ = 0;
 }
 
 void Simulation::on_process_done(Process::Handle h) {

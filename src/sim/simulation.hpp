@@ -103,11 +103,6 @@ class Simulation {
 
   // Identity of this partition within its domain (0 for a standalone sim).
   [[nodiscard]] std::uint32_t partition_id() const { return partition_id_; }
-  // The partition the calling thread is currently executing, for
-  // per-partition routing of observability state. 0 outside run_window.
-  [[nodiscard]] static std::uint32_t current_partition() {
-    return tls_partition_;
-  }
 
   // Earliest pending event time: `now()` if the ready ring is non-empty,
   // else the heap minimum, else SimTime::max().
@@ -139,7 +134,6 @@ class Simulation {
 
   SimTime now_ = SimTime::zero();
   std::uint32_t partition_id_ = 0;
-  static thread_local std::uint32_t tls_partition_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   bool stopped_ = false;

@@ -56,8 +56,8 @@ class DiskArray {
 
   // Data-path read from `issuer`'s partition: device read, then FC
   // transfer back. Resolves in `issuer`'s partition with the block tokens
-  // captured at read completion (the issuer cannot peek() the device from
-  // its own thread).
+  // captured at read completion (the issuer cannot peek() at a device in
+  // another partition).
   [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read_tokens(
       redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks);
 

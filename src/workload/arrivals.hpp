@@ -16,8 +16,7 @@
 //    of a Poisson process at the peak rate.
 //
 // All randomness comes from the one Rng handed in (derive it with
-// Rng::split), so arrival sequences are bit-identical across platforms
-// and worker counts.
+// Rng::split), so arrival sequences are bit-identical across platforms.
 #pragma once
 
 #include <cstdint>

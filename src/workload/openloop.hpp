@@ -17,8 +17,8 @@
 //
 // Determinism: the dispatcher owns one Rng stream (derive via
 // Rng::split), spawns everything on the host partition's Simulation, and
-// never reads other partitions' state — so sweeps replay identically
-// across worker counts, same as the closed-loop workloads.
+// never reads other partitions' state — so sweeps replay identically,
+// same as the closed-loop workloads.
 #pragma once
 
 #include <array>

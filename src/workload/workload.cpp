@@ -50,16 +50,14 @@ void fill_result(core::Testbed& bed, Workload& w, SimTime measured,
 // private stats) and its coroutines are spawned onto that client host's
 // partition. All driving goes through the testbed (bed.run_until), and the
 // driver only touches contexts / ProcRefs while the kernel is quiescent
-// between run_until calls — the domain barrier orders those accesses
-// against the worker threads. Slot stats merge into one result at the
-// end.
+// between run_until calls. Slot stats merge into one result at the end.
 WorkloadResult run_workload(core::Testbed& bed, Workload& w,
                             const RunOptions& opt) {
   const std::size_t n = bed.nclients();
   w.presize(static_cast<std::uint32_t>(n));
 
   // Context slots: streams split from the master seed in client order, so
-  // the draw sequences are independent of the worker-thread count.
+  // the draw sequences are independent of partition scheduling.
   redbud::sim::Rng master(opt.seed);
   std::vector<std::unique_ptr<WorkloadContext>> ctxs;
   ctxs.reserve(n);

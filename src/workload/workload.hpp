@@ -101,7 +101,8 @@ class Workload {
   // Pre-grow any lazily-sized shared containers to their full `nclients`
   // extent. The driver calls this before spawning anything so client
   // threads running on different partitions never reallocate a shared
-  // vector concurrently; per-element state stays owned by one client.
+  // vector under another client's references; per-element state stays
+  // owned by one client.
   // Default: nothing shared, no-op.
   virtual void presize(std::uint32_t nclients) { (void)nclients; }
 

@@ -1,13 +1,9 @@
 // Partitioned-cluster tests: the full Redbud stack driven through the
 // SimDomain. The determinism contract under test: a metadata-only
 // workload with per-client RNG streams and staggered starts completes
-// every operation at the same simulated instant whether one worker runs
-// every partition or several workers share them. Data-path workloads
-// additionally smoke-test the cross-partition disk-array and
+// every operation at the same simulated instant when replayed. Data-path
+// workloads additionally smoke-test the cross-partition disk-array and
 // workload-driver plumbing.
-//
-// Naming: suites start with "Parallel" for the TSan job's `ctest -R
-// Parallel` filter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,11 +26,10 @@ using redbud::sim::Rng;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
-ClusterParams small_cluster(std::uint32_t nthreads) {
+ClusterParams small_cluster() {
   ClusterParams p;
   p.nclients = 4;
   p.nshards = 2;
-  p.nthreads = nthreads;
   p.array.ndisks = 2;
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
@@ -70,10 +65,10 @@ Process meta_churn(Simulation& sim, client::ClientFs& fs,
   }
 }
 
-// Run the churn on a cluster with `nthreads` workers; return the
-// per-client completion-time logs (client-major, deterministic layout).
-std::vector<std::vector<std::int64_t>> run_meta_churn(std::uint32_t nthreads) {
-  Cluster c(small_cluster(nthreads));
+// Run the churn; return the per-client completion-time logs
+// (client-major, deterministic layout).
+std::vector<std::vector<std::int64_t>> run_meta_churn() {
+  Cluster c(small_cluster());
   c.start();
   std::vector<std::vector<std::int64_t>> logs(c.nclients());
   std::vector<redbud::sim::ProcRef> refs;
@@ -88,22 +83,19 @@ std::vector<std::vector<std::int64_t>> run_meta_churn(std::uint32_t nthreads) {
   return logs;
 }
 
+// The same churn replays every completion at the same instant. (Test
+// name kept stable so its history stays comparable.)
 TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
-  const auto one = run_meta_churn(1);
-  for (const auto& log : one) ASSERT_GT(log.size(), 40u);
-  const auto two = run_meta_churn(2);
-  const auto four = run_meta_churn(4);
-  EXPECT_EQ(one, two) << "2 workers diverged from the 1-worker timing";
-  EXPECT_EQ(one, four) << "4 workers diverged from the 1-worker timing";
-  // And a worker count replays itself.
-  EXPECT_EQ(two, run_meta_churn(2));
+  const auto first = run_meta_churn();
+  for (const auto& log : first) ASSERT_GT(log.size(), 40u);
+  EXPECT_EQ(first, run_meta_churn()) << "metadata timing diverged on replay";
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
   // Write / fsync / read-verify through the cross-partition disk-array
   // path: content tokens must round-trip even though reads cannot peek
   // the array's state across partitions.
-  Cluster c(small_cluster(2));
+  Cluster c(small_cluster());
   c.start();
   bool done = false;
   Simulation& csim = c.client_sim(0);
@@ -136,12 +128,12 @@ TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
 }
 
 TEST(ParallelCluster, WorkloadDriverRunsAndStaysConsistent) {
-  // The workload driver end-to-end: fileserver over 2 shards and 2 worker
-  // threads, then the whole-cluster consistency check.
+  // The workload driver end-to-end: fileserver over 2 shards, then the
+  // whole-cluster consistency check.
   core::TestbedParams tp;
   tp.protocol = Protocol::kRedbudDelayed;
   tp.nclients = 4;
-  tp.redbud = small_cluster(2);
+  tp.redbud = small_cluster();
   core::Testbed bed(tp);
   bed.start();
 

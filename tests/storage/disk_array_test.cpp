@@ -22,7 +22,7 @@ ArrayParams small_array() {
 }
 
 struct Rig {
-  SimDomain domain{1, SimTime::micros(40)};
+  SimDomain domain{SimTime::micros(40)};
   Simulation& issuer = domain.add_partition();
   Simulation& array_sim = domain.add_partition();
   DiskArray arr{domain, array_sim, small_array()};
