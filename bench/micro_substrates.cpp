@@ -119,6 +119,45 @@ void BM_CommitQueueAddCheckout(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitQueueAddCheckout);
 
+// A commit daemon's readiness poll against a full queue (the default
+// QueueLen_max, 450 entries) whose head still waits on its data writes.
+// Arg 1 resolves an unrelated future between polls, which forces the
+// poll to rescan; Arg 0 is the common case of nothing having changed.
+void BM_CommitDaemonPollUnready(benchmark::State& state) {
+  sim::Simulation sim;
+  client::CommitQueue q(sim);
+  std::vector<sim::SimPromise<sim::Done>> pending;
+  for (net::FileId file = 1; file <= 450; ++file) {
+    pending.emplace_back(sim);
+    std::vector<sim::SimFuture<sim::Done>> futs{pending.back().future()};
+    q.add(file, {net::Extent{0, 1, {0, 100}}}, {1}, 4096, std::move(futs));
+  }
+  const bool resolve = state.range(0) != 0;
+  for (auto _ : state) {
+    if (resolve) sim::SimPromise<sim::Done>(sim).set_value(sim::Done{});
+    benchmark::DoNotOptimize(q.first_ready_shard());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_CommitDaemonPollUnready)->Arg(0)->Arg(1);
+
+// Removing a file from a host-sized cache (16 k clean pages of 4 k other
+// files): Arg 0 removes a file with no cached pages, Arg 4 re-caches four
+// dirty pages of the file and removes it.
+void BM_PageCacheInvalidateFile(benchmark::State& state) {
+  client::PageCache cache(1 << 15);
+  for (std::uint64_t p = 0; p < (1 << 14); ++p) {
+    cache.put_clean(100 + p / 4, p % 4, p + 1);
+  }
+  const auto pages = std::uint64_t(state.range(0));
+  for (auto _ : state) {
+    for (std::uint64_t b = 0; b < pages; ++b) cache.put_dirty(1, b, b + 1);
+    cache.invalidate_file(1);
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_PageCacheInvalidateFile)->Arg(0)->Arg(4);
+
 void BM_EventLoopThroughput(benchmark::State& state) {
   // Cost of scheduling + dispatching one simulation event.
   for (auto _ : state) {

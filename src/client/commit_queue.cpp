@@ -40,6 +40,7 @@ void CommitQueue::set_obs(obs::Obs* obs, std::uint32_t client_id) {
 }
 
 void CommitQueue::refresh_state() {
+  ++version_;
   depth_ = order_.size();
   oldest_enqueued_us_ =
       order_.empty()
@@ -111,19 +112,8 @@ void CommitQueue::drop(net::FileId file) {
   space_.notify_all();
 }
 
-bool CommitQueue::any_ready() const {
-  for (const auto& file : order_) {
-    if (queued_.at(file).data_complete()) return true;
-  }
-  return false;
-}
-
 std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
   std::vector<CommitTask> out;
-  // Bound the scan: data writes complete roughly in FIFO order, so ready
-  // entries cluster at the front; a deep scan over a long unready tail
-  // would make daemon polling quadratic in the queue length.
-  constexpr std::size_t kScanLimit = 128;
   std::size_t scanned = 0;
   // The first ready task pins the batch's target shard.
   std::uint32_t batch_shard = 0;
@@ -159,7 +149,20 @@ std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
 }
 
 std::optional<std::uint32_t> CommitQueue::first_ready_shard() const {
-  constexpr std::size_t kScanLimit = 128;
+  // Between two polls the answer can only change if the queue was mutated
+  // (every mutation bumps version_ in refresh_state) or a data future
+  // resolved (its promise was made on sim_, whose resolution count moves).
+  const std::uint64_t resolutions = sim_->resolutions();
+  if (memo_version_ != version_ || memo_resolutions_ != resolutions) {
+    memo_shard_ = scan_first_ready();
+    memo_version_ = version_;
+    memo_resolutions_ = resolutions;
+  }
+  assert(memo_shard_ == scan_first_ready());
+  return memo_shard_;
+}
+
+std::optional<std::uint32_t> CommitQueue::scan_first_ready() const {
   std::size_t scanned = 0;
   for (auto it = order_.begin(); it != order_.end() && scanned < kScanLimit;
        ++it, ++scanned) {

@@ -96,7 +96,11 @@ class CommitQueue {
   [[nodiscard]] std::vector<CommitTask> checkout(std::size_t max);
   // Shard of the task a checkout() would pick first, or nullopt when no
   // entry is ready. Lets the daemon size the batch with that shard's
-  // compound degree before committing to the checkout.
+  // compound degree before committing to the checkout. Memoised: the
+  // answer is rescanned only after the queue changed or a future promised
+  // on this queue's simulation resolved. Data futures must therefore come
+  // from promises made on that simulation (Debug builds check every
+  // cached answer against a fresh scan).
   [[nodiscard]] std::optional<std::uint32_t> first_ready_shard() const;
   // Acknowledge an in-flight task: resolves waiters, updates stats.
   // `batch_span` is the checkout-batch span the task's commit RPC rode —
@@ -108,8 +112,6 @@ class CommitQueue {
   [[nodiscard]] std::size_t size() const { return order_.size(); }
   [[nodiscard]] bool empty() const { return order_.empty(); }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_count_; }
-  // True when at least one queued entry has all its data durable.
-  [[nodiscard]] bool any_ready() const;
 
   [[nodiscard]] redbud::sim::Signal& work() { return work_; }
   // Notified whenever entries leave the queue — writers blocked on a full
@@ -123,7 +125,15 @@ class CommitQueue {
   }
   [[nodiscard]] CommitSlab& slab() { return *slab_; }
 
+  // checkout() and first_ready_shard() look at no more than this many
+  // entries from the head. Data writes complete roughly in FIFO order, so
+  // ready entries cluster at the front; a deep scan over a long unready
+  // tail would make daemon polling quadratic in the queue length.
+  static constexpr std::size_t kScanLimit = 128;
+
  private:
+  [[nodiscard]] std::optional<std::uint32_t> scan_first_ready() const;
+
   redbud::sim::Simulation* sim_;
   std::unique_ptr<CommitSlab> owned_slab_;  // null when slab is shared
   CommitSlab* slab_;
@@ -138,10 +148,17 @@ class CommitQueue {
   std::size_t in_flight_count_ = 0;
   redbud::sim::Signal work_;
   redbud::sim::Signal space_;
-  // Queue-state views for the registry: current depth and the enqueue
-  // instant (microseconds, 0 = empty) of the oldest queued entry. The
-  // watchdog's commit-stall detector turns the latter into an age.
+  // Every mutation of the queued set ends here. Bumps `version_` and
+  // updates the queue-state views for the registry: current depth and the
+  // enqueue instant (microseconds, 0 = empty) of the oldest queued entry.
+  // The watchdog's commit-stall detector turns the latter into an age.
   void refresh_state();
+  std::uint64_t version_ = 0;
+  // first_ready_shard()'s last answer and the (version_, resolutions)
+  // pair it was computed at.
+  mutable std::uint64_t memo_version_ = ~std::uint64_t{0};
+  mutable std::uint64_t memo_resolutions_ = 0;
+  mutable std::optional<std::uint32_t> memo_shard_;
   std::uint64_t depth_ = 0;
   std::uint64_t oldest_enqueued_us_ = 0;
   std::uint64_t enqueued_ = 0;

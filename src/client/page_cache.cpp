@@ -1,6 +1,8 @@
 #include "client/page_cache.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace redbud::client {
 
@@ -73,6 +75,10 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
     return;
   }
   evict_if_needed();
+  FileRecord& rec = files_[file];
+  ++rec.pages;
+  rec.end = std::uint32_t(std::max<std::uint64_t>(
+      rec.end, std::min<std::uint64_t>(block + 1, kEndSaturated)));
   const std::uint32_t idx = pool_->acquire();
   auto& f = pool_->at(idx);
   f.file = file;
@@ -98,6 +104,9 @@ void PageCache::evict_if_needed() {
     const auto& f = pool_->at(victim);
     const Key key{f.file, f.block};
     lru_unlink(victim);
+    if (auto rec = files_.find(key.file); --rec->second.pages == 0) {
+      files_.erase(rec);
+    }
     pages_.erase(key);
     pool_->release(victim);
     ++evictions_;
@@ -163,21 +172,39 @@ PageCache::dirty_pages_of(net::FileId file) const {
 }
 
 void PageCache::invalidate_file(net::FileId file) {
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    if (it->first.file == file) {
-      auto& f = pool_->at(it->second);
-      if (f.dirty) {
-        --dirty_;
-      } else {
-        lru_unlink(it->second);
-      }
-      pool_->release(it->second);
-      it = pages_.erase(it);
+  const auto rec = files_.find(file);
+  if (rec == files_.end()) return;  // no pages, so no dirty index either
+  std::uint64_t left = rec->second.pages;
+  const std::uint64_t end = rec->second.end;
+  files_.erase(rec);
+  dirty_index_.erase(file);
+  const auto drop = [&](auto it) {
+    auto& f = pool_->at(it->second);
+    if (f.dirty) {
+      --dirty_;
     } else {
-      ++it;
+      lru_unlink(it->second);
+    }
+    pool_->release(it->second);
+    --left;
+    return pages_.erase(it);
+  };
+  // A saturated end is never below size(), so the probe loop always
+  // covers every block the file has.
+  if (end < pages_.size()) {
+    // Dense enough: probe the file's block range.
+    for (std::uint64_t block = 0; left > 0 && block < end; ++block) {
+      if (auto it = pages_.find(Key{file, block}); it != pages_.end()) {
+        drop(it);
+      }
+    }
+  } else {
+    // Sparse high blocks: one pass over the cache is cheaper.
+    for (auto it = pages_.begin(); left > 0 && it != pages_.end();) {
+      it = it->first.file == file ? drop(it) : std::next(it);
     }
   }
-  dirty_index_.erase(file);
+  assert(left == 0);
 }
 
 }  // namespace redbud::client

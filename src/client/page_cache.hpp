@@ -56,6 +56,9 @@ class PageCache {
                                                          std::uint64_t block);
   [[nodiscard]] bool is_dirty(net::FileId file, std::uint64_t block) const;
 
+  // Drop every page of `file`, dirty or clean. Costs O(pages of the file)
+  // probes when its blocks are dense, and never more than one pass over
+  // the cache; a file with no cached pages costs one lookup.
   void invalidate_file(net::FileId file);
 
   // Enumerate the dirty pages of one file (block, token), unordered.
@@ -107,6 +110,17 @@ class PageCache {
   // Per-file dirty-block index so flushes never scan the whole cache.
   std::unordered_map<net::FileId, std::unordered_set<std::uint64_t>>
       dirty_index_;
+  // Per-file page count and block high-water mark (one past the highest
+  // block cached since the file last had no pages, saturated at
+  // kEndSaturated), so invalidate_file probes only the file's own block
+  // range. 32-bit fields keep a host's ~10^4 records small; frame indices
+  // are 32-bit, so a cache never holds kEndSaturated pages.
+  static constexpr std::uint32_t kEndSaturated = 0xffffffffu;
+  struct FileRecord {
+    std::uint32_t pages = 0;
+    std::uint32_t end = 0;
+  };
+  std::unordered_map<net::FileId, FileRecord> files_;
   std::uint32_t lru_head_ = kNil;  // clean frames, most recent first
   std::uint32_t lru_tail_ = kNil;
   std::size_t dirty_ = 0;

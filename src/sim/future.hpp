@@ -29,6 +29,7 @@ struct FutureShared {
   [[nodiscard]] bool ready() const { return value.has_value() || error; }
 
   void fulfil() {
+    ++sim->resolutions_;
     for (auto h : waiters) sim->schedule_now(h);
     waiters.clear();
   }

@@ -25,6 +25,10 @@
 namespace redbud::sim {
 
 class SimDomain;
+namespace detail {
+template <typename T>
+struct FutureShared;
+}  // namespace detail
 
 class Simulation {
  public:
@@ -94,6 +98,10 @@ class Simulation {
     return events_processed_;
   }
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
+  // Promises created on this simulation that have been fulfilled so far.
+  // A poller that memoises a predicate over futures (the commit queue's
+  // readiness scan) re-evaluates only when this moves.
+  [[nodiscard]] std::uint64_t resolutions() const { return resolutions_; }
 
   // ---- Partitioned-kernel interface (see sim/parallel.hpp) --------------
   //
@@ -125,6 +133,8 @@ class Simulation {
  private:
   friend struct Process::FinalAwaiter;
   friend class SimDomain;
+  template <typename T>
+  friend struct detail::FutureShared;
 
   void on_process_done(Process::Handle h);
   // Dispatch one event whose time is <= limit; false when none remain.
@@ -136,6 +146,7 @@ class Simulation {
   std::uint32_t partition_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t resolutions_ = 0;
   bool stopped_ = false;
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_

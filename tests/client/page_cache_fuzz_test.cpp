@@ -87,6 +87,12 @@ TEST_P(PageCacheFuzz, DirtyContractHolds) {
           for (auto it = ref.pages.begin(); it != ref.pages.end();) {
             it = it->first.first == file ? ref.pages.erase(it) : ++it;
           }
+          // Every block of the file is gone, dirty ones included.
+          for (std::uint64_t b = 0; b < c.blocks; ++b) {
+            ASSERT_EQ(cache.get(file, b), std::nullopt)
+                << "op " << i << " block " << b;
+          }
+          ASSERT_TRUE(cache.dirty_pages_of(file).empty()) << "op " << i;
         }
         break;
       }
