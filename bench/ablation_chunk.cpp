@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const std::uint64_t mib = kChunksMib[i];
     Cell* cell = &cells[i];
     runner.add(std::to_string(mib) + "MiB",
-               [mib, cell, cli]() -> bench::KernelStats {
+               [mib, cell, cli]() {
       auto params = bench::paper_testbed(Protocol::kRedbudDelayed, cli);
       params.redbud.client.delegation = true;
       params.redbud.client.chunk_blocks = (mib << 20) / storage::kBlockSize;
@@ -56,11 +56,9 @@ int main(int argc, char** argv) {
       }
       std::fprintf(stderr, "  done: %lluMiB merge=%.3f\n",
                    static_cast<unsigned long long>(mib), cell->merge);
-      return bench::kernel_stats(bed);
     });
   }
   runner.run_all();
-  runner.write_json("ablation_chunk");
 
   for (int i = 0; i < 4; ++i) {
     table.add_row({std::to_string(kChunksMib[i]) + " MiB",

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       const std::size_t queue = kQueueCaps[qi];
       Row& row = rows[ti * std::size(kQueueCaps) + qi];
       runner.add("t" + std::to_string(threads) + "/q" + std::to_string(queue),
-                 [threads, queue, &row, cli]() -> bench::KernelStats {
+                 [threads, queue, &row, cli]() {
                    auto params = bench::paper_testbed(Protocol::kRedbudDelayed, cli);
                    params.redbud.client.pool.max_threads = threads;
                    params.redbud.client.pool.max_queue_len = queue;
@@ -66,12 +66,10 @@ int main(int argc, char** argv) {
                    bench::write_obs_artifacts(
                        *cluster, "ablation_queue_t" + std::to_string(threads) +
                                      "_q" + std::to_string(queue));
-                   return bench::kernel_stats(bed);
                  });
     }
   }
   runner.run_all();
-  runner.write_json("ablation_queue");
 
   core::Table table({"max threads", "max queue", "ops/s",
                      "mean commit latency", "mean compound degree"});

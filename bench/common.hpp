@@ -18,7 +18,6 @@
 #include "core/testbed.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
-#include "parallel_runner.hpp"
 #include "sim/stats.hpp"
 #include "storage/blktrace.hpp"
 #include "workload/filebench.hpp"
@@ -77,30 +76,6 @@ inline obs::ProcessMem read_proc_mem() {
     }
   }
   return m;
-}
-
-// Kernel accounting of a finished configuration for the runner's
-// BENCH_kernel.json rows: the SimDomain's KernelProfile summarised into
-// the flat per-row fields.
-inline KernelStats kernel_stats(core::Cluster& cluster) {
-  const redbud::sim::KernelProfile kp = cluster.domain().kernel_profile();
-  KernelStats s;
-  s.events = kp.events_total();
-  s.rounds = kp.rounds;
-  s.busy_ns = kp.busy_ns_total();
-  s.injections_staged = kp.injections_staged;
-  s.injections_delivered = kp.injections_delivered;
-  s.max_partition_events = kp.max_partition_events();
-  s.nparts = static_cast<std::uint32_t>(kp.partitions.size());
-  return s;
-}
-// Baseline stacks run a bare Simulation with no domain: events only.
-inline KernelStats kernel_stats(core::Testbed& bed) {
-  if (bed.cluster() != nullptr) return kernel_stats(*bed.cluster());
-  KernelStats s;
-  s.events = bed.events_processed();
-  s.max_partition_events = s.events;
-  return s;
 }
 
 // Emit the run's observability artifacts into bench_out/: always a

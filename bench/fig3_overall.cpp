@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       const std::string name = workloads[wi].first;
       Row& row = rows[wi];
       runner.add(name + "/" + core::protocol_name(kProtocols[pi]),
-                 [name, pi, &row, cli]() -> bench::KernelStats {
+                 [name, pi, &row, cli]() {
                    auto w = make_workload(name);
                    core::Testbed bed(bench::paper_testbed(kProtocols[pi], cli));
                    bed.start();
@@ -95,12 +95,10 @@ int main(int argc, char** argv) {
                          *c, "fig3_" + name + "_" +
                                  core::protocol_name(kProtocols[pi]));
                    }
-                   return bench::kernel_stats(bed);
                  });
     }
   }
   runner.run_all();
-  runner.write_json("fig3_overall");
 
   core::Table table({"workload", "PVFS2", "NFS3", "Redbud", "Redbud+DC",
                      "DC gain", "paper expectation"});

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       const std::uint32_t kb = kSizesKb[si];
       double* out = &ratio[si][ci];
       runner.add(std::to_string(kb) + "KB/" + kConfigs[ci].name,
-                 [kb, ci, out, cli]() -> bench::KernelStats {
+                 [kb, ci, out, cli]() {
                    auto params = bench::paper_testbed(kConfigs[ci].protocol, cli);
                    params.redbud.client.delegation = kConfigs[ci].delegation;
                    params.redbud.client.chunk_blocks =
@@ -72,12 +72,10 @@ int main(int argc, char** argv) {
                    std::fprintf(stderr,
                                 "  done: %uKB %-17s merge=%.3f (ops/s %.0f)\n",
                                 kb, kConfigs[ci].name, *out, r.ops_per_sec);
-                   return bench::kernel_stats(bed);
                  });
     }
   }
   runner.run_all();
-  runner.write_json("fig4_iomerge");
 
   for (int si = 0; si < 3; ++si) {
     const double* r = ratio[si];

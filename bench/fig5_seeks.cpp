@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       const Config& cfg = kConfigs[ci];
       Cell& cell = cells[si * std::size(kConfigs) + ci];
       runner.add(std::string(cfg.slug) + "/" + std::to_string(kb) + "KB",
-                 [kb, &cfg, &cell, cli]() -> bench::KernelStats {
+                 [kb, &cfg, &cell, cli]() {
                    auto params = bench::paper_testbed(cfg.protocol, cli);
                    params.redbud.client.delegation = cfg.delegation;
                    core::Testbed bed(params);
@@ -111,12 +111,10 @@ int main(int argc, char** argv) {
                    cell.seeks_per_mb = mb > 0 ? double(seeks) / mb : 0.0;
                    std::fprintf(stderr, "  done: %s %uKB seeks=%.3f\n",
                                 cfg.name, kb, cell.frac);
-                   return bench::kernel_stats(bed);
                  });
     }
   }
   runner.run_all();
-  runner.write_json("fig5_seeks");
 
   for (std::size_t si = 0; si < std::size(kSizesKb); ++si) {
     for (std::size_t ci = 0; ci < std::size(kConfigs); ++ci) {

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   for (std::size_t wi = 0; wi < names.size(); ++wi) {
     const std::string name = names[wi];
     Row& row = rows[wi];
-    runner.add(name, [name, &row, cli]() -> bench::KernelStats {
+    runner.add(name, [name, &row, cli]() {
       auto w = make_workload(name);
       auto params = bench::paper_testbed(Protocol::kRedbudDelayed, cli);
       params.redbud.client.pool.max_threads = 9;  // the paper's maximum
@@ -86,11 +86,9 @@ int main(int argc, char** argv) {
       row.queue_mean = qs.mean_value();
       std::fprintf(stderr, "  done: %s threads<=%.0f queue<=%.0f\n",
                    name.c_str(), row.threads_max, row.queue_max);
-      return bench::kernel_stats(bed);
     });
   }
   runner.run_all();
-  runner.write_json("fig6_adaptive");
 
   for (std::size_t wi = 0; wi < names.size(); ++wi) {
     const Row& row = rows[wi];

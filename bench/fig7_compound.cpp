@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       const std::uint32_t degree = kDegrees[gi];
       double& out = per_client[di * std::size(kDegrees) + gi];
       runner.add("d" + std::to_string(nd) + "/c" + std::to_string(degree),
-                 [nd, degree, &out, &rpc_dump, cli]() -> bench::KernelStats {
+                 [nd, degree, &out, &rpc_dump, cli]() {
                    auto params =
                        bench::paper_testbed(Protocol::kRedbudDelayed, cli);
                    params.redbud.mds.ndaemons = nd;
@@ -81,12 +81,10 @@ int main(int argc, char** argv) {
                      bed.cluster()->mds_endpoint().dump(
                          rpc_dump, "mds per-op RPC stats (8 daemons, degree 3)");
                    }
-                   return bench::kernel_stats(bed);
                  });
     }
   }
   runner.run_all();
-  runner.write_json("fig7_compound");
 
   std::cout << rpc_dump.str();
   for (std::size_t di = 0; di < std::size(kDaemonCounts); ++di) {

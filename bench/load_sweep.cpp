@@ -40,7 +40,6 @@
 #include "core/cluster.hpp"
 #include "core/metrics.hpp"
 #include "obs/watchdog.hpp"
-#include "parallel_runner.hpp"
 #include "sim/random.hpp"
 #include "workload/openloop.hpp"
 
@@ -121,7 +120,6 @@ struct PointResult {
   std::uint64_t dropped = 0;
   std::vector<double> instants_us;
   std::vector<PointSeries> series;
-  bench::KernelStats kernel;
   bool ok = false;
 };
 
@@ -289,7 +287,6 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
                   res.measured_ops < 0.9 * res.offered_ops ||
                   res.outstanding_slope > 0.05 * res.offered_ops;
 
-  res.kernel = bench::kernel_stats(c);
   res.mem = bench::read_proc_mem();
 
   // Traced points decompose where the (often multi-second) op latency
@@ -448,26 +445,15 @@ int main(int argc, char** argv) {
           std::to_string(kHosts) + " hosts, " + std::to_string(kShards) +
           " MDS shards; offered load vs per-class latency");
 
-  // One runner thread: points run sequentially so per-point VmRSS/VmHWM
-  // stays attributable, while the kernel accounting still lands in
-  // BENCH_kernel.json rows like every other bench.
+  // Points run one after another so per-point VmRSS/VmHWM stays
+  // attributable.
   std::vector<PointResult> points(loads.size());
-  bench::ParallelRunner runner(1);
   for (std::size_t i = 0; i < loads.size(); ++i) {
-    const LoadPoint& pt = loads[i];
-    PointResult& slot = points[i];
-    runner.add("offered=" + std::to_string(std::uint64_t(pt.offered_ops)),
-               [&pt, &slot, &cli, clients_per_host,
-                sample_interval]() -> bench::KernelStats {
-                 std::fprintf(stderr, "  point: %.0f ops/s offered...\n",
-                              pt.offered_ops);
-                 slot = run_point(pt, clients_per_host, sample_interval,
-                                  cli.obs().tracing.enabled);
-                 return slot.kernel;
-               });
+    std::fprintf(stderr, "  point: %.0f ops/s offered...\n",
+                 loads[i].offered_ops);
+    points[i] = run_point(loads[i], clients_per_host, sample_interval,
+                          cli.obs().tracing.enabled);
   }
-  runner.run_all();
-  runner.write_json("load_sweep");
 
   bool ok = true;
   for (const PointResult& r : points) ok = ok && r.ok;

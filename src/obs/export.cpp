@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 
@@ -250,73 +249,6 @@ bool write_timeseries_json(const TimeSeriesSampler& sampler,
   if (!f) return false;
   f << timeseries_json(sampler);
   return bool(f);
-}
-
-std::vector<Stage> reconstruct_chain(const Tracer& tracer,
-                                     std::uint64_t trace_id) {
-  const auto& spans = tracer.spans();
-  const auto find_span = [&](auto pred) -> const SpanRecord* {
-    for (const auto& s : spans) {
-      if (pred(s)) return &s;
-    }
-    return nullptr;
-  };
-
-  std::vector<Stage> chain;
-  // Root: the client op span of this trace.
-  const SpanRecord* op = find_span([&](const SpanRecord& s) {
-    return s.trace == trace_id && s.parent == 0 &&
-           s.stage <= Stage::kClientFsync;
-  });
-  if (!op) return chain;
-  chain.push_back(op->stage);
-
-  const SpanRecord* qwait = find_span([&](const SpanRecord& s) {
-    return s.trace == trace_id && s.stage == Stage::kQueueWait;
-  });
-  if (qwait) chain.push_back(Stage::kQueueWait);
-
-  const SpanRecord* e2e = find_span([&](const SpanRecord& s) {
-    return s.trace == trace_id && s.stage == Stage::kCommitE2e;
-  });
-  if (!e2e) return chain;
-
-  // The e2e span's arg1 names the checkout-batch span this update rode.
-  const SpanRecord* batch = find_span([&](const SpanRecord& s) {
-    return s.span == e2e->arg1 && s.stage == Stage::kCheckoutBatch;
-  });
-  if (batch) {
-    chain.push_back(Stage::kCheckoutBatch);
-    const SpanRecord* rpc = find_span([&](const SpanRecord& s) {
-      return s.parent == batch->span && s.stage == Stage::kRpcWire;
-    });
-    if (rpc) {
-      chain.push_back(Stage::kRpcWire);
-      const SpanRecord* mds = find_span([&](const SpanRecord& s) {
-        return s.parent == rpc->span && s.stage == Stage::kMdsHandle;
-      });
-      if (mds) {
-        chain.push_back(Stage::kMdsHandle);
-        const SpanRecord* jrn = find_span([&](const SpanRecord& s) {
-          return s.parent == mds->span && s.stage == Stage::kJournalFsync;
-        });
-        if (jrn) chain.push_back(Stage::kJournalFsync);
-      }
-    }
-  }
-  chain.push_back(Stage::kCommitE2e);
-  return chain;
-}
-
-bool chain_unbroken(const Tracer& tracer, std::uint64_t trace_id) {
-  const auto chain = reconstruct_chain(tracer, trace_id);
-  const Stage required[] = {Stage::kQueueWait,  Stage::kCheckoutBatch,
-                            Stage::kRpcWire,    Stage::kMdsHandle,
-                            Stage::kJournalFsync, Stage::kCommitE2e};
-  for (const Stage st : required) {
-    if (std::find(chain.begin(), chain.end(), st) == chain.end()) return false;
-  }
-  return !chain.empty() && chain.front() <= Stage::kClientFsync;
 }
 
 }  // namespace redbud::obs

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
@@ -53,18 +52,5 @@ struct ProcessMem {
 [[nodiscard]] std::string timeseries_json(const TimeSeriesSampler& sampler);
 [[nodiscard]] bool write_timeseries_json(const TimeSeriesSampler& sampler,
                                          const std::string& path);
-
-// Reconstruct the causal chain of the update whose root span is the op
-// span of `trace`: client op -> queue wait -> (via the commit-e2e span's
-// batch annotation) checkout batch -> RPC wire -> MDS handle -> journal
-// fsync. Returns the stages found in causal order; an unbroken
-// delayed-commit chain contains all of kClientWrite, kQueueWait,
-// kCommitE2e, kCheckoutBatch, kRpcWire, kMdsHandle, kJournalFsync.
-[[nodiscard]] std::vector<Stage> reconstruct_chain(const Tracer& tracer,
-                                                   std::uint64_t trace_id);
-// True when `trace_id` reconstructs every stage of the delayed-commit
-// pipeline (the acceptance check used by mds_scaling --trace and tests).
-[[nodiscard]] bool chain_unbroken(const Tracer& tracer,
-                                  std::uint64_t trace_id);
 
 }  // namespace redbud::obs

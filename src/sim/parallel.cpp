@@ -42,7 +42,7 @@ Simulation& SimDomain::add_partition() {
   sim->partition_id_ = static_cast<std::uint32_t>(parts_.size());
   parts_.push_back(std::move(sim));
   lanes_.resize(parts_.size());
-  pstats_.resize(parts_.size());
+  busy_ns_.resize(parts_.size());
   return *parts_.back();
 }
 
@@ -53,46 +53,36 @@ void SimDomain::post(Simulation& src, std::uint32_t dst, SimTime at,
                  "cross-partition injection inside the lookahead window");
   Lane& lane = lanes_[src.partition_id()];
   ++lane.staged_total;
-  lane.staged.push_back(
-      {at, src.partition_id(), dst, lane.next_seq++, std::move(fn)});
+  lane.staged.push_back({at, dst, std::move(fn)});
 }
 
 void SimDomain::deliver_staged() {
-  deliver_buf_.clear();
+  // Lanes in source-partition order, each in post order. Target sequence
+  // numbers follow this order and only break ties between events at an
+  // equal time, so injections run in (time, src partition, post order)
+  // order, whatever order the partitions ran in.
   for (Lane& lane : lanes_) {
-    for (auto& inj : lane.staged) deliver_buf_.push_back(std::move(inj));
+    injections_delivered_ += lane.staged.size();
+    for (auto& inj : lane.staged) {
+      Simulation& target = *parts_[inj.dst];
+      REDBUD_REQUIRE(inj.at >= target.now(),
+                     "cross-partition injection behind the target clock");
+      target.call_at(inj.at, std::move(inj.fn));
+    }
     lane.staged.clear();
   }
-  if (deliver_buf_.empty()) return;
-  injections_delivered_ += deliver_buf_.size();
-  // Total order over injections: (time, src partition, per-source seq).
-  // Target-side sequence numbers are assigned in this order, so replay
-  // does not depend on the order the partitions ran in.
-  std::sort(deliver_buf_.begin(), deliver_buf_.end(),
-            [](const Injection& a, const Injection& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  for (auto& inj : deliver_buf_) {
-    Simulation& target = *parts_[inj.dst];
-    REDBUD_REQUIRE(inj.at >= target.now(),
-                   "cross-partition injection behind the target clock");
-    target.call_at(inj.at, std::move(inj.fn));
-  }
-  deliver_buf_.clear();
 }
 
 void SimDomain::run_round(SimTime end, bool inclusive) {
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     Simulation& part = *parts_[i];
-    PartStats& ps = pstats_[i];
-    const std::uint64_t before = part.events_processed();
+    // An idle partition's window would dispatch nothing and leave its
+    // clock where it is (ring events sit at now() < end), so skip it.
+    const SimTime next = part.peek_next_time();
+    if (inclusive ? next > end : next >= end) continue;
     const std::uint64_t t0 = detail::wall_now_ns();
     part.run_window(end, inclusive);
-    ps.busy_ns += detail::wall_now_ns() - t0;
-    ps.windows += 1;
-    if (part.events_processed() != before) ps.windows_active += 1;
+    busy_ns_[i] += detail::wall_now_ns() - t0;
   }
 }
 
@@ -107,7 +97,6 @@ void SimDomain::fire_probes(SimTime upto) {
 void SimDomain::run_until(SimTime t) {
   REDBUD_REQUIRE(!parts_.empty(), "domain has no partitions");
   started_ = true;
-  const std::uint64_t t0 = detail::wall_now_ns();
   for (;;) {
     deliver_staged();
     SimTime m = SimTime::max();
@@ -130,7 +119,6 @@ void SimDomain::run_until(SimTime t) {
   }
   if (probe_next_ <= t) fire_probes(t);
   for (const auto& p : parts_) p->advance_to(t);
-  wall_ns_ += detail::wall_now_ns() - t0;
 }
 
 void SimDomain::set_probe(SimTime first, SimTime stride, void* ctx,
@@ -145,15 +133,12 @@ void SimDomain::set_probe(SimTime first, SimTime stride, void* ctx,
 KernelProfile SimDomain::kernel_profile() const {
   KernelProfile kp;
   kp.rounds = rounds_;
-  kp.wall_ns = wall_ns_;
   kp.injections_delivered = injections_delivered_;
   for (const Lane& lane : lanes_) kp.injections_staged += lane.staged_total;
   kp.partitions.resize(parts_.size());
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     kp.partitions[i].events = parts_[i]->events_processed();
-    kp.partitions[i].windows = pstats_[i].windows;
-    kp.partitions[i].windows_active = pstats_[i].windows_active;
-    kp.partitions[i].busy_ns = pstats_[i].busy_ns;
+    kp.partitions[i].busy_ns = busy_ns_[i];
   }
   return kp;
 }

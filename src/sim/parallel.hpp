@@ -10,20 +10,19 @@
 //
 //   1. deliver staged cross-partition injections into their target heaps,
 //   2. m  := min over partitions of peek_next_time(),
-//   3. stop if m > horizon, else run every partition, in index order,
-//      through the window [m, min(m + L, horizon)) — no partition can
-//      invalidate another inside the window, because any injection it
-//      posts lands at >= m + L,
+//   3. stop if m > horizon, else run every partition with an event inside
+//      the window [m, min(m + L, horizon)), in index order, through that
+//      window — no partition can invalidate another inside the window,
+//      because any injection it posts lands at >= m + L,
 //   4. go to 1.
 //
 // Determinism contract: within a partition events replay in exact
-// (time, seq) order — run_window() is the same merge loop as
-// Simulation::run_until. Cross-partition injections are sequenced by
-// (time, src_partition, src_seq) before delivery, so a given config +
-// seed + partition count replays bit-identically.
+// (time, seq) order — Simulation::run_until is run_window() over
+// [now, t]. Cross-partition injections are delivered in (src_partition,
+// src_post_order) order, so equal-time injections run in that order and
+// a given config + seed + partition count replays bit-identically.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -50,13 +49,10 @@ namespace detail {
 // time, and have no effect on the event stream.
 struct KernelProfile {
   struct Partition {
-    std::uint64_t events = 0;          // events dispatched by the partition
-    std::uint64_t windows = 0;         // run_window calls issued to it
-    std::uint64_t windows_active = 0;  // windows that dispatched >= 1 event
-    std::uint64_t busy_ns = 0;         // wall time spent inside run_window
+    std::uint64_t events = 0;   // events dispatched by the partition
+    std::uint64_t busy_ns = 0;  // wall time spent inside run_window
   };
-  std::uint64_t rounds = 0;    // synchronization rounds run
-  std::uint64_t wall_ns = 0;   // wall time inside run_until bodies
+  std::uint64_t rounds = 0;  // synchronization rounds run
   std::uint64_t injections_staged = 0;     // cross-partition posts staged
   std::uint64_t injections_delivered = 0;  // staged posts delivered to heaps
   std::vector<Partition> partitions;
@@ -74,11 +70,6 @@ struct KernelProfile {
   // Always 0: one thread runs every partition, so nothing waits at a
   // barrier. Kept because the benchmark harness still reads it.
   [[nodiscard]] std::uint64_t stall_ns_total() const { return 0; }
-  [[nodiscard]] std::uint64_t max_partition_events() const {
-    std::uint64_t n = 0;
-    for (const auto& p : partitions) n = std::max(n, p.events);
-    return n;
-  }
 };
 
 class SimDomain {
@@ -97,7 +88,7 @@ class SimDomain {
   // Cross-partition event injection (the "mailbox push"). Must satisfy
   // at >= src.now() + lookahead; checked unconditionally. `fn` runs in
   // partition `dst` at time `at`, sequenced against all other injections
-  // by (at, src_partition, src_seq).
+  // by (at, src_partition, post order within the source).
   void post(Simulation& src, std::uint32_t dst, SimTime at, SmallFn fn);
 
   // Advance every partition to exactly `t` (all partitions' now() == t on
@@ -134,22 +125,14 @@ class SimDomain {
  private:
   struct Injection {
     SimTime at;
-    std::uint32_t src;
     std::uint32_t dst;
-    std::uint64_t seq;  // per-source-lane sequence, assigned at post()
     SmallFn fn;
   };
-  // One staging lane per source partition; run_until drains every lane
-  // between rounds.
+  // One staging lane per source partition, in post order; run_until
+  // drains every lane, in partition order, between rounds.
   struct Lane {
     std::vector<Injection> staged;
-    std::uint64_t next_seq = 0;
     std::uint64_t staged_total = 0;  // lifetime count
-  };
-  struct PartStats {
-    std::uint64_t windows = 0;
-    std::uint64_t windows_active = 0;
-    std::uint64_t busy_ns = 0;
   };
 
   void deliver_staged();
@@ -160,7 +143,6 @@ class SimDomain {
   bool started_ = false;  // set by the first run_until
   std::vector<std::unique_ptr<Simulation>> parts_;
   std::vector<Lane> lanes_;
-  std::vector<Injection> deliver_buf_;
 
   // Probe state.
   SimTime probe_next_ = SimTime::max();
@@ -169,9 +151,8 @@ class SimDomain {
   ProbeFn probe_fn_ = nullptr;
 
   // Profile accumulators.
-  std::vector<PartStats> pstats_;
+  std::vector<std::uint64_t> busy_ns_;  // per partition
   std::uint64_t rounds_ = 0;
-  std::uint64_t wall_ns_ = 0;
   std::uint64_t injections_delivered_ = 0;
 };
 

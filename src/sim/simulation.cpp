@@ -59,46 +59,20 @@ void Simulation::drain_retired() {
   retired_.clear();
 }
 
-bool Simulation::step(SimTime limit) {
-  // Ring events are timestamped now_; a heap event at the same time with a
-  // smaller sequence number was scheduled earlier and must run first.
-  if (!ring_.empty() && now_ <= limit) {
-    if (!heap_.empty() && heap_.top().at == now_ &&
-        heap_.top().seq < ring_.front().seq) {
-      dispatch_payload(heap_.pop().payload);
-    } else {
-      dispatch_payload(ring_.pop().payload);
-    }
-    return true;
-  }
-  if (!heap_.empty() && heap_.top().at <= limit) {
-    const detail::HeapEvent ev = heap_.pop();
-    assert(ev.at >= now_ && "event queue went backwards in time");
-    now_ = ev.at;
-    dispatch_payload(ev.payload);
-    return true;
-  }
-  return false;
-}
-
-void Simulation::run() {
-  stopped_ = false;
-  while (!stopped_ && step(SimTime::max())) {
-  }
-}
+void Simulation::run() { run_window(SimTime::max(), /*inclusive=*/true); }
 
 void Simulation::run_until(SimTime t) {
-  stopped_ = false;
-  while (!stopped_ && step(t)) {
-  }
-  if (!stopped_ && now_ < t) now_ = t;
+  if (t < now_) return;
+  run_window(t, /*inclusive=*/true);
+  now_ = t;
 }
 
 void Simulation::run_window(SimTime end, bool inclusive) {
   for (;;) {
     // Ring events are timestamped now_, which is always inside the window
     // (now_ only advances via heap events admitted below), so the ring
-    // drains unconditionally; same (time, seq) merge rule as step().
+    // drains unconditionally. A heap event at now_ with a smaller sequence
+    // number was scheduled earlier and runs first.
     if (!ring_.empty()) {
       if (!heap_.empty() && heap_.top().at == now_ &&
           heap_.top().seq < ring_.front().seq) {

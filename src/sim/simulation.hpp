@@ -59,10 +59,9 @@ class Simulation {
   // Run until the event queue drains (beware: perpetual daemons never
   // drain; prefer run_until for systems with background processes).
   void run();
-  // Run until virtual time exceeds `t`; `now()` is exactly `t` afterwards.
+  // Run every event with time <= t; `now()` is exactly `t` afterwards.
+  // A no-op when `t` is already in the past.
   void run_until(SimTime t);
-  // Request the run loop to stop after the current event.
-  void stop() { stopped_ = true; }
 
   // Schedule a raw coroutine handle (used by synchronization primitives).
   void schedule_in(SimTime after, std::coroutine_handle<> h) {
@@ -137,8 +136,6 @@ class Simulation {
   friend struct detail::FutureShared;
 
   void on_process_done(Process::Handle h);
-  // Dispatch one event whose time is <= limit; false when none remain.
-  bool step(SimTime limit);
   void dispatch_payload(std::uint64_t payload);
   void drain_retired();
 
@@ -147,7 +144,6 @@ class Simulation {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t resolutions_ = 0;
-  bool stopped_ = false;
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_
   detail::TimerSlab timers_;  // pending call_at callbacks

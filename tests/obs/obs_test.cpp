@@ -306,48 +306,6 @@ TEST(Registry, UnregisterIsTheSanctionedRebuildPath) {
   reg.unregister("nope{x=1}");
 }
 
-// --- Chain reconstruction ------------------------------------------------
-
-TEST(Chain, HandBuiltPipelineReconstructsUnbroken) {
-  TracedObs obs;
-  auto& t = obs.tracer;
-  const auto op = t.mint();
-  t.record(Stage::kClientWrite, op, 0, {client_track(0), 1},
-           SimTime::micros(10), SimTime::micros(40), /*file=*/7);
-  const auto qw = t.child(op);
-  t.record(Stage::kQueueWait, qw, op.span, {client_track(0), 2},
-           SimTime::micros(40), SimTime::micros(90), 7);
-  const auto batch = t.mint();  // fresh trace for the shard-level batch
-  t.record(Stage::kCheckoutBatch, batch, 0, {client_track(0), 3},
-           SimTime::micros(90), SimTime::micros(90), /*size=*/1, /*shard=*/0);
-  const auto wire = t.child(batch);
-  t.record(Stage::kRpcWire, wire, batch.span, {client_track(0), 4},
-           SimTime::micros(90), SimTime::micros(200));
-  const auto mds = t.child(wire);
-  t.record(Stage::kMdsHandle, mds, wire.span, {shard_track(0), 1},
-           SimTime::micros(120), SimTime::micros(180));
-  const auto jr = t.child(mds);
-  t.record(Stage::kJournalFsync, jr, mds.span, {shard_track(0), 2},
-           SimTime::micros(130), SimTime::micros(170), 4096);
-  const auto e2e = t.child(op);
-  t.record(Stage::kCommitE2e, e2e, op.span, {client_track(0), 2},
-           SimTime::micros(40), SimTime::micros(200), 7, batch.span);
-
-  EXPECT_TRUE(chain_unbroken(t, op.trace));
-  const auto chain = reconstruct_chain(t, op.trace);
-  ASSERT_EQ(chain.size(), 7u);
-  EXPECT_EQ(chain[0], Stage::kClientWrite);
-  EXPECT_EQ(chain[1], Stage::kQueueWait);
-  EXPECT_EQ(chain.back(), Stage::kCommitE2e);
-
-  // Sever the journal link: the chain must report broken.
-  TracedObs partial;
-  partial.tracer.record(Stage::kClientWrite, partial.tracer.mint(), 0,
-                        {client_track(0), 1}, SimTime::micros(1),
-                        SimTime::micros(2));
-  EXPECT_FALSE(chain_unbroken(partial.tracer, 1));
-}
-
 // --- Golden-file Perfetto export -----------------------------------------
 
 TEST(ObsExport, PerfettoGoldenFile) {
