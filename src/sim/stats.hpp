@@ -49,6 +49,10 @@ class LatencyHistogram {
   [[nodiscard]] SimTime percentile(double p) const;  // p in (0, 100)
   [[nodiscard]] SimTime min() const { return min_; }
   [[nodiscard]] SimTime max() const { return max_; }
+  // Raw per-bucket counts (logarithmic, 1us upward).
+  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const {
+    return buckets_;
+  }
   void reset();
 
  private:
