@@ -11,6 +11,28 @@ using redbud::sim::Done;
 using redbud::sim::SimFuture;
 using redbud::sim::SimPromise;
 
+namespace {
+
+// First slot whose key is >= `key`, in a deque of (key, value) pairs
+// sorted by key.
+template <typename Slots>
+auto lower_key(Slots& slots, std::int64_t key) {
+  return std::lower_bound(
+      slots.begin(), slots.end(), key,
+      [](const auto& slot, std::int64_t k) { return slot.first < k; });
+}
+
+// The slot holding `key`, which must be present. Checkouts mostly take
+// the head, so that is tried first.
+template <typename Slots>
+auto find_key(Slots& slots, std::int64_t key) {
+  auto it = slots.front().first == key ? slots.begin() : lower_key(slots, key);
+  assert(it != slots.end() && it->first == key);
+  return it;
+}
+
+}  // namespace
+
 CommitQueue::CommitQueue(redbud::sim::Simulation& sim)
     : sim_(&sim),
       owned_slab_(std::make_unique<CommitSlab>()),
@@ -23,7 +45,13 @@ CommitQueue::CommitQueue(redbud::sim::Simulation& sim, CommitSlab* slab)
   assert(slab_ != nullptr);
 }
 
-CommitQueue::~CommitQueue() = default;
+CommitQueue::~CommitQueue() {
+  // A data write may outlive the queue; it must not fire into freed
+  // entries.
+  for (auto& [file, e] : queued_) {
+    for (auto& f : e.task.data_futures) f.clear_hook();
+  }
+}
 
 void CommitQueue::set_obs(obs::Obs* obs, std::uint32_t client_id) {
   obs_ = obs;
@@ -40,12 +68,35 @@ void CommitQueue::set_obs(obs::Obs* obs, std::uint32_t client_id) {
 }
 
 void CommitQueue::refresh_state() {
-  ++version_;
   depth_ = order_.size();
-  oldest_enqueued_us_ =
-      order_.empty()
-          ? 0
-          : std::uint64_t(queued_.at(order_.front()).enqueued_at.ns() / 1000);
+  oldest_enqueued_us_ = 0;
+  if (!order_.empty()) {
+    const CommitTask& oldest = queued_.at(order_.front().second).task;
+    oldest_enqueued_us_ = std::uint64_t(oldest.enqueued_at.ns() / 1000);
+  }
+}
+
+void CommitQueue::on_write_done(redbud::sim::CompletionHook* hook) {
+  auto* e = static_cast<Entry*>(hook);
+  if (--e->pending == 0) e->queue->mark_ready(*e);
+}
+
+void CommitQueue::watch_writes(Entry& e, std::size_t from) {
+  auto& futs = e.task.data_futures;
+  for (std::size_t i = from; i < futs.size(); ++i) {
+    if (futs[i].ready()) continue;
+    futs[i].set_hook(&e);
+    ++e.pending;
+  }
+}
+
+void CommitQueue::mark_ready(Entry& e) {
+  // Writes complete roughly in FIFO order, so most entries append.
+  if (ready_.empty() || ready_.back().first < e.key) {
+    ready_.emplace_back(e.key, &e);
+  } else {
+    ready_.emplace(lower_key(ready_, e.key), e.key, &e);
+  }
 }
 
 void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
@@ -54,9 +105,11 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
                       std::vector<SimFuture<Done>> data_futures,
                       obs::TraceContext ctx) {
   ++enqueued_;
-  auto it = queued_.find(file);
-  if (it == queued_.end()) {
-    CommitTask task = slab_->acquire();
+  if (auto it = queued_.find(file); it == queued_.end()) {
+    Entry& e = queued_.try_emplace(file, this, next_back_key_++,
+                                   slab_->acquire())
+                   .first->second;
+    CommitTask& task = e.task;
     task.file = file;
     task.shard = net::shard_of_id(file);
     task.extents = std::move(extents);
@@ -65,20 +118,27 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
     task.enqueued_at = sim_->now();
     task.data_futures = std::move(data_futures);
     if (ctx.active()) task.traces.push_back({ctx, sim_->now()});
-    queued_.emplace(file, std::move(task));
-    order_.push_back(file);
+    order_.emplace_back(e.key, file);
+    watch_writes(e, 0);
+    if (e.pending == 0) mark_ready(e);
   } else {
     // Same-file merge: one commit request per file in the queue.
     ++merged_;
-    CommitTask& task = it->second;
+    Entry& e = it->second;
+    CommitTask& task = e.task;
     task.extents.insert(task.extents.end(), extents.begin(), extents.end());
     task.block_tokens.insert(task.block_tokens.end(), block_tokens.begin(),
                              block_tokens.end());
     task.new_size_bytes = std::max(task.new_size_bytes, new_size_bytes);
+    const std::size_t from = task.data_futures.size();
     for (auto& f : data_futures) task.data_futures.push_back(std::move(f));
     // The merged update keeps its own context: its chain shares the
     // task's checkout/RPC spans but retains per-update queue-wait/e2e.
     if (ctx.active()) task.traces.push_back({ctx, sim_->now()});
+    // An unready write merged into a ready task hides it again.
+    const bool was_ready = e.pending == 0;
+    watch_writes(e, from);
+    if (was_ready && e.pending > 0) ready_.erase(find_key(ready_, e.key));
   }
   refresh_state();
   work_.notify_all();
@@ -94,7 +154,7 @@ SimFuture<Done> CommitQueue::wait_committed(net::FileId file) {
     return fut;
   }
   if (queued) {
-    queued_[file].waiters.push_back(std::move(p));
+    queued_.at(file).task.waiters.push_back(std::move(p));
   } else {
     in_flight_waiters_[file].push_back(std::move(p));
   }
@@ -104,72 +164,55 @@ SimFuture<Done> CommitQueue::wait_committed(net::FileId file) {
 void CommitQueue::drop(net::FileId file) {
   auto it = queued_.find(file);
   if (it == queued_.end()) return;
-  for (auto& w : it->second.waiters) w.set_value(Done{});
-  slab_->recycle(std::move(it->second));
+  Entry& e = it->second;
+  for (auto& w : e.task.waiters) w.set_value(Done{});
+  // Detach the pending writes: they resolve after the entry is gone.
+  if (e.pending > 0) {
+    for (auto& f : e.task.data_futures) f.clear_hook();
+  } else {
+    ready_.erase(find_key(ready_, e.key));
+  }
+  order_.erase(find_key(order_, e.key));
+  slab_->recycle(std::move(e.task));
   queued_.erase(it);
-  order_.erase(std::remove(order_.begin(), order_.end(), file), order_.end());
   refresh_state();
   space_.notify_all();
 }
 
 std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
   std::vector<CommitTask> out;
-  std::size_t scanned = 0;
+  if (ready_.empty()) return out;
+  // Ready entries in FIFO order, within the window as it stands on entry.
+  const std::int64_t window_end = window_end_key();
   // The first ready task pins the batch's target shard.
   std::uint32_t batch_shard = 0;
-  for (auto it = order_.begin();
-       it != order_.end() && out.size() < max && scanned < kScanLimit;
-       ++scanned) {
-    auto qit = queued_.find(*it);
-    assert(qit != queued_.end());
-    if (qit->second.data_complete() &&
-        (out.empty() || qit->second.shard == batch_shard)) {
-      if (out.empty()) batch_shard = qit->second.shard;
-      // Queue-wait stage ends here for every update riding this task.
-      if (obs_ != nullptr) {
-        for (const obs::TraceLink& link : qit->second.traces) {
-          obs_->tracer.record(obs::Stage::kQueueWait,
-                              obs_->tracer.child(link.ctx), link.ctx.span,
-                              track_, link.enqueued_at, sim_->now(),
-                              qit->second.file);
-        }
-      }
-      out.push_back(std::move(qit->second));
-      queued_.erase(qit);
-      it = order_.erase(it);
-      ++in_flight_files_[out.back().file];
-      ++in_flight_count_;
-    } else {
+  for (auto it = ready_.begin();
+       it != ready_.end() && it->first <= window_end && out.size() < max;) {
+    Entry& e = *it->second;
+    if (!out.empty() && e.task.shard != batch_shard) {
       ++it;
+      continue;
     }
+    if (out.empty()) batch_shard = e.task.shard;
+    // Queue-wait stage ends here for every update riding this task.
+    if (obs_ != nullptr) {
+      for (const obs::TraceLink& link : e.task.traces) {
+        obs_->tracer.record(obs::Stage::kQueueWait,
+                            obs_->tracer.child(link.ctx), link.ctx.span,
+                            track_, link.enqueued_at, sim_->now(),
+                            e.task.file);
+      }
+    }
+    order_.erase(find_key(order_, e.key));
+    it = ready_.erase(it);
+    out.push_back(std::move(e.task));
+    queued_.erase(out.back().file);
+    ++in_flight_files_[out.back().file];
+    ++in_flight_count_;
   }
   refresh_state();
   if (!out.empty()) space_.notify_all();
   return out;
-}
-
-std::optional<std::uint32_t> CommitQueue::first_ready_shard() const {
-  // Between two polls the answer can only change if the queue was mutated
-  // (every mutation bumps version_ in refresh_state) or a data future
-  // resolved (its promise was made on sim_, whose resolution count moves).
-  const std::uint64_t resolutions = sim_->resolutions();
-  if (memo_version_ != version_ || memo_resolutions_ != resolutions) {
-    memo_shard_ = scan_first_ready();
-    memo_version_ = version_;
-    memo_resolutions_ = resolutions;
-  }
-  assert(memo_shard_ == scan_first_ready());
-  return memo_shard_;
-}
-
-std::optional<std::uint32_t> CommitQueue::scan_first_ready() const {
-  std::size_t scanned = 0;
-  for (auto it = order_.begin(); it != order_.end() && scanned < kScanLimit;
-       ++it, ++scanned) {
-    const CommitTask& task = queued_.at(*it);
-    if (task.data_complete()) return task.shard;
-  }
-  return std::nullopt;
 }
 
 void CommitQueue::ack(CommitTask& task, std::uint64_t batch_span) {
@@ -211,13 +254,19 @@ void CommitQueue::requeue(CommitTask task) {
   --in_flight_count_;
   if (--fit->second == 0) in_flight_files_.erase(fit);
 
+  // Every data write of a checked-out task has resolved, so the task is
+  // ready as it comes back; merging it leaves the queued entry's
+  // readiness as it was.
   const net::FileId file = task.file;
   auto it = queued_.find(file);
   if (it == queued_.end()) {
-    queued_.emplace(file, std::move(task));
-    order_.push_front(file);
+    Entry& e = queued_.try_emplace(file, this, next_front_key_--,
+                                   std::move(task))
+                   .first->second;
+    order_.emplace_front(e.key, file);
+    mark_ready(e);
   } else {
-    CommitTask& q = it->second;
+    CommitTask& q = it->second.task;
     q.extents.insert(q.extents.end(), task.extents.begin(),
                      task.extents.end());
     q.block_tokens.insert(q.block_tokens.end(), task.block_tokens.begin(),

@@ -12,11 +12,13 @@
 // the commit RPC can never overtake its file data to stable storage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -45,13 +47,6 @@ struct CommitTask {
   // One link per traced update riding this task: dedup-merged updates each
   // keep their own context, so every originating op's chain stays whole.
   std::vector<obs::TraceLink> traces;
-
-  [[nodiscard]] bool data_complete() const {
-    for (const auto& f : data_futures) {
-      if (!f.ready()) return false;
-    }
-    return true;
-  }
 };
 
 class CommitSlab;
@@ -96,12 +91,15 @@ class CommitQueue {
   [[nodiscard]] std::vector<CommitTask> checkout(std::size_t max);
   // Shard of the task a checkout() would pick first, or nullopt when no
   // entry is ready. Lets the daemon size the batch with that shard's
-  // compound degree before committing to the checkout. Memoised: the
-  // answer is rescanned only after the queue changed or a future promised
-  // on this queue's simulation resolved. Data futures must therefore come
-  // from promises made on that simulation (Debug builds check every
-  // cached answer against a fresh scan).
-  [[nodiscard]] std::optional<std::uint32_t> first_ready_shard() const;
+  // compound degree before committing to the checkout. O(1): the head of
+  // the ready index, if it lies inside the scan window. Inline, since the
+  // daemons poll it on every wake.
+  [[nodiscard]] std::optional<std::uint32_t> first_ready_shard() const {
+    if (ready_.empty() || ready_.front().first > window_end_key()) {
+      return std::nullopt;
+    }
+    return ready_.front().second->task.shard;
+  }
   // Acknowledge an in-flight task: resolves waiters, updates stats.
   // `batch_span` is the checkout-batch span the task's commit RPC rode —
   // recorded on each commit-e2e span so chains cross the batch boundary.
@@ -125,21 +123,55 @@ class CommitQueue {
   }
   [[nodiscard]] CommitSlab& slab() { return *slab_; }
 
-  // checkout() and first_ready_shard() look at no more than this many
-  // entries from the head. Data writes complete roughly in FIFO order, so
-  // ready entries cluster at the front; a deep scan over a long unready
-  // tail would make daemon polling quadratic in the queue length.
+  // checkout() and first_ready_shard() consider only ready entries among
+  // this many from the head. It is checkout policy, not a scan cost: a
+  // ready entry further back waits until the head drains, which bounds
+  // how far a batch can run ahead of FIFO order.
   static constexpr std::size_t kScanLimit = 128;
 
  private:
-  [[nodiscard]] std::optional<std::uint32_t> scan_first_ready() const;
+  // A queued task plus its ready-index state. The entry is the completion
+  // hook of each of its unresolved data futures; on_write_done() casts
+  // back from the hook. unordered_map nodes never move, so the hooks stay
+  // valid until the entry leaves the map (which first detaches them).
+  struct Entry : redbud::sim::CompletionHook {
+    Entry(CommitQueue* q, std::int64_t k, CommitTask t)
+        : task(std::move(t)), queue(q), key(k) {
+      fire = &on_write_done;
+    }
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+    CommitTask task;
+    CommitQueue* queue;
+    // Position in order_: add() takes keys from next_back_key_ upward,
+    // requeue()'s push-front from next_front_key_ downward.
+    std::int64_t key;
+    // Unresolved futures in task.data_futures. The entry is in ready_
+    // exactly when this is 0.
+    std::uint32_t pending = 0;
+  };
+  static void on_write_done(redbud::sim::CompletionHook* hook);
+  // Hooks and counts the unresolved futures in data_futures[from..].
+  static void watch_writes(Entry& e, std::size_t from);
+  // Key of the last entry inside the scan window (order_ must be
+  // non-empty): ready entries with a key <= this are visible.
+  [[nodiscard]] std::int64_t window_end_key() const {
+    return order_[std::min(order_.size(), kScanLimit) - 1].first;
+  }
+  void mark_ready(Entry& e);
 
   redbud::sim::Simulation* sim_;
   std::unique_ptr<CommitSlab> owned_slab_;  // null when slab is shared
   CommitSlab* slab_;
-  // FIFO of queued files; the map holds the actual tasks.
-  std::deque<net::FileId> order_;
-  std::unordered_map<net::FileId, CommitTask> queued_;
+  // Queued (key, file) pairs in FIFO order, sorted by key; the map holds
+  // the actual tasks.
+  std::deque<std::pair<std::int64_t, net::FileId>> order_;
+  std::unordered_map<net::FileId, Entry> queued_;
+  // (key, entry) of the entries whose data writes have all resolved,
+  // sorted by key.
+  std::deque<std::pair<std::int64_t, Entry*>> ready_;
+  std::int64_t next_back_key_ = 0;
+  std::int64_t next_front_key_ = -1;
   // fsync waiters attached to in-flight commits, keyed by file.
   std::unordered_map<net::FileId,
                      std::vector<redbud::sim::SimPromise<redbud::sim::Done>>>
@@ -148,17 +180,11 @@ class CommitQueue {
   std::size_t in_flight_count_ = 0;
   redbud::sim::Signal work_;
   redbud::sim::Signal space_;
-  // Every mutation of the queued set ends here. Bumps `version_` and
-  // updates the queue-state views for the registry: current depth and the
-  // enqueue instant (microseconds, 0 = empty) of the oldest queued entry.
-  // The watchdog's commit-stall detector turns the latter into an age.
+  // Every mutation of the queued set ends here. Updates the queue-state
+  // views for the registry: current depth and the enqueue instant
+  // (microseconds, 0 = empty) of the oldest queued entry. The watchdog's
+  // commit-stall detector turns the latter into an age.
   void refresh_state();
-  std::uint64_t version_ = 0;
-  // first_ready_shard()'s last answer and the (version_, resolutions)
-  // pair it was computed at.
-  mutable std::uint64_t memo_version_ = ~std::uint64_t{0};
-  mutable std::uint64_t memo_resolutions_ = 0;
-  mutable std::optional<std::uint32_t> memo_shard_;
   std::uint64_t depth_ = 0;
   std::uint64_t oldest_enqueued_us_ = 0;
   std::uint64_t enqueued_ = 0;

@@ -4,6 +4,11 @@
 // may `co_await` the corresponding SimFuture<T> (all are woken through the
 // event queue). Used pervasively for asynchronous completions: disk I/O,
 // RPC replies, commit acknowledgements.
+//
+// Besides its waiters, a future's shared state holds at most one
+// completion hook: a host-side observer that fulfilment calls inline,
+// without scheduling an event. The commit queue uses it to keep its ready
+// index exact as data writes complete.
 #pragma once
 
 #include <cassert>
@@ -18,6 +23,15 @@
 
 namespace redbud::sim {
 
+// Intrusive completion-hook record. The observer embeds one (usually as
+// a base class, so `fire` can static_cast back to the observer) and
+// attaches it with SimFuture::set_hook(). The future keeps only this
+// pointer: one word in a shared state that ~10^5 in-flight writebacks
+// each allocate.
+struct CompletionHook {
+  void (*fire)(CompletionHook* self) = nullptr;
+};
+
 namespace detail {
 template <typename T>
 struct FutureShared {
@@ -25,13 +39,19 @@ struct FutureShared {
   std::optional<T> value;
   std::exception_ptr error;
   std::vector<std::coroutine_handle<>> waiters;
+  CompletionHook* hook = nullptr;
 
   [[nodiscard]] bool ready() const { return value.has_value() || error; }
 
+  // Waiters resume through the event queue; the hook runs inline, once,
+  // after them, with its slot already cleared.
   void fulfil() {
-    ++sim->resolutions_;
     for (auto h : waiters) sim->schedule_now(h);
     waiters.clear();
+    if (hook != nullptr) {
+      CompletionHook* h = std::exchange(hook, nullptr);
+      h->fire(h);
+    }
   }
 };
 }  // namespace detail
@@ -45,6 +65,18 @@ class SimFuture {
 
   [[nodiscard]] bool valid() const { return s_ != nullptr; }
   [[nodiscard]] bool ready() const { return s_ && s_->ready(); }
+
+  // Attach `hook` to this (unresolved) future: fulfilment calls
+  // hook->fire(hook) inline, adding no event. The slot must be free.
+  void set_hook(CompletionHook* hook) {
+    assert(valid() && !ready() && s_->hook == nullptr);
+    s_->hook = hook;
+  }
+  // Detach whatever hook is attached (no-op when none is).
+  void clear_hook() {
+    if (s_) s_->hook = nullptr;
+  }
+  [[nodiscard]] bool has_hook() const { return s_ && s_->hook != nullptr; }
 
   // Peek at the value without consuming (valid only when ready).
   [[nodiscard]] const T& peek() const {

@@ -50,7 +50,11 @@ namespace detail {
 struct KernelProfile {
   struct Partition {
     std::uint64_t events = 0;   // events dispatched by the partition
-    std::uint64_t busy_ns = 0;  // wall time spent inside run_window
+    // Wall time charged to the partition's windows: from the round's
+    // previous clock read (its first active partition's start, or the end
+    // of the window before) to the end of its own run_window. Idle
+    // partitions are skipped before any read and gain nothing.
+    std::uint64_t busy_ns = 0;
   };
   std::uint64_t rounds = 0;  // synchronization rounds run
   std::uint64_t injections_staged = 0;     // cross-partition posts staged

@@ -25,10 +25,6 @@
 namespace redbud::sim {
 
 class SimDomain;
-namespace detail {
-template <typename T>
-struct FutureShared;
-}  // namespace detail
 
 class Simulation {
  public:
@@ -97,10 +93,6 @@ class Simulation {
     return events_processed_;
   }
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
-  // Promises created on this simulation that have been fulfilled so far.
-  // A poller that memoises a predicate over futures (the commit queue's
-  // readiness scan) re-evaluates only when this moves.
-  [[nodiscard]] std::uint64_t resolutions() const { return resolutions_; }
 
   // ---- Partitioned-kernel interface (see sim/parallel.hpp) --------------
   //
@@ -132,8 +124,6 @@ class Simulation {
  private:
   friend struct Process::FinalAwaiter;
   friend class SimDomain;
-  template <typename T>
-  friend struct detail::FutureShared;
 
   void on_process_done(Process::Handle h);
   void dispatch_payload(std::uint64_t payload);
@@ -143,7 +133,6 @@ class Simulation {
   std::uint32_t partition_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::uint64_t resolutions_ = 0;
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_
   detail::TimerSlab timers_;  // pending call_at callbacks

@@ -1,6 +1,8 @@
 #include "workload/filebench.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 
 namespace redbud::workload {
@@ -14,23 +16,41 @@ using redbud::sim::Simulation;
 
 int Fileset::pick(Rng& rng) const {
   if (entries_.empty()) return -1;
-  // Bounded random probing; a linear fallback guarantees progress.
+  // Bounded random probing; a fallback walk over the live entries, in
+  // index order, guarantees progress. Probes test the bitmap first, so a
+  // retired entry costs no touch of the (much larger) entry itself.
   for (int tries = 0; tries < 16; ++tries) {
     const auto i = rng.next_below(entries_.size());
-    if (entries_[i].live && !entries_[i].in_use) return static_cast<int>(i);
+    if (((live_bits_[i / 64] >> (i % 64)) & 1) != 0 && !entries_[i].in_use) {
+      return static_cast<int>(i);
+    }
   }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].live && !entries_[i].in_use) return static_cast<int>(i);
+  for (std::size_t w = 0; w < live_bits_.size(); ++w) {
+    for (std::uint64_t bits = live_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t i = w * 64 + std::size_t(std::countr_zero(bits));
+      if (!entries_[i].in_use) return static_cast<int>(i);
+    }
   }
   return -1;
 }
 
-std::size_t Fileset::live_count() const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.live) ++n;
+int Fileset::add(Entry e) {
+  const std::size_t i = entries_.size();
+  if (i % 64 == 0) live_bits_.push_back(0);
+  if (e.live) {
+    live_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+    ++live_count_;
   }
-  return n;
+  entries_.push_back(std::move(e));
+  return static_cast<int>(i);
+}
+
+void Fileset::retire(int i) {
+  const auto k = std::size_t(i);
+  assert(entries_[k].live);
+  entries_[k].live = false;
+  live_bits_[k / 64] &= ~(std::uint64_t{1} << (k % 64));
+  --live_count_;
 }
 
 std::uint32_t sample_file_size(Rng& rng, std::uint64_t mean_bytes,
@@ -225,7 +245,7 @@ Process FileserverWorkload::thread(Simulation& sim, fsapi::FsClient& fs,
       if (int i = set.pick(rng); i >= 0) {
         auto& e = set.at(i);
         BusyGuard guard(e);
-        e.live = false;
+        set.retire(i);
         SimPromise<bool> done(sim);
         auto fut = done.future();
         sim.spawn(delete_file(sim, fs, e.name, ctx, std::move(done)));
@@ -282,7 +302,7 @@ Process VarmailWorkload::thread(Simulation& sim, fsapi::FsClient& fs,
       if (int i = set.pick(rng); i >= 0) {
         auto& e = set.at(i);
         BusyGuard guard(e);
-        e.live = false;
+        set.retire(i);
         SimPromise<bool> done(sim);
         auto fut = done.future();
         sim.spawn(delete_file(sim, fs, e.name, ctx, std::move(done)));
@@ -381,7 +401,7 @@ Process WebproxyWorkload::thread(Simulation& sim, fsapi::FsClient& fs,
       if (int i = set.pick(rng); i >= 0) {
         auto& e = set.at(i);
         BusyGuard guard(e);
-        e.live = false;
+        set.retire(i);
         SimPromise<bool> done(sim);
         auto fut = done.future();
         sim.spawn(delete_file(sim, fs, e.name, ctx, std::move(done)));

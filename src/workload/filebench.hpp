@@ -16,7 +16,9 @@
 namespace redbud::workload {
 
 // Per-client collection of live files with busy-marking so concurrent
-// threads never operate on the same file (Filebench semantics).
+// threads never operate on the same file (Filebench semantics). Entries
+// are never removed — a deleted file is retired in place — so a live
+// bitmap and counter keep the live subset cheap to count and walk.
 class Fileset {
  public:
   struct Entry {
@@ -39,11 +41,10 @@ class Fileset {
 
   [[nodiscard]] Entry& at(int i) { return entries_[std::size_t(i)]; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] std::size_t live_count() const;
-  int add(Entry e) {
-    entries_.push_back(std::move(e));
-    return static_cast<int>(entries_.size() - 1);
-  }
+  [[nodiscard]] std::size_t live_count() const { return live_count_; }
+  int add(Entry e);
+  // Mark live entry `i` deleted: it is never picked or counted again.
+  void retire(int i);
 
  private:
   std::uint32_t client_id_;
@@ -51,6 +52,9 @@ class Fileset {
   // deque: workload threads hold Entry references across co_await points,
   // so growth must never relocate existing entries.
   std::deque<Entry> entries_;
+  // Bit i set <=> entries_[i].live; live_count_ is the number of set bits.
+  std::vector<std::uint64_t> live_bits_;
+  std::size_t live_count_ = 0;
 };
 
 // RAII busy-marker for a fileset entry.

@@ -1,11 +1,13 @@
 // Tests for the commit queue: per-file dedup, readiness (ordered writes),
-// checkout, fsync waiters, and the memoised readiness poll.
+// checkout, fsync waiters, and the ready index behind the readiness poll.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <exception>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "client/commit_queue.hpp"
@@ -186,7 +188,7 @@ TEST(CommitQueue, CommitLatencyRecorded) {
 }
 
 // A merge that attaches an unready write to a ready task makes it unready
-// again; the memoised poll must notice without any future resolving.
+// again; the ready index must drop it without any future resolving.
 TEST(CommitQueue, MergeOfUnreadyWriteHidesReadyTask) {
   Rig rig;
   auto d1 = rig.add(1);
@@ -212,10 +214,40 @@ TEST(CommitQueue, ReadinessPollIsBoundedByScanLimit) {
   EXPECT_EQ(rig.q.first_ready_shard(), std::optional<std::uint32_t>{0});
 }
 
-// Randomised equivalence of the memoised first_ready_shard() with a
-// brute-force scan of a reference model of the queue, across adds (new and
-// merge), drops, checkouts, requeues, acks and data-write resolutions.
-TEST(CommitQueue, MemoisedPollMatchesBruteForceScan) {
+// A dropped task's data writes can resolve after drop(). Their hooks were
+// detached, so they must neither resurrect the file nor touch the entry
+// that replaces it (under ASan, a hook left on the freed entry is a
+// use-after-free).
+TEST(CommitQueue, DropDetachesPendingWrites) {
+  Rig rig;
+  auto d1 = rig.add(1);
+  auto d1b = rig.add(1, 4);  // merged: the entry waits on two writes
+  auto d2 = rig.add(2);
+  rig.q.drop(1);
+  auto d1c = rig.add(1, 8);  // a new entry for the same file
+  d1.set_value(Done{});
+  d1b.set_error(std::make_exception_ptr(std::runtime_error("io error")));
+  EXPECT_FALSE(rig.q.first_ready_shard().has_value());
+  EXPECT_TRUE(rig.q.checkout(10).empty());
+  EXPECT_EQ(rig.q.size(), 2u);
+
+  d2.set_value(Done{});
+  auto batch = rig.q.checkout(10);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].file, 2u);
+  EXPECT_FALSE(rig.q.first_ready_shard().has_value());
+  d1c.set_value(Done{});
+  batch = rig.q.checkout(10);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].file, 1u);
+  EXPECT_EQ(batch[0].data_futures.size(), 1u);
+}
+
+// Randomised equivalence of the indexed first_ready_shard() and checkout()
+// with a brute-force scan of a reference model of the queue, across adds
+// (new and merge), drops, checkouts, requeues, acks and data-write
+// resolutions (successful and failed).
+TEST(CommitQueue, IndexedPollMatchesBruteForceScan) {
   struct RefTask {
     net::FileId file;
     std::vector<SimPromise<Done>> data;
@@ -274,10 +306,15 @@ TEST(CommitQueue, MemoisedPollMatchesBruteForceScan) {
       if (!durable) open.push_back(data);
       q.add(file, {ext(0, 1, 100)}, {7}, storage::kBlockSize,
             std::move(futs));
-    } else if (op < 70) {  // a data write becomes durable
+    } else if (op < 70) {  // a data write completes, durable or failed
       if (!open.empty()) {
         const std::size_t k = rng.next_below(open.size());
-        open[k].set_value(Done{});
+        if (rng.bernoulli(0.1)) {
+          open[k].set_error(
+              std::make_exception_ptr(std::runtime_error("io error")));
+        } else {
+          open[k].set_value(Done{});
+        }
         open[k] = open.back();
         open.pop_back();
       }

@@ -83,6 +83,62 @@ TEST(Future, ErrorPropagates) {
   EXPECT_TRUE(caught);
 }
 
+// The completion hook runs inline during set_value / set_error, once, and
+// adds no event: a waited-on future dispatches the same number of events
+// with or without a hook attached.
+TEST(SimFuture, CompletionHookRunsInlineOnce) {
+  struct Counting : CompletionHook {
+    int fired = 0;
+  };
+  Counting hook;
+  hook.fire = [](CompletionHook* h) { ++static_cast<Counting*>(h)->fired; };
+
+  const auto waited_events = [&](bool hooked, bool fail) {
+    Simulation sim;
+    SimPromise<int> p(sim);
+    SimFuture<int> f = p.future();
+    if (hooked) {
+      f.set_hook(&hook);
+      EXPECT_TRUE(f.has_hook());
+    }
+    sim.spawn([](SimFuture<int> fut) -> Process {
+      try {
+        (void)co_await fut;
+      } catch (const std::runtime_error&) {
+      }
+    }(f));
+    sim.call_at(SimTime::millis(1), [&, hooked, fail] {
+      const int before = hook.fired;
+      if (fail) {
+        p.set_error(std::make_exception_ptr(std::runtime_error("io error")));
+      } else {
+        p.set_value(5);
+      }
+      // Fired inside the fulfilling call, before any waiter resumed.
+      EXPECT_EQ(hook.fired, before + (hooked ? 1 : 0));
+      EXPECT_FALSE(f.has_hook());
+    });
+    sim.run();
+    return sim.events_processed();
+  };
+  for (const bool fail : {false, true}) {
+    const int before = hook.fired;
+    const std::uint64_t plain = waited_events(false, fail);
+    EXPECT_EQ(waited_events(true, fail), plain);
+    EXPECT_EQ(hook.fired, before + 1);
+  }
+
+  // A detached hook never fires.
+  Simulation sim;
+  SimPromise<int> p(sim);
+  SimFuture<int> f = p.future();
+  f.set_hook(&hook);
+  f.clear_hook();
+  const int before = hook.fired;
+  p.set_value(1);
+  EXPECT_EQ(hook.fired, before);
+}
+
 // --- Channel ----------------------------------------------------------------
 
 Process producer(Simulation& sim, Channel<int>& ch, int from, int to,

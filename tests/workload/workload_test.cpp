@@ -145,5 +145,54 @@ TEST(WorkloadEngine, DelayedCommitBeatsSyncOnXcdnSmallFiles) {
   EXPECT_GT(delayed_ops, sync_ops);
 }
 
+// The fileset's live bitmap and counter agree with a brute-force scan, and
+// pick() returns what the original probe-then-scan pick returns from the
+// same RNG state, across random adds, retires and busy toggles.
+TEST(Fileset, LiveIndexMatchesBruteForce) {
+  Fileset set(0);
+  const auto ref_pick = [&](redbud::sim::Rng& rng, bool& fell_back) -> int {
+    for (int tries = 0; tries < 16; ++tries) {
+      const auto i = int(rng.next_below(set.size()));
+      if (set.at(i).live && !set.at(i).in_use) return i;
+    }
+    fell_back = true;
+    for (int i = 0; i < int(set.size()); ++i) {
+      if (set.at(i).live && !set.at(i).in_use) return i;
+    }
+    return -1;
+  };
+  redbud::sim::Rng ops(4242);
+  redbud::sim::Rng mine(77);
+  redbud::sim::Rng ref(77);
+  std::size_t fallbacks = 0;
+  std::size_t empty_picks = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = ops.next_below(100);
+    if (op < 20 || set.size() == 0) {
+      Fileset::Entry e;
+      e.live = !ops.bernoulli(0.05);
+      (void)set.add(std::move(e));
+    } else if (op < 50) {
+      const int i = int(ops.next_below(set.size()));
+      if (set.at(i).live) set.retire(i);
+    } else if (op < 70) {
+      const int i = int(ops.next_below(set.size()));
+      set.at(i).in_use = !set.at(i).in_use;
+    }
+    std::size_t live = 0;
+    for (int i = 0; i < int(set.size()); ++i) live += set.at(i).live ? 1 : 0;
+    ASSERT_EQ(set.live_count(), live) << "step " << step;
+    bool fell_back = false;
+    const int want = ref_pick(ref, fell_back);
+    ASSERT_EQ(set.pick(mine), want) << "step " << step;
+    fallbacks += fell_back ? 1 : 0;
+    empty_picks += want < 0 ? 1 : 0;
+  }
+  // Same draws consumed: the two streams are still in lockstep.
+  EXPECT_EQ(mine.next_u64(), ref.next_u64());
+  EXPECT_GT(fallbacks, empty_picks) << "fallback walk never found an entry";
+  EXPECT_GT(empty_picks, 0u);
+}
+
 }  // namespace
 }  // namespace redbud::workload
