@@ -49,16 +49,6 @@ inline bool write_trace_csv(const redbud::storage::BlkTrace& trace,
   return true;
 }
 
-// Observability defaults for the benches: tracing is off unless the
-// REDBUD_TRACE environment variable is set non-zero, so untraced figure
-// runs stay byte-identical to the pre-observability binaries.
-inline obs::ObsParams obs_from_env() {
-  obs::ObsParams o;
-  const char* env = std::getenv("REDBUD_TRACE");
-  o.tracing.enabled = env != nullptr && env[0] != '\0' && env[0] != '0';
-  return o;
-}
-
 // Process memory snapshot from /proc/self/status (Linux-only; both fields
 // stay 0 elsewhere and the artifacts record that). Hoisted out of
 // load_sweep so every bench's obs artifacts carry measured memory.
@@ -134,7 +124,7 @@ inline void write_obs_artifacts(core::Cluster& cluster, std::string name) {
 // Command-line options shared by every bench binary.
 //
 //   --smoke       reduced grid / shortened run for CI smoke jobs
-//   --trace       enable span tracing (same effect as REDBUD_TRACE=1)
+//   --trace       enable span tracing
 //   --sample-interval M
 //                 time-series sampling stride in simulated milliseconds
 //                 (fractions allowed); 0 disables sampling, the default
@@ -168,10 +158,12 @@ struct Options {
     return o;
   }
 
-  // Observability params honouring both --trace and REDBUD_TRACE.
+  // Observability params: tracing is off unless --trace is given, so
+  // untraced figure runs stay byte-identical to the pre-observability
+  // binaries.
   [[nodiscard]] obs::ObsParams obs() const {
-    obs::ObsParams o = obs_from_env();
-    o.tracing.enabled = o.tracing.enabled || trace;
+    obs::ObsParams o;
+    o.tracing.enabled = trace;
     if (sample_interval_ms > 0) {
       o.sampling.interval = redbud::sim::SimTime::millis_f(sample_interval_ms);
     }

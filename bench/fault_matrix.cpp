@@ -107,7 +107,7 @@ ClusterParams cell_cluster(std::uint32_t nshards) {
   p.journal.region_blocks = 1 << 16;
   p.client.mode = client::CommitMode::kDelayed;
   p.client.chunk_blocks = 1024;
-  p.client.rpc_retry = true;
+  p.client.retry = net::RetryPolicy{};
   // Observability rides along in every cell: span tracing feeds the
   // critical-path blame artifact, and the 5 ms sampling grid drives the
   // passive incident watchdog. Both are strictly off-event, so the cell

@@ -2,9 +2,9 @@
 //
 // The capstone for the flyweight client refactor: a 4-shard cluster
 // serves 8 client hosts, each multiplexing thousands of flyweight
-// sessions through one ClientFs engine (shared page pool, shared commit
-// slab, one open-loop dispatcher per host — see src/client/flyweight.hpp
-// and src/workload/openloop.hpp). The sweep drives Poisson arrivals at a
+// sessions through one ClientFs engine (that engine's one page pool and
+// one commit slab, one open-loop dispatcher per host — see
+// src/client/flyweight.hpp and src/workload/openloop.hpp). The sweep drives Poisson arrivals at a
 // range of offered loads and reports per-op-class p50/p99 into
 // bench_out/BENCH_load.json (schemas/bench_load.schema.json).
 //
@@ -146,7 +146,7 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
   p.journal.region_blocks = 1 << 16;
   p.client.cache_pages = 1 << 14;
   p.obs.sampling.interval = sample_interval;
-  // --trace / REDBUD_TRACE: span-trace the point and attribute its e2e
+  // --trace: span-trace the point and attribute its e2e
   // latency per pipeline stage into a per-point blame artifact below.
   p.obs.tracing.enabled = trace;
   auto cluster = std::make_unique<Cluster>(p);

@@ -3,15 +3,18 @@
 #
 #   scripts/sim_diff.sh BASE_REF
 #
-# Builds the figure benches (fig3_overall .. fig7_compound) twice, in
-# separate build directories: once at BASE_REF, checked out into a
-# temporary git worktree, and once from the working tree. Runs every bench
-# with --smoke from its own temporary working directory (they write
-# bench_out/ relative to it) and diffs the two stdouts. The benches print
-# simulated results only, never host timings, so a change that moves no
-# simulated event leaves every stdout identical.
+# Builds the diffed benches twice, in separate build directories: once at
+# BASE_REF, checked out into a temporary git worktree, and once from the
+# working tree. Runs each bench from its own temporary working directory
+# (they write bench_out/ relative to it) and diffs the two stdouts. The
+# diffed runs are fig3_overall .. fig7_compound with --smoke, which cover
+# the fault-free paper figures; fault_matrix --smoke, which covers the
+# retry ladder, the reply cache and failover; and crash_consistency, which
+# covers the crash paths under sync, delayed and unordered commit. These
+# benches print simulated results only, never host timings, so a change
+# that moves no simulated event leaves every stdout identical.
 #
-# Exit status: 0 when all five match, 1 on any difference (stdout or exit
+# Exit status: 0 when all runs match, 1 on any difference (stdout or exit
 # status), 2 on a usage or build error. Temporary directories live under
 # $TMPDIR (default /tmp) and are removed on exit.
 set -euo pipefail
@@ -23,7 +26,18 @@ if [[ $# -ne 1 ]]; then
 fi
 base_ref="$1"
 jobs="$(nproc)"
-figs=(fig3_overall fig4_iomerge fig5_seeks fig6_adaptive fig7_compound)
+# One run per entry: the bench, then its arguments.
+runs=(
+  "fig3_overall --smoke"
+  "fig4_iomerge --smoke"
+  "fig5_seeks --smoke"
+  "fig6_adaptive --smoke"
+  "fig7_compound --smoke"
+  "fault_matrix --smoke"
+  "crash_consistency"
+)
+targets=()
+for run in "${runs[@]}"; do targets+=("${run%% *}"); done
 
 work="$(mktemp -d)"
 cleanup() {
@@ -34,7 +48,7 @@ trap cleanup EXIT
 
 build() {  # build SRC_DIR BUILD_DIR
   cmake -S "$1" -B "$2" >/dev/null
-  cmake --build "$2" -j "$jobs" --target "${figs[@]}" >/dev/null
+  cmake --build "$2" -j "$jobs" --target "${targets[@]}" >/dev/null
 }
 
 if ! git worktree add --detach "$work/base-src" "$base_ref" >/dev/null; then
@@ -46,20 +60,22 @@ build "$work/base-src" "$work/base-build" || exit 2
 build . "$work/head-build" || exit 2
 
 status=0
-for fig in "${figs[@]}"; do
+for run in "${runs[@]}"; do
+  read -r -a argv <<<"$run"
+  bench="${argv[0]}"
   for side in base head; do
-    mkdir -p "$work/run-$side-$fig"
+    mkdir -p "$work/run-$side-$bench"
     rc=0
-    (cd "$work/run-$side-$fig" &&
-      "$work/$side-build/bench/$fig" --smoke) >"$work/$fig.$side" 2>/dev/null ||
-      rc=$?
-    echo "exit status $rc" >>"$work/$fig.$side"
+    (cd "$work/run-$side-$bench" &&
+      "$work/$side-build/bench/$bench" "${argv[@]:1}") \
+      >"$work/$bench.$side" 2>/dev/null || rc=$?
+    echo "exit status $rc" >>"$work/$bench.$side"
   done
-  if diff -u --label "$fig@$base_ref" --label "$fig@working-tree" \
-      "$work/$fig.base" "$work/$fig.head"; then
-    echo "sim_diff: $fig --smoke stdout identical"
+  if diff -u --label "$bench@$base_ref" --label "$bench@working-tree" \
+      "$work/$bench.base" "$work/$bench.head"; then
+    echo "sim_diff: $run stdout identical"
   else
-    echo "sim_diff: $fig --smoke stdout DIFFERS"
+    echo "sim_diff: $run stdout DIFFERS"
     status=1
   fi
 done

@@ -351,7 +351,6 @@ Process Nfs3Client::write_proc(net::FileId file, std::uint64_t offset,
   w.file = file;
   w.offset_bytes = offset;
   w.nbytes = nbytes;
-  w.stable = !params_.async_writes;
   w.tokens.resize(nblocks);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
     const auto ver = ++versions_[file][first + i];
@@ -359,14 +358,9 @@ Process Nfs3Client::write_proc(net::FileId file, std::uint64_t offset,
   }
   net::RequestBody req = std::move(w);
   auto fut = endpoint_.call(*server_, std::move(req));
-  if (params_.async_writes) {
-    // Write-back: remember the in-flight WRITE; return immediately.
-    outstanding_[file].push_back(fut);
-    p.set_value(Status::kOk);
-    co_return;
-  }
-  auto resp = co_await fut;
-  p.set_value(std::get<net::NfsWriteResp>(resp).status);
+  // Write-back: remember the in-flight WRITE; return immediately.
+  outstanding_[file].push_back(fut);
+  p.set_value(Status::kOk);
 }
 
 Process Nfs3Client::read_proc(net::FileId file, std::uint64_t offset,

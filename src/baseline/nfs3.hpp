@@ -97,8 +97,6 @@ class Nfs3Server {
 struct Nfs3ClientParams {
   redbud::sim::SimTime cpu_op = redbud::sim::SimTime::micros(5);
   redbud::sim::SimTime cpu_page = redbud::sim::SimTime::micros(1);
-  // Client-side write-back: WRITEs are sent asynchronously (UNSTABLE).
-  bool async_writes = true;
 };
 
 class Nfs3Client final : public fsapi::FsClient {

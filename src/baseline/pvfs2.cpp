@@ -333,16 +333,8 @@ Process PvfsClient::write_proc(net::FileId file, std::uint64_t offset,
   auto& sz = sizes_[file];
   sz = std::max(sz, offset + nbytes);
 
-  if (!params_.collective_buffering) {
-    SimPromise<Status> fp(*sim_);
-    auto ffut = fp.future();
-    sim_->spawn(flush_staging(file, true, std::move(fp)));
-    const Status s = co_await ffut;
-    p.set_value(s);
-    co_return;
-  }
-  // Collective buffering: flush only completed strips; the remainder goes
-  // out on fsync/close.
+  // MPI-IO collective buffering: flush only completed strips; the
+  // remainder goes out on fsync/close.
   SimPromise<Status> fp(*sim_);
   auto ffut = fp.future();
   sim_->spawn(flush_staging(file, false, std::move(fp)));

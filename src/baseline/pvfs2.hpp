@@ -83,9 +83,6 @@ struct PvfsClientParams {
   redbud::sim::SimTime cpu_op = redbud::sim::SimTime::micros(25);
   redbud::sim::SimTime cpu_page = redbud::sim::SimTime::micros(1);
   std::uint32_t strip_blocks = 16;  // 64 KiB strips
-  // MPI-IO collective buffering: stage contiguous writes per strip and
-  // flush whole strips.
-  bool collective_buffering = true;
 };
 
 class PvfsClient final : public fsapi::FsClient {

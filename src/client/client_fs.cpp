@@ -26,23 +26,6 @@ BlockRange block_range(std::uint64_t offset, std::uint32_t nbytes) {
 }
 }  // namespace
 
-CommitPoolParams ClientFs::pool_params(const ClientPersonality& p) {
-  CommitPoolParams out = p.pool;
-  if (p.rpc_retry) {
-    out.rpc_retry = true;
-    out.retry = p.retry;
-  }
-  return out;
-}
-
-ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
-                   const core::ShardMap& smap,
-                   std::vector<net::RpcEndpoint*> mds_shards,
-                   storage::DiskArray& array, ClientFsParams params)
-    : ClientFs(sim, network, smap, std::move(mds_shards), array,
-               std::make_shared<const ClientPersonality>(params),
-               params.client_id) {}
-
 ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
                    const core::ShardMap& smap,
                    std::vector<net::RpcEndpoint*> mds_shards,
@@ -62,7 +45,7 @@ ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
       queue_(sim),
       compound_(persona_->compound, smap.nshards()),
       pool_daemons_(sim, queue_, endpoint_, mds_, compound_, cache_,
-                    pool_params(*persona_)),
+                    persona_->pool, persona_->retry),
       refill_done_(sim),
       refill_in_progress_(smap.nshards(), 0),
       refill_failed_(smap.nshards(), 0),
@@ -173,11 +156,8 @@ std::uint64_t ClientFs::known_size(net::FileId file) const {
 
 redbud::sim::SimFuture<net::RpcResult> ClientFs::mds_call(
     std::uint32_t shard, net::RequestBody req, obs::TraceContext ctx) {
-  if (persona_->rpc_retry) {
-    return endpoint_.call_retry(*mds_[shard], std::move(req), persona_->retry,
-                                ctx);
-  }
-  return endpoint_.call_result(*mds_[shard], std::move(req), ctx);
+  return endpoint_.call_result(*mds_[shard], std::move(req), persona_->retry,
+                               ctx);
 }
 
 Process ClientFs::create_proc(net::DirId dir, std::string name,

@@ -12,14 +12,16 @@ CommitDaemonPool::CommitDaemonPool(redbud::sim::Simulation& sim,
                                    CommitQueue& queue, net::RpcEndpoint& self,
                                    std::vector<net::RpcEndpoint*> mds_shards,
                                    CompoundController& compound,
-                                   PageCache& cache, CommitPoolParams params)
+                                   PageCache& cache, CommitPoolParams params,
+                                   std::optional<net::RetryPolicy> retry)
     : sim_(&sim),
       queue_(&queue),
       self_(&self),
       mds_(std::move(mds_shards)),
       compound_(&compound),
       cache_(&cache),
-      params_(params) {
+      params_(params),
+      retry_(retry) {
   assert(params_.max_threads >= 1 && params_.max_queue_len >= 1);
   assert(!mds_.empty());
 }
@@ -38,13 +40,9 @@ void CommitDaemonPool::set_obs(obs::Obs* obs, std::uint32_t client_id) {
 void CommitDaemonPool::start() {
   assert(!started_);
   started_ = true;
-  const std::uint32_t initial =
-      params_.adaptive_threads ? 1 : params_.fixed_threads;
-  for (std::uint32_t i = 0; i < initial; ++i) {
-    ++live_threads_;
-    sim_->spawn(daemon());
-  }
-  if (params_.adaptive_threads) sim_->spawn(controller());
+  ++live_threads_;
+  sim_->spawn(daemon());
+  sim_->spawn(controller());
 }
 
 std::uint32_t CommitDaemonPool::target_threads() const {
@@ -124,26 +122,19 @@ Process CommitDaemonPool::daemon() {
       obs_->tracer.record(obs::Stage::kCheckoutBatch, bctx, 0, track_,
                           checkout_at, sent_at, batch.size(), shard);
     }
-    net::CommitResp cr;
-    if (params_.rpc_retry) {
-      auto fut =
-          self_->call_retry(*mds_[shard], std::move(req), params_.retry, bctx);
-      auto res = co_await fut;
-      if (!res.ok) {
-        // The shard stayed dark past the whole backoff ladder. Nothing was
-        // acked, so nothing may be dropped: push every task back onto the
-        // queue (requeue merges with any newer dirty state for the same
-        // file) and let a later daemon pass re-send it after failover.
-        ++batches_requeued_;
-        for (auto& task : batch) queue_->requeue(std::move(task));
-        continue;
-      }
-      cr = std::get<net::CommitResp>(res.body);
-    } else {
-      auto fut = self_->call(*mds_[shard], std::move(req), bctx);
-      auto resp = co_await fut;
-      cr = std::get<net::CommitResp>(resp);
+    auto fut = self_->call_result(*mds_[shard], std::move(req), retry_, bctx);
+    auto res = co_await fut;
+    if (!res.ok) {
+      // Only a retry policy resolves a call unanswered: the shard stayed
+      // dark past the whole backoff ladder. Nothing was acked, so nothing
+      // may be dropped: push every task back onto the queue (requeue
+      // merges with any newer dirty state for the same file) and let a
+      // later daemon pass re-send it after failover.
+      ++batches_requeued_;
+      for (auto& task : batch) queue_->requeue(std::move(task));
+      continue;
     }
+    const auto& cr = std::get<net::CommitResp>(res.body);
     ++rpcs_sent_;
     entries_committed_ += batch.size();
     compound_->on_reply(shard, cr.mds_queue_len, sim_->now() - sent_at);

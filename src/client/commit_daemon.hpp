@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "client/commit_queue.hpp"
@@ -22,31 +23,27 @@
 namespace redbud::client {
 
 struct CommitPoolParams {
-  bool adaptive_threads = true;
-  std::uint32_t max_threads = 9;       // paper's Figure 6 maximum
-  std::size_t max_queue_len = 450;     // rho denominator
-  std::uint32_t fixed_threads = 1;     // used when !adaptive_threads
+  std::uint32_t max_threads = 9;    // paper's Figure 6 maximum
+  std::size_t max_queue_len = 450;  // rho denominator
   redbud::sim::SimTime control_interval = redbud::sim::SimTime::millis(50);
   // Poll period while queued entries wait for their data writes.
   redbud::sim::SimTime poll_interval = redbud::sim::SimTime::micros(500);
-  // At-least-once commit RPCs: retransmit under `retry` and, when even the
-  // retry budget is exhausted (shard down longer than the backoff ladder),
-  // push the whole batch back onto the commit queue instead of losing it.
-  // Off by default — fault-free runs keep the historical wire behaviour.
-  bool rpc_retry = false;
-  net::RetryPolicy retry;
 };
 
 class CommitDaemonPool {
  public:
   // `mds_shards[s]` is the endpoint of metadata shard s; checkout()
   // guarantees every batch is homogeneous, so each compound RPC goes to
-  // exactly one shard's endpoint.
+  // exactly one shard's endpoint. With a `retry` policy commit RPCs are
+  // at-least-once: they retransmit under it and, when even the retry
+  // budget is exhausted (shard down longer than the backoff ladder), the
+  // whole batch goes back onto the commit queue instead of being lost.
   CommitDaemonPool(redbud::sim::Simulation& sim, CommitQueue& queue,
                    net::RpcEndpoint& self,
                    std::vector<net::RpcEndpoint*> mds_shards,
                    CompoundController& compound, PageCache& cache,
-                   CommitPoolParams params);
+                   CommitPoolParams params,
+                   std::optional<net::RetryPolicy> retry);
   CommitDaemonPool(const CommitDaemonPool&) = delete;
   CommitDaemonPool& operator=(const CommitDaemonPool&) = delete;
 
@@ -95,6 +92,7 @@ class CommitDaemonPool {
   CompoundController* compound_;
   PageCache* cache_;
   CommitPoolParams params_;
+  std::optional<net::RetryPolicy> retry_;
   bool started_ = false;
   std::uint32_t live_threads_ = 0;
   std::uint32_t exit_requests_ = 0;

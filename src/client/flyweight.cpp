@@ -3,7 +3,6 @@
 #include <cassert>
 #include <string>
 
-#include "client/commit_slab.hpp"
 
 namespace redbud::client {
 

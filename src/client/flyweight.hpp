@@ -1,8 +1,8 @@
 // Flyweight client multiplexing.
 //
 // A simulated host runs ONE ClientFs engine — one RPC endpoint, one page
-// cache drawing on the host frame pool, one commit queue recycling
-// records through the host commit slab, one daemon pool — and multiplexes
+// cache with its frame pool, one commit queue with its commit slab, one
+// daemon pool — and multiplexes
 // an arbitrary number of *sessions* on top of it. A session is the
 // flyweight client: a few words of identity and counters, no coroutine
 // process, no heap arena. 10^5 clients therefore cost 10^5 session

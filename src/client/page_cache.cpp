@@ -6,34 +6,19 @@
 
 namespace redbud::client {
 
-PageCache::PageCache(std::size_t capacity_pages)
-    : capacity_(capacity_pages),
-      owned_pool_(std::make_unique<PageFramePool>()),
-      pool_(owned_pool_.get()) {
+PageCache::PageCache(std::size_t capacity_pages) : capacity_(capacity_pages) {
   assert(capacity_ > 0);
-}
-
-PageCache::PageCache(std::size_t capacity_pages, PageFramePool* pool)
-    : capacity_(capacity_pages), pool_(pool) {
-  assert(capacity_ > 0);
-  assert(pool_ != nullptr);
-}
-
-PageCache::~PageCache() {
-  // Return shared frames; an owned pool dies with the cache anyway.
-  if (owned_pool_) return;
-  for (const auto& [key, idx] : pages_) pool_->release(idx);
 }
 
 void PageCache::lru_unlink(std::uint32_t idx) {
-  auto& f = pool_->at(idx);
+  auto& f = pool_.at(idx);
   if (f.prev != kNil) {
-    pool_->at(f.prev).next = f.next;
+    pool_.at(f.prev).next = f.next;
   } else {
     lru_head_ = f.next;
   }
   if (f.next != kNil) {
-    pool_->at(f.next).prev = f.prev;
+    pool_.at(f.next).prev = f.prev;
   } else {
     lru_tail_ = f.prev;
   }
@@ -42,10 +27,10 @@ void PageCache::lru_unlink(std::uint32_t idx) {
 }
 
 void PageCache::lru_push_front(std::uint32_t idx) {
-  auto& f = pool_->at(idx);
+  auto& f = pool_.at(idx);
   f.prev = kNil;
   f.next = lru_head_;
-  if (lru_head_ != kNil) pool_->at(lru_head_).prev = idx;
+  if (lru_head_ != kNil) pool_.at(lru_head_).prev = idx;
   lru_head_ = idx;
   if (lru_tail_ == kNil) lru_tail_ = idx;
 }
@@ -55,7 +40,7 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
   const Key key{file, block};
   auto it = pages_.find(key);
   if (it != pages_.end()) {
-    auto& f = pool_->at(it->second);
+    auto& f = pool_.at(it->second);
     f.token = token;
     if (f.dirty != dirty) {
       if (dirty) {
@@ -79,8 +64,8 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
   ++rec.pages;
   rec.end = std::uint32_t(std::max<std::uint64_t>(
       rec.end, std::min<std::uint64_t>(block + 1, kEndSaturated)));
-  const std::uint32_t idx = pool_->acquire();
-  auto& f = pool_->at(idx);
+  const std::uint32_t idx = pool_.acquire();
+  auto& f = pool_.at(idx);
   f.file = file;
   f.block = block;
   f.token = token;
@@ -101,14 +86,14 @@ void PageCache::evict_if_needed() {
   // capacity rather than lose uncommitted data.
   while (pages_.size() >= capacity_ && lru_tail_ != kNil) {
     const std::uint32_t victim = lru_tail_;
-    const auto& f = pool_->at(victim);
+    const auto& f = pool_.at(victim);
     const Key key{f.file, f.block};
     lru_unlink(victim);
     if (auto rec = files_.find(key.file); --rec->second.pages == 0) {
       files_.erase(rec);
     }
     pages_.erase(key);
-    pool_->release(victim);
+    pool_.release(victim);
     ++evictions_;
   }
 }
@@ -125,8 +110,8 @@ void PageCache::put_clean(net::FileId file, std::uint64_t block,
 
 void PageCache::mark_clean(net::FileId file, std::uint64_t block) {
   auto it = pages_.find(Key{file, block});
-  if (it == pages_.end() || !pool_->at(it->second).dirty) return;
-  pool_->at(it->second).dirty = false;
+  if (it == pages_.end() || !pool_.at(it->second).dirty) return;
+  pool_.at(it->second).dirty = false;
   --dirty_;
   drop_dirty_index(file, block);
   lru_push_front(it->second);
@@ -147,16 +132,16 @@ std::optional<storage::ContentToken> PageCache::get(net::FileId file,
     return std::nullopt;
   }
   ++hits_;
-  if (!pool_->at(it->second).dirty) {
+  if (!pool_.at(it->second).dirty) {
     lru_unlink(it->second);
     lru_push_front(it->second);
   }
-  return pool_->at(it->second).token;
+  return pool_.at(it->second).token;
 }
 
 bool PageCache::is_dirty(net::FileId file, std::uint64_t block) const {
   auto it = pages_.find(Key{file, block});
-  return it != pages_.end() && pool_->at(it->second).dirty;
+  return it != pages_.end() && pool_.at(it->second).dirty;
 }
 
 std::vector<std::pair<std::uint64_t, storage::ContentToken>>
@@ -166,7 +151,7 @@ PageCache::dirty_pages_of(net::FileId file) const {
   if (it == dirty_index_.end()) return out;
   out.reserve(it->second.size());
   for (const auto block : it->second) {
-    out.emplace_back(block, pool_->at(pages_.at(Key{file, block})).token);
+    out.emplace_back(block, pool_.at(pages_.at(Key{file, block})).token);
   }
   return out;
 }
@@ -179,13 +164,13 @@ void PageCache::invalidate_file(net::FileId file) {
   files_.erase(rec);
   dirty_index_.erase(file);
   const auto drop = [&](auto it) {
-    auto& f = pool_->at(it->second);
+    auto& f = pool_.at(it->second);
     if (f.dirty) {
       --dirty_;
     } else {
       lru_unlink(it->second);
     }
-    pool_->release(it->second);
+    pool_.release(it->second);
     --left;
     return pages_.erase(it);
   };

@@ -7,18 +7,13 @@
 // "conflict reads"). Clean pages are evicted in LRU order when the cache
 // is full.
 //
-// Page frames live in a PageFramePool slab rather than inline in the map:
-// a flyweight host shares ONE pool across all its clients' caches, so ten
-// thousand mostly-idle clients cost ten thousand empty maps, not ten
-// thousand heap arenas. The LRU list is intrusive (frame prev/next
-// indices) and strictly per-cache; the pool only recycles storage, it
-// never mixes eviction order across caches. A cache constructed without
-// an explicit pool owns a private one — the classic one-client path is
-// unchanged, byte for byte.
+// Page frames live in the cache's own PageFramePool slab rather than
+// inline in the map, so a page costs one map node plus one slab slot. The
+// LRU list is intrusive (frame prev/next indices). A flyweight host's
+// sessions all share the host engine's one cache.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -35,9 +30,6 @@ namespace redbud::client {
 class PageCache {
  public:
   explicit PageCache(std::size_t capacity_pages);
-  // Flyweight form: frames come from (and return to) a shared host pool.
-  PageCache(std::size_t capacity_pages, PageFramePool* pool);
-  ~PageCache();
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -71,7 +63,7 @@ class PageCache {
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  [[nodiscard]] PageFramePool& pool() { return *pool_; }
+  [[nodiscard]] PageFramePool& pool() { return pool_; }
 
   // Register this cache's counters with the central registry.
   void register_metrics(obs::MetricsRegistry& reg,
@@ -104,8 +96,7 @@ class PageCache {
   void lru_push_front(std::uint32_t idx);
 
   std::size_t capacity_;
-  std::unique_ptr<PageFramePool> owned_pool_;  // null when pool is shared
-  PageFramePool* pool_;
+  PageFramePool pool_;
   std::unordered_map<Key, std::uint32_t, KeyHash> pages_;  // key -> frame
   // Per-file dirty-block index so flushes never scan the whole cache.
   std::unordered_map<net::FileId, std::unordered_set<std::uint64_t>>

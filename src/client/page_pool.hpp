@@ -1,9 +1,9 @@
-// Shared page-frame pool.
+// Page-frame pool.
 //
-// Flyweight clients must not each own a heap arena of cache pages: every
-// page frame of a host (or of a standalone client — the classic
-// one-client-per-ClientFs path simply owns a private pool) lives in one
-// slab here, addressed by a 32-bit frame index. PageCache keeps only the
+// Every PageCache owns one pool: each page frame of the cache lives in
+// one slab here, addressed by a 32-bit frame index, not in a heap node
+// of its own. A flyweight host has one engine and so one cache and one
+// pool for all its sessions. PageCache keeps only the
 // (file, block) -> frame map and an intrusive LRU threaded through the
 // frames themselves, so the per-page cost is one map node + one slab
 // slot, and the pool's occupancy is a single gauge the obs layer exports

@@ -69,7 +69,7 @@ struct ClusterParams {
   mds::SpaceManagerParams space;
   mds::JournalParams journal;
   mds::MdsParams mds;
-  client::ClientFsParams client;
+  client::ClientPersonality client;
   obs::ObsParams obs;
 };
 

@@ -69,7 +69,6 @@ SimTime MdsServer::cpu_cost(const net::RequestBody& body) const {
 }
 
 bool MdsServer::needs_journal(const net::RequestBody& body) const {
-  if (!params_.journal_enabled) return false;
   return std::holds_alternative<net::CreateReq>(body) ||
          std::holds_alternative<net::CommitReq>(body) ||
          std::holds_alternative<net::RemoveReq>(body) ||

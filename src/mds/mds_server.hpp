@@ -45,7 +45,6 @@ struct MdsParams {
   redbud::sim::SimTime cpu_stat = redbud::sim::SimTime::micros(15);
 
   std::size_t journal_record_bytes = 160;
-  bool journal_enabled = true;
 };
 
 // A commit that reached stable storage (journal flushed). The recovery

@@ -157,8 +157,6 @@ struct NfsWriteReq {
   FileId file = kInvalidFile;
   std::uint64_t offset_bytes = 0;
   std::uint32_t nbytes = 0;
-  // UNSTABLE writes buffer on the server; stable writes hit its disk.
-  bool stable = false;
   std::vector<storage::ContentToken> tokens;  // one per touched block
 };
 struct NfsWriteResp {

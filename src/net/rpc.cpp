@@ -101,96 +101,71 @@ RpcEndpoint::RpcEndpoint(redbud::sim::Simulation& sim, Network& net,
 SimFuture<ResponseBody> RpcEndpoint::call(RpcEndpoint& server,
                                           RequestBody body,
                                           obs::TraceContext ctx) {
-  const std::uint64_t xid = next_xid_++;
-  const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
-
-  const char* op = op_name(body);
   SimPromise<ResponseBody> promise(*sim_);
   auto fut = promise.future();
+  start_call(server, std::move(body), std::move(promise), std::nullopt, ctx);
+  return fut;
+}
+
+SimFuture<RpcResult> RpcEndpoint::call_result(
+    RpcEndpoint& server, RequestBody body,
+    const std::optional<RetryPolicy>& retry, obs::TraceContext ctx) {
+  if (retry) {
+    REDBUD_REQUIRE(retry->max_attempts >= 1,
+                   "retry policy with zero attempts");
+    REDBUD_REQUIRE(retry->backoff >= 1.0,
+                   "retry backoff must not shrink the timeout");
+    // A timeout below the fabric's round-trip floor (which also bounds the
+    // parallel domain's lookahead window) would retransmit before any
+    // reply could possibly arrive — every call would burn its whole budget.
+    REDBUD_REQUIRE(retry->timeout >= net_->min_rtt(),
+                   "retry timeout below the network min-RTT/lookahead floor");
+  }
+  SimPromise<RpcResult> promise(*sim_);
+  auto fut = promise.future();
+  start_call(server, std::move(body), std::move(promise), retry, ctx);
+  return fut;
+}
+
+void RpcEndpoint::start_call(RpcEndpoint& server, RequestBody body,
+                             decltype(Call::promise) promise,
+                             const std::optional<RetryPolicy>& retry,
+                             obs::TraceContext ctx) {
+  const std::uint64_t xid = next_xid_++;
   // The wire span is minted here and carried to the server in the message
   // header; it is recorded once the reply has fully arrived back.
   obs::TraceContext rpc_ctx;
   if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
-  pending_.emplace(xid, PendingCall{std::move(promise), sim_->now(), op,
-                                    rpc_ctx, ctx.span});
+  const SimTime now = sim_->now();
+  auto [it, inserted] = calls_.emplace(
+      xid, Call{std::move(promise), now, now, op_name(body), rpc_ctx,
+                ctx.span});
+  assert(inserted);
+  Call& c = it->second;
+  if (!retry) {
+    transmit(xid, c, server, std::move(body));
+    return;
+  }
+  c.retry.emplace(Retry{*retry, retry->timeout, std::move(body), &server});
+  transmit(xid, c, server, c.retry->body);  // the original stays for resends
+  arm_retry_timer(xid, c.retry->cur_timeout);
+}
 
+void RpcEndpoint::transmit(std::uint64_t xid, Call& c, RpcEndpoint& server,
+                           RequestBody body) {
+  const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
   ++calls_sent_;
   req_bytes_sent_ += bytes;
-  auto& st = op_stats_[op];
+  auto& st = op_stats_[c.op];
   ++st.sent;
   st.bytes_sent += bytes;
+  c.sent_at = sim_->now();
   // Arrival bookkeeping runs in the server's partition when the last byte
   // lands there.
   net_->deliver(node_, server.node_, bytes,
                 [srv = &server, xid, from = node_, body = std::move(body),
-                 rpc_ctx]() mutable {
-                  srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                       false);
-                });
-  return fut;
-}
-
-SimFuture<RpcResult> RpcEndpoint::call_retry(RpcEndpoint& server,
-                                             RequestBody body,
-                                             const RetryPolicy& policy,
-                                             obs::TraceContext ctx) {
-  REDBUD_REQUIRE(policy.max_attempts >= 1, "retry policy with zero attempts");
-  REDBUD_REQUIRE(policy.backoff >= 1.0,
-                 "retry backoff must not shrink the timeout");
-  // A timeout below the fabric's round-trip floor (which also bounds the
-  // parallel domain's lookahead window) would retransmit before any reply
-  // could possibly arrive — every call would burn its whole budget.
-  REDBUD_REQUIRE(policy.timeout >= net_->min_rtt(),
-                 "retry timeout below the network min-RTT/lookahead floor");
-
-  const std::uint64_t xid = next_xid_++;
-  SimPromise<RpcResult> promise(*sim_);
-  auto fut = promise.future();
-  obs::TraceContext rpc_ctx;
-  if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
-  const char* op = op_name(body);
-  auto [it, inserted] = retry_pending_.emplace(
-      xid,
-      RetryCall{std::move(promise), sim_->now(), sim_->now(), policy,
-                policy.timeout, 1, true, std::move(body), &server, op,
-                rpc_ctx, ctx.span});
-  assert(inserted);
-  transmit(xid, it->second);
-  arm_retry_timer(xid, it->second.cur_timeout);
-  return fut;
-}
-
-SimFuture<RpcResult> RpcEndpoint::call_result(RpcEndpoint& server,
-                                              RequestBody body,
-                                              obs::TraceContext ctx) {
-  const std::uint64_t xid = next_xid_++;
-  SimPromise<RpcResult> promise(*sim_);
-  auto fut = promise.future();
-  obs::TraceContext rpc_ctx;
-  if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
-  const char* op = op_name(body);
-  auto [it, inserted] = retry_pending_.emplace(
-      xid,
-      RetryCall{std::move(promise), sim_->now(), sim_->now(), RetryPolicy{},
-                redbud::sim::SimTime::zero(), 1, false, std::move(body),
-                &server, op, rpc_ctx, ctx.span});
-  assert(inserted);
-  transmit(xid, it->second);
-  return fut;
-}
-
-void RpcEndpoint::transmit(std::uint64_t xid, RetryCall& rc) {
-  const std::size_t bytes = kRpcHeaderBytes + wire_size(rc.body);
-  ++calls_sent_;
-  req_bytes_sent_ += bytes;
-  auto& st = op_stats_[rc.op];
-  ++st.sent;
-  st.bytes_sent += bytes;
-  rc.sent_at = sim_->now();
-  RequestBody copy = rc.body;  // the original stays for retransmission
-  net_->deliver(node_, rc.server->node_, bytes,
-                [srv = rc.server, xid, from = node_, body = std::move(copy),
-                 rpc_ctx = rc.rpc_ctx, retryable = rc.retryable]() mutable {
+                 rpc_ctx = c.rpc_ctx,
+                 retryable = c.retry.has_value()]() mutable {
                   srv->receive_request(xid, from, std::move(body), rpc_ctx,
                                        retryable);
                 });
@@ -205,25 +180,26 @@ void RpcEndpoint::arm_retry_timer(std::uint64_t xid,
 void RpcEndpoint::on_retry_timeout(std::uint64_t xid) {
   // Xids are never reused, so a stale timer (its call completed, maybe
   // even a later one armed) simply misses here.
-  auto it = retry_pending_.find(xid);
-  if (it == retry_pending_.end()) return;
-  RetryCall& rc = it->second;
-  if (sim_->now() < rc.sent_at + rc.cur_timeout) return;  // superseded timer
-  if (rc.attempts >= rc.policy.max_attempts) {
+  auto it = calls_.find(xid);
+  if (it == calls_.end()) return;
+  Call& c = it->second;
+  Retry& r = *c.retry;  // only calls under a policy arm timers
+  if (sim_->now() < c.sent_at + r.cur_timeout) return;  // superseded timer
+  if (c.attempts >= r.policy.max_attempts) {
     ++retries_exhausted_;
     RpcResult out;
     out.ok = false;
-    out.attempts = rc.attempts;
-    rc.promise.set_value(std::move(out));
-    retry_pending_.erase(it);
+    out.attempts = c.attempts;
+    std::get<SimPromise<RpcResult>>(c.promise).set_value(std::move(out));
+    calls_.erase(it);
     return;
   }
-  ++rc.attempts;
+  ++c.attempts;
   ++retries_sent_;
-  rc.cur_timeout =
-      std::min(rc.cur_timeout * rc.policy.backoff, rc.policy.max_timeout);
-  transmit(xid, rc);
-  arm_retry_timer(xid, rc.cur_timeout);
+  r.cur_timeout = std::min(r.cur_timeout * r.policy.backoff,
+                           r.policy.max_timeout);
+  transmit(xid, c, *r.server, r.body);
+  arm_retry_timer(xid, r.cur_timeout);
 }
 
 void RpcEndpoint::receive_request(std::uint64_t xid, NodeId from,
@@ -297,43 +273,32 @@ void RpcEndpoint::send_response(NodeId to, std::uint64_t xid,
 }
 
 void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {
-  if (auto it = pending_.find(xid); it != pending_.end()) {
-    const SimTime rtt = sim_->now() - it->second.sent_at;
-    rtt_.record(rtt);
-    if (it->second.op != nullptr) op_stats_[it->second.op].rtt.record(rtt);
-    if (obs_ != nullptr && it->second.rpc_ctx.active()) {
-      obs_->tracer.record(obs::Stage::kRpcWire, it->second.rpc_ctx,
-                          it->second.parent, track_, it->second.sent_at,
-                          sim_->now());
-    }
-    it->second.promise.set_value(std::move(body));
-    pending_.erase(it);
+  auto it = calls_.find(xid);
+  if (it == calls_.end()) {
+    // Late duplicate: the call already completed (a retransmitted request
+    // and its lost-then-found original can both produce replies), or it
+    // already resolved ok = false and the caller moved on. Drop it.
+    ++late_replies_;
     return;
   }
-  if (auto it = retry_pending_.find(xid); it != retry_pending_.end()) {
-    // RTT of the transmission that got answered — approximated as the
-    // latest one (a reply racing a retransmit can bias this low; the
-    // per-attempt matching a real XID cache would do is not worth it).
-    const SimTime rtt = sim_->now() - it->second.sent_at;
-    rtt_.record(rtt);
-    if (it->second.op != nullptr) op_stats_[it->second.op].rtt.record(rtt);
-    if (obs_ != nullptr && it->second.rpc_ctx.active()) {
-      obs_->tracer.record(obs::Stage::kRpcWire, it->second.rpc_ctx,
-                          it->second.parent, track_, it->second.first_sent_at,
-                          sim_->now());
-    }
-    RpcResult out;
-    out.ok = true;
-    out.attempts = it->second.attempts;
-    out.body = std::move(body);
-    it->second.promise.set_value(std::move(out));
-    retry_pending_.erase(it);
-    return;
+  Call& c = it->second;
+  // RTT of the transmission that got answered — approximated as the
+  // latest one (a reply racing a retransmit can bias this low; the
+  // per-attempt matching a real XID cache would do is not worth it).
+  const SimTime rtt = sim_->now() - c.sent_at;
+  rtt_.record(rtt);
+  op_stats_[c.op].rtt.record(rtt);
+  if (obs_ != nullptr && c.rpc_ctx.active()) {
+    obs_->tracer.record(obs::Stage::kRpcWire, c.rpc_ctx, c.parent, track_,
+                        c.first_sent_at, sim_->now());
   }
-  // Late duplicate: the call already completed (a retransmitted request
-  // and its lost-then-found original can both produce replies), or it
-  // already resolved ok = false and the caller moved on. Drop it.
-  ++late_replies_;
+  if (auto* p = std::get_if<SimPromise<ResponseBody>>(&c.promise)) {
+    p->set_value(std::move(body));
+  } else {
+    std::get<SimPromise<RpcResult>>(c.promise).set_value(
+        RpcResult{true, c.attempts, std::move(body)});
+  }
+  calls_.erase(it);
 }
 
 void RpcEndpoint::set_down(bool down) {

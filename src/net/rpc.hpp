@@ -11,9 +11,11 @@
 #include <deque>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "obs/obs.hpp"
 #include "sim/channel.hpp"
@@ -42,7 +44,7 @@ struct IncomingRpc {
   bool retryable = false;
 };
 
-// Exponential-backoff retransmission contract for call_retry(). The
+// Exponential-backoff retransmission contract for call_result(). The
 // timeout doubles (by `backoff`) after every unanswered attempt, capped
 // at `max_timeout`; after `max_attempts` unanswered attempts the call
 // resolves with ok = false and the caller decides (re-queue, surface).
@@ -53,8 +55,8 @@ struct RetryPolicy {
   std::uint32_t max_attempts = 8;
 };
 
-// Outcome of a retryable (or result-style) call. `body` is only valid
-// when ok; `attempts` counts transmissions (1 = no retransmit needed).
+// Outcome of call_result(). `body` is only valid when ok; `attempts`
+// counts transmissions (1 = no retransmit needed).
 struct RpcResult {
   bool ok = false;
   std::uint32_t attempts = 1;
@@ -76,23 +78,19 @@ class RpcEndpoint {
   [[nodiscard]] redbud::sim::SimFuture<ResponseBody> call(
       RpcEndpoint& server, RequestBody body, obs::TraceContext ctx = {});
 
-  // Like call(), but with at-least-once delivery: the request is
-  // retransmitted under `policy` (same xid, so the server's reply cache
-  // dedups re-executions) until a reply lands or the attempt budget is
-  // exhausted. Resolves ALWAYS — with ok = false after the last timeout —
-  // so callers never park forever on a lossy or partitioned link.
-  // Aborts (REDBUD_REQUIRE) if the policy's first timeout is below the
-  // network's min RTT / lookahead floor: such a schedule would retransmit
-  // before any reply could arrive.
-  [[nodiscard]] redbud::sim::SimFuture<RpcResult> call_retry(
-      RpcEndpoint& server, RequestBody body, const RetryPolicy& policy,
-      obs::TraceContext ctx = {});
-
-  // call() with an RpcResult envelope and no timeout: single transmission,
-  // resolves ok = true on reply, parks forever on loss (exactly the plain
-  // call() semantics). Lets call sites switch retry on/off uniformly.
+  // call() with an RpcResult envelope, so call sites switch retry on and
+  // off uniformly. Without a policy it is call() exactly: one transmission,
+  // no timer, ok = true on reply, parked forever on loss. With one the call
+  // is at-least-once: the request is retransmitted under `retry` (same xid,
+  // so the server's reply cache dedups re-executions) until a reply lands
+  // or the attempt budget is exhausted, and it ALWAYS resolves — with
+  // ok = false after the last timeout — so callers never park forever on a
+  // lossy or partitioned link. Aborts (REDBUD_REQUIRE) if the policy's
+  // first timeout is below the network's min RTT / lookahead floor: such a
+  // schedule would retransmit before any reply could arrive.
   [[nodiscard]] redbud::sim::SimFuture<RpcResult> call_result(
-      RpcEndpoint& server, RequestBody body, obs::TraceContext ctx = {});
+      RpcEndpoint& server, RequestBody body,
+      const std::optional<RetryPolicy>& retry, obs::TraceContext ctx = {});
 
   // Attach the cluster's observability bundle; `track` is the Perfetto
   // track rpc-wire spans of calls made from this endpoint land on, and
@@ -178,29 +176,27 @@ class RpcEndpoint {
  private:
   friend class RpcRegistry;
 
-  struct PendingCall {
-    redbud::sim::SimPromise<ResponseBody> promise;
-    redbud::sim::SimTime sent_at;
-    const char* op = nullptr;  // op_name() of the request, for op_stats_
-    obs::TraceContext rpc_ctx;   // the rpc-wire span (inert when untraced)
-    std::uint64_t parent = 0;    // caller's span, parent of the wire span
-  };
-
-  // A call carrying an RpcResult promise: retryable (timer armed, body
-  // kept for retransmission) or result-style (single shot, no timer).
-  struct RetryCall {
-    redbud::sim::SimPromise<RpcResult> promise;
-    redbud::sim::SimTime first_sent_at;
-    redbud::sim::SimTime sent_at;  // of the latest transmission
+  // Retransmission state of a call made under a RetryPolicy.
+  struct Retry {
     RetryPolicy policy;
     redbud::sim::SimTime cur_timeout;
-    std::uint32_t attempts = 1;
-    bool retryable = false;  // false: call_result(), no timer, no body copy
-    RequestBody body;        // kept only for retransmission
+    RequestBody body;  // kept for retransmission
     RpcEndpoint* server = nullptr;
-    const char* op = nullptr;
-    obs::TraceContext rpc_ctx;
-    std::uint64_t parent = 0;
+  };
+
+  // One outstanding call, keyed by xid in calls_. The promise is call()'s
+  // or call_result()'s; `retry` is set only under a policy.
+  struct Call {
+    std::variant<redbud::sim::SimPromise<ResponseBody>,
+                 redbud::sim::SimPromise<RpcResult>>
+        promise;
+    redbud::sim::SimTime first_sent_at;
+    redbud::sim::SimTime sent_at;  // of the latest transmission
+    const char* op = nullptr;      // op_name() of the request, for op_stats_
+    obs::TraceContext rpc_ctx;     // the rpc-wire span (inert when untraced)
+    std::uint64_t parent = 0;      // caller's span, parent of the wire span
+    std::uint32_t attempts = 1;
+    std::optional<Retry> retry;
   };
 
   // Dedup identity of a retryable request as seen by the server. Xids are
@@ -216,9 +212,15 @@ class RpcEndpoint {
   // partition, from the wire-arrival event.
   void receive_request(std::uint64_t xid, NodeId from, RequestBody body,
                        obs::TraceContext ctx, bool retryable);
+  // Register a call under a fresh xid and send its first transmission.
+  void start_call(RpcEndpoint& server, RequestBody body,
+                  decltype(Call::promise) promise,
+                  const std::optional<RetryPolicy>& retry,
+                  obs::TraceContext ctx);
   void complete_call(std::uint64_t xid, ResponseBody body);
-  // (Re)transmit a RetryCall's request; updates sent_at + wire stats.
-  void transmit(std::uint64_t xid, RetryCall& rc);
+  // (Re)transmit a call's request; updates sent_at + wire stats.
+  void transmit(std::uint64_t xid, Call& c, RpcEndpoint& server,
+                RequestBody body);
   void arm_retry_timer(std::uint64_t xid, redbud::sim::SimTime timeout);
   void on_retry_timeout(std::uint64_t xid);
   // Put a response on the wire towards `to` (shared by reply() and the
@@ -230,8 +232,7 @@ class RpcEndpoint {
   Network* net_;
   NodeId node_;
   redbud::sim::Channel<IncomingRpc> incoming_;
-  std::unordered_map<std::uint64_t, PendingCall> pending_;
-  std::unordered_map<std::uint64_t, RetryCall> retry_pending_;
+  std::unordered_map<std::uint64_t, Call> calls_;
   // Server-side exactly-once-execution state for retryable requests:
   // requests currently queued or executing (duplicates dropped), and a
   // bounded FIFO cache of sent replies (duplicates answered from cache).

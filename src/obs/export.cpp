@@ -146,11 +146,6 @@ std::string metrics_json(const Obs& obs, redbud::sim::SimTime now,
 
   out += "  \"counters\": {";
   bool first = true;
-  for (const auto& [name, c] : obs.registry.counters()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(c->value());
-  }
   for (const auto& [name, v] : obs.registry.values()) {
     out += first ? "\n" : ",\n";
     first = false;

@@ -29,11 +29,11 @@ std::string MetricsRegistry::base_name(const std::string& canonical) {
 }
 
 void MetricsRegistry::require_fresh(const std::string& canonical) const {
-  // The export merges counters and raw values into one JSON object, so a
-  // duplicate identity in *any* kind map would silently shadow a column.
-  const bool taken =
-      counters_.count(canonical) > 0 || values_.count(canonical) > 0 ||
-      gauges_.count(canonical) > 0 || histograms_.count(canonical) > 0;
+  // A duplicate identity in *any* kind map would silently shadow a column
+  // of the export or the sampled series.
+  const bool taken = values_.count(canonical) > 0 ||
+                     gauges_.count(canonical) > 0 ||
+                     histograms_.count(canonical) > 0;
   if (taken) {
     std::fprintf(stderr, "duplicate metric registration: %s\n",
                  canonical.c_str());
@@ -42,17 +42,9 @@ void MetricsRegistry::require_fresh(const std::string& canonical) const {
 }
 
 void MetricsRegistry::unregister(const std::string& canonical) {
-  counters_.erase(canonical);
   values_.erase(canonical);
   gauges_.erase(canonical);
   histograms_.erase(canonical);
-}
-
-void MetricsRegistry::register_counter(const std::string& name, Labels labels,
-                                       const redbud::sim::Counter* c) {
-  auto canonical = canonical_metric_name(name, std::move(labels));
-  require_fresh(canonical);
-  counters_[std::move(canonical)] = c;
 }
 
 void MetricsRegistry::register_value(const std::string& name, Labels labels,
@@ -79,13 +71,9 @@ void MetricsRegistry::register_histogram(
 
 std::optional<std::uint64_t> MetricsRegistry::value(
     const std::string& canonical) const {
-  if (auto it = counters_.find(canonical); it != counters_.end()) {
-    return it->second->value();
-  }
-  if (auto it = values_.find(canonical); it != values_.end()) {
-    return *it->second;
-  }
-  return std::nullopt;
+  auto it = values_.find(canonical);
+  if (it == values_.end()) return std::nullopt;
+  return *it->second;
 }
 
 const redbud::sim::Gauge* MetricsRegistry::gauge(
@@ -102,9 +90,6 @@ const redbud::sim::LatencyHistogram* MetricsRegistry::histogram(
 
 std::uint64_t MetricsRegistry::sum(const std::string& name) const {
   std::uint64_t total = 0;
-  for (const auto& [canon, c] : counters_) {
-    if (base_name(canon) == name) total += c->value();
-  }
   for (const auto& [canon, v] : values_) {
     if (base_name(canon) == name) total += *v;
   }
@@ -118,7 +103,6 @@ std::size_t MetricsRegistry::cardinality(const std::string& name) const {
       if (base_name(canon) == name) ++n;
     }
   };
-  count_in(counters_);
   count_in(values_);
   count_in(gauges_);
   count_in(histograms_);

@@ -1,7 +1,7 @@
 // Central metrics registry.
 //
 // Components own their instruments exactly as before (plain uint64
-// counters, sim::Counter / Gauge / LatencyHistogram members) and register
+// counters, sim::Gauge / LatencyHistogram members) and register
 // *views* of them here at construction, under a canonical
 // `name{key=value,...}` identity. The registry is the one place benches,
 // exporters and tests resolve instruments by name, replacing the previous
@@ -45,8 +45,6 @@ class MetricsRegistry {
   // refused loudly (REDBUD_REQUIRE): a silent replace would shadow one
   // component's view in every export and sampled series. A component that
   // legitimately rebuilds must unregister() its old identity first.
-  void register_counter(const std::string& name, Labels labels,
-                        const redbud::sim::Counter* c);
   void register_value(const std::string& name, Labels labels,
                       const std::uint64_t* v);
   void register_gauge(const std::string& name, Labels labels,
@@ -58,7 +56,7 @@ class MetricsRegistry {
   // The sanctioned path for re-registration after a component rebuild.
   void unregister(const std::string& canonical);
 
-  // Reads by canonical name. value() resolves both counter kinds.
+  // Reads by canonical name.
   [[nodiscard]] std::optional<std::uint64_t> value(
       const std::string& canonical) const;
   [[nodiscard]] const redbud::sim::Gauge* gauge(
@@ -66,19 +64,14 @@ class MetricsRegistry {
   [[nodiscard]] const redbud::sim::LatencyHistogram* histogram(
       const std::string& canonical) const;
 
-  // Sum of a counter over every label set registered under `name`.
+  // Sum of a value over every label set registered under `name`.
   [[nodiscard]] std::uint64_t sum(const std::string& name) const;
   // Number of label sets registered under a metric name (cardinality).
   [[nodiscard]] std::size_t cardinality(const std::string& name) const;
   [[nodiscard]] std::size_t size() const {
-    return counters_.size() + values_.size() + gauges_.size() +
-           histograms_.size();
+    return values_.size() + gauges_.size() + histograms_.size();
   }
 
-  [[nodiscard]] const std::map<std::string, const redbud::sim::Counter*>&
-  counters() const {
-    return counters_;
-  }
   [[nodiscard]] const std::map<std::string, const std::uint64_t*>& values()
       const {
     return values_;
@@ -99,7 +92,6 @@ class MetricsRegistry {
   // Abort (REDBUD_REQUIRE) when `canonical` is already registered.
   void require_fresh(const std::string& canonical) const;
 
-  std::map<std::string, const redbud::sim::Counter*> counters_;
   std::map<std::string, const std::uint64_t*> values_;
   std::map<std::string, const redbud::sim::Gauge*> gauges_;
   std::map<std::string, const redbud::sim::LatencyHistogram*> histograms_;

@@ -6,8 +6,6 @@ namespace redbud::obs {
 
 const char* TimeSeriesSampler::kind_name(Kind k) {
   switch (k) {
-    case Kind::kCounter:
-      return "counter";
     case Kind::kValue:
       return "value";
     case Kind::kGauge:
@@ -22,16 +20,11 @@ void TimeSeriesSampler::probe_thunk(void* ctx, redbud::sim::SimTime instant) {
 
 void TimeSeriesSampler::init_channels() {
   channels_.clear();
-  for (const auto& [name, c] : registry_->counters()) {
-    (void)c;
-    channels_.push_back({name, Kind::kCounter, {}});
-  }
-  n_counters_ = channels_.size();
   for (const auto& [name, v] : registry_->values()) {
     (void)v;
     channels_.push_back({name, Kind::kValue, {}});
   }
-  n_values_ = channels_.size() - n_counters_;
+  n_values_ = channels_.size();
   for (const auto& [name, g] : registry_->gauges()) {
     (void)g;
     channels_.push_back({name, Kind::kGauge, {}});
@@ -78,14 +71,9 @@ void TimeSeriesSampler::sample(redbud::sim::SimTime instant) {
   } else {
     instants_[slot] = instant;
   }
-  sample_kind(slot, 0, n_counters_, registry_->counters(),
-              [](const redbud::sim::Counter* c) {
-                return static_cast<double>(c->value());
-              });
-  sample_kind(slot, n_counters_, n_counters_ + n_values_, registry_->values(),
+  sample_kind(slot, 0, n_values_, registry_->values(),
               [](const std::uint64_t* v) { return static_cast<double>(*v); });
-  sample_kind(slot, n_counters_ + n_values_, channels_.size(),
-              registry_->gauges(),
+  sample_kind(slot, n_values_, channels_.size(), registry_->gauges(),
               [](const redbud::sim::Gauge* g) { return g->current(); });
   ++count_;
 }

@@ -3,8 +3,8 @@
 //
 // A TimeSeriesSampler turns the registry's point-in-time instruments into
 // columnar series over simulated time: at every grid instant
-// `interval, 2*interval, ...` it reads each registered counter, value and
-// gauge and appends one column entry per channel into a keep-last-N ring.
+// `interval, 2*interval, ...` it reads each registered value and gauge
+// and appends one column entry per channel into a keep-last-N ring.
 //
 // The sampling contract is *off-event*: the sampler is driven by the
 // kernel probe hook (SimDomain::set_probe), which fires between
@@ -16,7 +16,7 @@
 // lag by < lookahead of simulated time — see SimDomain::set_probe).
 //
 // The channel set is frozen at the first sample (sorted registry order:
-// counters, then raw values, then gauges); instruments registered later
+// values, then gauges); instruments registered later
 // are ignored so every column has the same length. Channels are matched
 // to the registry by canonical name on every sample, so a component that
 // re-registers a view (rebuild/failover) transparently feeds the same
@@ -44,12 +44,12 @@ struct SamplerParams {
 
 class TimeSeriesSampler {
  public:
-  enum class Kind : std::uint8_t { kCounter, kValue, kGauge };
+  enum class Kind : std::uint8_t { kValue, kGauge };
 
   // One channel's unrolled (oldest -> newest) view for exporters.
   struct Series {
     std::string name;
-    Kind kind = Kind::kCounter;
+    Kind kind = Kind::kValue;
     std::vector<double> values;
   };
 
@@ -58,13 +58,8 @@ class TimeSeriesSampler {
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
 
-#if defined(REDBUD_OBS_DISABLED)
-  static constexpr bool kCompiledIn = false;
-#else
-  static constexpr bool kCompiledIn = true;
-#endif
   [[nodiscard]] bool enabled() const {
-    return kCompiledIn && params_.interval > redbud::sim::SimTime::zero() &&
+    return params_.interval > redbud::sim::SimTime::zero() &&
            registry_ != nullptr;
   }
   [[nodiscard]] redbud::sim::SimTime interval() const {
@@ -89,8 +84,8 @@ class TimeSeriesSampler {
   [[nodiscard]] std::size_t retained() const { return instants_.size(); }
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
 
-  // Unrolled oldest -> newest copies, deterministic order (counters,
-  // values, gauges; name-sorted within each kind).
+  // Unrolled oldest -> newest copies, deterministic order (values, then
+  // gauges; name-sorted within each kind).
   [[nodiscard]] std::vector<redbud::sim::SimTime> instants() const;
   [[nodiscard]] std::vector<Series> series() const;
 
@@ -99,7 +94,7 @@ class TimeSeriesSampler {
  private:
   struct Channel {
     std::string name;  // canonical registry identity
-    Kind kind = Kind::kCounter;
+    Kind kind = Kind::kValue;
     std::vector<double> values;  // ring, same layout as instants_
   };
 
@@ -113,8 +108,7 @@ class TimeSeriesSampler {
   const MetricsRegistry* registry_ = nullptr;
   bool initialized_ = false;
   std::uint64_t count_ = 0;  // samples taken over the sampler's lifetime
-  // Channel layout: [0, n_counters_) counters, then values, then gauges.
-  std::size_t n_counters_ = 0;
+  // Channel layout: [0, n_values_) values, then gauges.
   std::size_t n_values_ = 0;
   std::vector<Channel> channels_;
   std::vector<redbud::sim::SimTime> instants_;  // ring, slot = count % cap

@@ -46,12 +46,6 @@ void Tracer::record(Stage stage, TraceContext ctx, std::uint64_t parent,
                               start, end, arg0, arg1});
 }
 
-void Tracer::observe(Stage stage, std::uint32_t shard,
-                     redbud::sim::SimTime dur) {
-  if (!enabled()) return;
-  stage_lat_[{shard_track(shard), stage}].record(dur);
-}
-
 void Tracer::name_track(Track track, std::string process, std::string thread) {
   if (!enabled()) return;
   tracks_[{track.pid, track.tid}] = {std::move(process), std::move(thread)};

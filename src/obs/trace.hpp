@@ -15,10 +15,8 @@
 // two traced runs with the same seed produce byte-identical span logs
 // (span ids come from a deterministic counter).
 //
-// Cost when disabled: every tracing call sites guards on
-// `tracer.enabled()`, which is an inline load-and-test (and folds to
-// `false` at compile time when REDBUD_OBS_DISABLED is defined, making the
-// whole layer a no-op the optimiser deletes).
+// Cost when disabled: every tracing call site guards on
+// `tracer.enabled()`, which is an inline load-and-test.
 #pragma once
 
 #include <cstdint>
@@ -110,12 +108,7 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-#if defined(REDBUD_OBS_DISABLED)
-  static constexpr bool kCompiledIn = false;
-#else
-  static constexpr bool kCompiledIn = true;
-#endif
-  [[nodiscard]] bool enabled() const { return kCompiledIn && params_.enabled; }
+  [[nodiscard]] bool enabled() const { return params_.enabled; }
   void set_enabled(bool on) { params_.enabled = on; }
 
   // Mint a fresh context: a new root chain, or a child span of `parent`
@@ -134,11 +127,6 @@ class Tracer {
   void record(Stage stage, TraceContext ctx, std::uint64_t parent, Track track,
               redbud::sim::SimTime start, redbud::sim::SimTime end,
               std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
-
-  // Aggregate a stage duration into the per-(stage, shard) histogram
-  // without a span record — used for stages that must feed metrics.json
-  // even when no chain is sampled.
-  void observe(Stage stage, std::uint32_t shard, redbud::sim::SimTime dur);
 
   // Name a Perfetto track row (idempotent; later names win).
   void name_track(Track track, std::string process, std::string thread);

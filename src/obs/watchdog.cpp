@@ -114,20 +114,15 @@ Watchdog::Reading Watchdog::evaluate(Detector& d, SimTime now) const {
       const double now_us = now.to_micros();
       double worst = 0.0;
       std::string worst_name = p.series;
-      const auto scan = [&](const auto& map, auto read) {
-        for (const auto& [canon, v] : map) {
-          if (base_of(canon) != p.series) continue;
-          const double epoch_us = double(read(v));
-          const double age = epoch_us > 0.0 ? now_us - epoch_us : 0.0;
-          if (age > worst) {
-            worst = age;
-            worst_name = canon;
-          }
+      for (const auto& [canon, v] : registry_->values()) {
+        if (base_of(canon) != p.series) continue;
+        const double epoch_us = double(*v);
+        const double age = epoch_us > 0.0 ? now_us - epoch_us : 0.0;
+        if (age > worst) {
+          worst = age;
+          worst_name = canon;
         }
-      };
-      scan(registry_->values(), [](const std::uint64_t* v) { return *v; });
-      scan(registry_->counters(),
-           [](const redbud::sim::Counter* c) { return c->value(); });
+      }
       r.value = worst;
       r.breached = worst > p.threshold;
       if (r.breached) {

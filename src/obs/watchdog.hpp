@@ -80,13 +80,8 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-#if defined(REDBUD_OBS_DISABLED)
-  static constexpr bool kCompiledIn = false;
-#else
-  static constexpr bool kCompiledIn = true;
-#endif
   [[nodiscard]] bool enabled() const {
-    return kCompiledIn && registry_ != nullptr && !detectors_.empty();
+    return registry_ != nullptr && !detectors_.empty();
   }
 
   // Attach the registry to read from (done by the owning Obs bundle).

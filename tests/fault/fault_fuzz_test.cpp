@@ -41,7 +41,7 @@ ClusterParams fileserver_cluster() {
   p.journal.region_blocks = 1 << 16;
   p.client.mode = CommitMode::kDelayed;
   p.client.chunk_blocks = 1024;
-  p.client.rpc_retry = true;
+  p.client.retry = net::RetryPolicy{};
   return p;
 }
 

@@ -1,6 +1,8 @@
-// Tests for at-least-once RPC: exponential backoff retransmission, retry
-// budget exhaustion, server-side dedup + reply cache, and the death
-// contract for retry schedules that violate the network's RTT floor.
+// Tests for call_result(): at-least-once delivery under a RetryPolicy
+// (exponential backoff retransmission, retry budget exhaustion,
+// server-side dedup + reply cache, and the death contract for retry
+// schedules that violate the network's RTT floor), and single-shot
+// delivery without one, which must be call() exactly.
 #include <gtest/gtest.h>
 
 #include "net/rpc.hpp"
@@ -52,7 +54,7 @@ TEST(RpcRetry, BackoffLadderThenExhaustionSurfacesError) {
   SimTime resolved_at;
   rig.sim.spawn([](Simulation& s, Rig& r, RetryPolicy pol, bool* done,
                    RpcResult* out, SimTime* at) -> Process {
-    auto fut = r.client.call_retry(r.server, StatReq{7}, pol);
+    auto fut = r.client.call_result(r.server, StatReq{7}, pol);
     *out = co_await fut;
     *at = s.now();
     *done = true;
@@ -85,7 +87,7 @@ TEST(RpcRetry, RecoveredServerAnswersALaterAttempt) {
   RpcResult res;
   rig.sim.spawn([](Simulation&, Rig& r, RetryPolicy pol,
                    RpcResult* out) -> Process {
-    auto fut = r.client.call_retry(r.server, StatReq{7}, pol);
+    auto fut = r.client.call_result(r.server, StatReq{7}, pol);
     *out = co_await fut;
   }(rig.sim, rig, policy, &res));
   rig.sim.run_until(SimTime::seconds(1));
@@ -114,7 +116,7 @@ TEST(RpcRetry, LostReplyIsServedFromTheReplyCache) {
   RpcResult res;
   rig.sim.spawn([](Simulation&, Rig& r, RetryPolicy pol,
                    RpcResult* out) -> Process {
-    auto fut = r.client.call_retry(r.server, StatReq{7}, pol);
+    auto fut = r.client.call_result(r.server, StatReq{7}, pol);
     *out = co_await fut;
   }(rig.sim, rig, policy, &res));
   rig.sim.run_until(SimTime::seconds(1));
@@ -138,7 +140,7 @@ TEST(RpcRetry, RetransmitOfAnInflightRequestIsDropped) {
   RpcResult res;
   rig.sim.spawn([](Simulation&, Rig& r, RetryPolicy pol,
                    RpcResult* out) -> Process {
-    auto fut = r.client.call_retry(r.server, StatReq{7}, pol);
+    auto fut = r.client.call_result(r.server, StatReq{7}, pol);
     *out = co_await fut;
   }(rig.sim, rig, policy, &res));
   rig.sim.run_until(SimTime::seconds(1));
@@ -155,7 +157,7 @@ TEST(RpcRetry, CallResultWrapsASingleShotCall) {
   rig.spawn_echo_server();
   RpcResult res;
   rig.sim.spawn([](Simulation&, Rig& r, RpcResult* out) -> Process {
-    auto fut = r.client.call_result(r.server, StatReq{7});
+    auto fut = r.client.call_result(r.server, StatReq{7}, std::nullopt);
     *out = co_await fut;
   }(rig.sim, rig, &res));
   rig.sim.run_until(SimTime::seconds(1));
@@ -165,17 +167,81 @@ TEST(RpcRetry, CallResultWrapsASingleShotCall) {
   EXPECT_EQ(rig.client.retries_sent(), 0u);
 }
 
+// Without a policy call_result() is call() in another envelope: the same
+// events, round trip and per-op accounting on identical rigs. On a lossy
+// link it arms no timer: the future stays pending, nothing retransmits
+// and no event fires after the lost frame.
+TEST(RpcRetry, SingleShotResultMatchesCall) {
+  Rig plain;
+  plain.spawn_echo_server();
+  ResponseBody body;
+  plain.sim.spawn([](Rig& r, ResponseBody* out) -> Process {
+    auto fut = r.client.call(r.server, StatReq{7});
+    *out = co_await fut;
+  }(plain, &body));
+  plain.sim.run_until(SimTime::seconds(1));
+
+  Rig single;
+  single.spawn_echo_server();
+  RpcResult res;
+  single.sim.spawn([](Rig& r, RpcResult* out) -> Process {
+    auto fut = r.client.call_result(r.server, StatReq{7}, std::nullopt);
+    *out = co_await fut;
+  }(single, &res));
+  single.sim.run_until(SimTime::seconds(1));
+
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.attempts, 1u);
+  EXPECT_EQ(std::get<StatResp>(res.body).size_bytes,
+            std::get<StatResp>(body).size_bytes);
+  EXPECT_EQ(single.sim.events_processed(), plain.sim.events_processed());
+  EXPECT_EQ(single.client.rtt().count(), 1u);
+  EXPECT_EQ(single.client.rtt().buckets(), plain.client.rtt().buckets());
+  EXPECT_EQ(single.client.rtt().mean(), plain.client.rtt().mean());
+  const auto same_ops = [](const RpcEndpoint& a, const RpcEndpoint& b) {
+    ASSERT_EQ(a.op_stats().size(), b.op_stats().size());
+    for (const auto& [op, st] : a.op_stats()) {
+      const auto it = b.op_stats().find(op);
+      ASSERT_NE(it, b.op_stats().end()) << op;
+      EXPECT_EQ(st.sent, it->second.sent) << op;
+      EXPECT_EQ(st.received, it->second.received) << op;
+      EXPECT_EQ(st.bytes_sent, it->second.bytes_sent) << op;
+      EXPECT_EQ(st.rtt.buckets(), it->second.rtt.buckets()) << op;
+    }
+  };
+  same_ops(single.client, plain.client);
+  same_ops(single.server, plain.server);
+
+  Rig lossy;
+  lossy.spawn_echo_server();
+  lossy.net.set_link_loss(lossy.client_node, 1.0);
+  bool resolved = false;
+  lossy.sim.spawn([](Rig& r, bool* done) -> Process {
+    auto fut = r.client.call_result(r.server, StatReq{7}, std::nullopt);
+    (void)co_await fut;
+    *done = true;
+  }(lossy, &resolved));
+  lossy.sim.run_until(SimTime::millis(1));
+  ASSERT_EQ(lossy.net.link_dropped(lossy.client_node), 1u);
+  const std::uint64_t events_at_loss = lossy.sim.events_processed();
+  lossy.sim.run_until(SimTime::seconds(10));
+  EXPECT_FALSE(resolved) << "a single-shot call parks on loss";
+  EXPECT_EQ(lossy.client.retries_sent(), 0u);
+  EXPECT_EQ(lossy.sim.events_processed(), events_at_loss);
+  EXPECT_EQ(lossy.sim.peek_next_time(), SimTime::max());
+}
+
 TEST(RpcRetryDeath, TimeoutBelowTheLookaheadFloorAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   // A first timeout below the fabric's min RTT (which also bounds the
   // parallel kernel's lookahead window) could never observe a reply;
-  // call_retry refuses the schedule outright.
+  // call_result refuses the schedule outright.
   EXPECT_DEATH(
       {
         Rig rig;
         RetryPolicy policy;
         policy.timeout = SimTime::micros(10);  // min_rtt is 80 us
-        (void)rig.client.call_retry(rig.server, StatReq{1}, policy);
+        (void)rig.client.call_result(rig.server, StatReq{1}, policy);
       },
       "lookahead");
 }
@@ -187,7 +253,7 @@ TEST(RpcRetryDeath, ZeroAttemptBudgetAborts) {
         Rig rig;
         RetryPolicy policy;
         policy.max_attempts = 0;
-        (void)rig.client.call_retry(rig.server, StatReq{1}, policy);
+        (void)rig.client.call_result(rig.server, StatReq{1}, policy);
       },
       "zero attempts");
 }

@@ -287,8 +287,8 @@ TEST(Registry, DuplicateRegistrationIsRefused) {
   reg.register_value("mds.ops", {{"shard", "0"}}, &first);
   EXPECT_DEATH(reg.register_value("mds.ops", {{"shard", "0"}}, &rebuilt),
                "duplicate metric registration");
-  // Cross-kind duplicates are refused too: counters and values share one
-  // JSON object in the export.
+  // Cross-kind duplicates are refused too: one identity names one column
+  // in every export.
   EXPECT_DEATH(reg.register_histogram("mds.ops", {{"shard", "0"}}, &h),
                "duplicate metric registration");
 }
@@ -347,7 +347,9 @@ TEST(ObsExport, MetricsJsonHasSchemaAndStages) {
   TracedObs obs;
   std::uint64_t v = 5;
   obs.registry.register_value("mds.ops", {{"shard", "0"}}, &v);
-  obs.tracer.observe(Stage::kJournalFsync, 0, SimTime::micros(100));
+  obs.tracer.record(Stage::kJournalFsync, obs.tracer.mint(), 0,
+                    {shard_track(0), 2}, SimTime::zero(),
+                    SimTime::micros(100));
   const std::string json = metrics_json(obs, SimTime::seconds(1));
   EXPECT_NE(json.find("\"schema\": \"redbud.metrics.v1\""), std::string::npos);
   EXPECT_NE(json.find("mds.ops{shard=0}"), std::string::npos);

@@ -31,7 +31,6 @@
 namespace redbud::obs {
 namespace {
 
-using redbud::sim::Counter;
 using redbud::sim::Gauge;
 using redbud::sim::KernelProfile;
 using redbud::sim::SimDomain;
@@ -102,8 +101,8 @@ std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
   SimDomain domain(kLookahead);
   Simulation& sim = domain.add_partition();
   MetricsRegistry reg;
-  Counter ops;
-  reg.register_counter("churn.ops", {}, &ops);
+  std::uint64_t ops = 0;
+  reg.register_value("churn.ops", {}, &ops);
   TimeSeriesSampler sampler(SamplerParams{SimTime::micros(15), 4096});
   sampler.bind(&reg);
   if (with_sampler) {
@@ -120,11 +119,11 @@ std::uint64_t churn_digest(bool with_sampler, std::uint64_t* samples_out) {
   // or extra event would change it.
   struct Chain {
     Simulation* sim;
-    Counter* ops;
+    std::uint64_t* ops;
     decltype(fold)* h;
     void arm(std::uint64_t tag, std::uint64_t k, SimTime period) {
       sim->call_in(period, [this, tag, k, period] {
-        ops->add();
+        ++*ops;
         (*h)(std::uint64_t(sim->now().ns()) << 8 ^ tag ^ k);
         if (k < 300) arm(tag, k + 1, period);
       });
@@ -152,12 +151,12 @@ TEST(KernelProbe, SamplingOnVsOffEventStreamDigestIdentical) {
 
 TEST(TimeSeriesSampler, RingKeepsNewestAndCountsDropped) {
   MetricsRegistry reg;
-  Counter c;
-  reg.register_counter("a", {}, &c);
+  std::uint64_t c = 0;
+  reg.register_value("a", {}, &c);
   TimeSeriesSampler sampler(SamplerParams{SimTime::millis(1), 4});
   sampler.bind(&reg);
   for (int i = 1; i <= 10; ++i) {
-    c.add();
+    ++c;
     sampler.sample(SimTime::millis(i));
   }
   EXPECT_EQ(sampler.samples_taken(), 10u);
@@ -175,27 +174,25 @@ TEST(TimeSeriesSampler, RingKeepsNewestAndCountsDropped) {
 
 TEST(TimeSeriesSampler, ChannelSetFreezesButNamesReResolve) {
   MetricsRegistry reg;
-  Counter first;
-  first.add(1);
-  reg.register_counter("a", {}, &first);
+  std::uint64_t first = 1;
+  reg.register_value("a", {}, &first);
   TimeSeriesSampler sampler(SamplerParams{SimTime::millis(1), 16});
   sampler.bind(&reg);
   sampler.sample(SimTime::millis(1));
   EXPECT_EQ(sampler.channel_count(), 1u);
 
   // Registered after the first sample: ignored (columns stay rectangular).
-  Counter late;
-  reg.register_counter("b", {}, &late);
+  std::uint64_t late = 0;
+  reg.register_value("b", {}, &late);
   sampler.sample(SimTime::millis(2));
   EXPECT_EQ(sampler.channel_count(), 1u);
 
   // Re-registering the same canonical name (rebuild/failover, via the
   // unregister escape — duplicates are refused) transparently feeds the
   // same column.
-  Counter rebuilt;
-  rebuilt.add(42);
+  std::uint64_t rebuilt = 42;
   reg.unregister("a");
-  reg.register_counter("a", {}, &rebuilt);
+  reg.register_value("a", {}, &rebuilt);
   sampler.sample(SimTime::millis(3));
   const auto series = sampler.series();
   ASSERT_EQ(series.size(), 1u);
@@ -216,7 +213,7 @@ struct DomainHarness {
         sampler(SamplerParams{interval, 8192}) {
     for (std::uint32_t p = 0; p < kParts; ++p) {
       sims[p] = &domain.add_partition();
-      registry.register_counter("part.events",
+      registry.register_value("part.events",
                                 {{"part", std::to_string(p)}}, &events[p]);
       registry.register_gauge("part.depth", {{"part", std::to_string(p)}},
                               &depth[p]);
@@ -235,7 +232,7 @@ struct DomainHarness {
 
   void chain(std::uint32_t p, std::uint64_t k) {
     sims[p]->call_in(SimTime::micros(9 + p), [this, p, k] {
-      events[p].add();
+      ++events[p];
       depth[p].set(sims[p]->now(), double(k % 7));
       if (k < 250) chain(p, k + 1);
     });
@@ -245,7 +242,7 @@ struct DomainHarness {
     const std::uint32_t dst = (p + 1) % kParts;
     const SimTime at = sims[p]->now() + kLookahead + SimTime::micros(11);
     domain.post(*sims[p], dst, at, [this, dst, k] {
-      events[dst].add();
+      ++events[dst];
       if (k < 120) relay(dst, k + 1);
     });
   }
@@ -254,7 +251,7 @@ struct DomainHarness {
   MetricsRegistry registry;
   TimeSeriesSampler sampler;
   std::array<Simulation*, kParts> sims{};
-  std::array<Counter, kParts> events;
+  std::array<std::uint64_t, kParts> events{};
   std::array<Gauge, kParts> depth;
 };
 
@@ -340,12 +337,12 @@ TEST(ParallelKernelProfile, IdlePartitionSkippedButReachesTheHorizon) {
 
 TEST(TimeSeriesExport, PerfettoCounterGoldenFile) {
   Obs obs(ObsParams{TracerParams{}, SamplerParams{SimTime::millis(1), 8}});
-  Counter rpcs;
+  std::uint64_t rpcs = 0;
   Gauge queue;
-  obs.registry.register_counter("mds.rpcs", {{"shard", "0"}}, &rpcs);
+  obs.registry.register_value("mds.rpcs", {{"shard", "0"}}, &rpcs);
   obs.registry.register_gauge("queue.depth", {}, &queue);
   for (int i = 1; i <= 3; ++i) {
-    rpcs.add(10);
+    rpcs += 10;
     queue.set(SimTime::millis(i), i * 1.5);
     obs.sampler.sample(SimTime::millis(i));
   }

@@ -13,7 +13,6 @@
 namespace redbud::obs {
 namespace {
 
-using redbud::sim::Counter;
 using redbud::sim::SimTime;
 
 // --- The hoisted least-squares fit ----------------------------------------
@@ -105,11 +104,11 @@ TEST(Watchdog, FlatBacklogAtHighLevelNeverBreaches) {
 
 struct RetryRig {
   MetricsRegistry reg;
-  Counter retries;
+  std::uint64_t retries = 0;
   Watchdog wd;
 
   RetryRig() {
-    reg.register_counter("rpc.retries_sent", {{"client", "0"}}, &retries);
+    reg.register_value("rpc.retries_sent", {{"client", "0"}}, &retries);
     wd.bind(&reg);
     DetectorParams p;
     p.kind = IncidentKind::kRetryStorm;
@@ -127,7 +126,7 @@ TEST(Watchdog, RetryStormRaisesOnWindowDeltaAndClearsWhenQuiet) {
   rig.wd.tick(SimTime::millis(10));
   EXPECT_TRUE(rig.wd.incidents().empty());
 
-  rig.retries.add(1);
+  ++rig.retries;
   rig.wd.tick(SimTime::millis(20));
   ASSERT_EQ(rig.wd.incidents().size(), 1u);
   EXPECT_EQ(rig.wd.incidents()[0].kind, IncidentKind::kRetryStorm);
