@@ -153,7 +153,7 @@ TEST(ParallelOpenLoop, OpsActuallyFlow) {
     // Every session slot stayed live, and the host gauges saw them.
     EXPECT_EQ(e->host().live_sessions(), 40u);
     EXPECT_EQ(e->host().peak_sessions(), 40u);
-    // Write traffic flowed through the shared page pool.
+    // Write traffic flowed through the host engine's page pool.
     EXPECT_GT(e->host().engine().cache().pool().in_use(), 0u);
   }
 }
