@@ -6,7 +6,9 @@
 #
 # The sanitizer pass builds Debug so asserts are live — the coroutine-frame
 # arena and the kernel's monotonic-time/live-index invariants are exactly
-# the kind of change this pass is meant to gate.
+# the kind of change this pass is meant to gate. It also runs
+# load_sweep --smoke, the overloaded fleet where commit daemons park on
+# virtual ticks and are woken from completion hooks most often.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +29,7 @@ if [[ "${SKIP_SANITIZE:-0}" != "1" ]]; then
   echo "== ASan+UBSan build + ctest =="
   run_suite build-asan -DCMAKE_BUILD_TYPE=Debug \
     -DREDBUD_SANITIZE=address,undefined
+  ./build-asan/bench/load_sweep --smoke
 fi
 
 echo "check.sh: all suites passed"

@@ -58,16 +58,19 @@ Process CommitDaemonPool::controller() {
   for (;;) {
     co_await sim_->delay(params_.control_interval);
     const std::uint32_t target = target_threads();
+    if (live_threads_ == target) continue;
     while (live_threads_ < target) {
       ++live_threads_;
       sim_->spawn(daemon());
     }
     if (live_threads_ > target) {
       exit_requests_ = live_threads_ - target;
-      // Idle daemons park on the work signal; nudge them so they can
+      // Idle daemons wait on the work signal; nudge them so they can
       // observe the shrink request.
       queue_->work().notify_all();
     }
+    // A parked poll may now have an exit request to honour.
+    queue_->ticker().wake();
   }
 }
 
@@ -85,13 +88,17 @@ Process CommitDaemonPool::daemon() {
     }
     const auto ready_shard = queue_->first_ready_shard();
     if (!ready_shard) {
-      // Entries exist but their data writes are still in flight: poll.
-      co_await sim_->delay(params_.poll_interval);
+      // Entries exist but their data writes are still in flight: poll
+      // every poll_interval. The poll parks rather than re-arming a
+      // delay, and the queue (or the controller) wakes it whenever its
+      // next tick could find something to do, so it resumes exactly
+      // where the periodic poll would first have acted.
+      co_await queue_->ticker().park(params_.poll_interval);
       continue;
     }
     auto batch = queue_->checkout(compound_->degree(*ready_shard));
     if (batch.empty()) {
-      co_await sim_->delay(params_.poll_interval);
+      co_await queue_->ticker().park(params_.poll_interval);
       continue;
     }
     const std::uint32_t shard = batch.front().shard;

@@ -32,7 +32,7 @@ auto find_key(Slots& slots, std::int64_t key) {
 }  // namespace
 
 CommitQueue::CommitQueue(redbud::sim::Simulation& sim)
-    : sim_(&sim), work_(sim), space_(sim) {}
+    : sim_(&sim), work_(sim), space_(sim), ticker_(sim) {}
 
 CommitQueue::~CommitQueue() {
   // A data write may outlive the queue; it must not fire into freed
@@ -67,7 +67,10 @@ void CommitQueue::refresh_state() {
 
 void CommitQueue::on_write_done(redbud::sim::CompletionHook* hook) {
   auto* e = static_cast<Entry*>(hook);
-  if (--e->pending == 0) e->queue->mark_ready(*e);
+  if (--e->pending == 0) {
+    e->queue->mark_ready(*e);
+    e->queue->wake_if_actionable();
+  }
 }
 
 void CommitQueue::watch_writes(Entry& e, std::size_t from) {
@@ -130,6 +133,7 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
     if (was_ready && e.pending > 0) ready_.erase(find_key(ready_, e.key));
   }
   refresh_state();
+  wake_if_actionable();
   work_.notify_all();
 }
 
@@ -165,6 +169,7 @@ void CommitQueue::drop(net::FileId file) {
   slab_.recycle(std::move(e.task));
   queued_.erase(it);
   refresh_state();
+  wake_if_actionable();
   space_.notify_all();
 }
 
@@ -199,6 +204,8 @@ std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
     ++in_flight_files_[out.back().file];
     ++in_flight_count_;
   }
+  // No wake: entries leave only when a poll would act, and then no poll
+  // is parked (every parked poll was woken when the ready head appeared).
   refresh_state();
   if (!out.empty()) space_.notify_all();
   return out;
@@ -266,6 +273,7 @@ void CommitQueue::requeue(CommitTask task) {
     slab_.recycle(std::move(task));
   }
   refresh_state();
+  wake_if_actionable();
   work_.notify_all();
 }
 

@@ -25,6 +25,7 @@
 #include "sim/future.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
+#include "sim/ticker.hpp"
 
 namespace redbud::client {
 
@@ -161,6 +162,11 @@ class CommitQueue {
   [[nodiscard]] std::size_t in_flight() const { return in_flight_count_; }
 
   [[nodiscard]] redbud::sim::Signal& work() { return work_; }
+  // Daemons whose poll found entries but none ready park here. The queue
+  // wakes them whenever a poll could stop finding nothing: a ready entry
+  // becomes visible in the scan window, or the queue empties (add,
+  // requeue, drop and data-write completions check after each change).
+  [[nodiscard]] redbud::sim::Ticker& ticker() { return ticker_; }
   // Notified whenever entries leave the queue — writers blocked on a full
   // queue (the paper's QueueLen_max backpressure) wait on this.
   [[nodiscard]] redbud::sim::Signal& space() { return space_; }
@@ -208,6 +214,12 @@ class CommitQueue {
     return order_[std::min(order_.size(), kScanLimit) - 1].first;
   }
   void mark_ready(Entry& e);
+  // Wake the parked daemons if a poll would now act.
+  void wake_if_actionable() {
+    if (ticker_.parked() > 0 && (order_.empty() || first_ready_shard())) {
+      ticker_.wake();
+    }
+  }
 
   redbud::sim::Simulation* sim_;
   CommitSlab slab_;
@@ -228,6 +240,7 @@ class CommitQueue {
   std::size_t in_flight_count_ = 0;
   redbud::sim::Signal work_;
   redbud::sim::Signal space_;
+  redbud::sim::Ticker ticker_;
   // Every mutation of the queued set ends here. Updates the queue-state
   // views for the registry: current depth and the enqueue instant
   // (microseconds, 0 = empty) of the oldest queued entry. The watchdog's

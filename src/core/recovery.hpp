@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/cluster.hpp"
 
@@ -37,6 +38,13 @@ struct ConsistencyReport {
 // each physical block is checked).
 [[nodiscard]] ConsistencyReport check_consistency(mds::MdsServer& mds,
                                                   storage::DiskArray& array);
+
+// The same check over one shard's durable logs, as MdsServer keeps them:
+// a flat per-block replay sorted by (device, block, seq, position).
+[[nodiscard]] ConsistencyReport check_consistency(
+    const std::vector<mds::DurableCommitRecord>& commits,
+    const std::vector<mds::DurableRemoveRecord>& removes,
+    const storage::DiskArray& array);
 
 // Whole-cluster check: every shard's durable commit log against the
 // shared array. Shard partitions are disjoint, so per-shard reports sum

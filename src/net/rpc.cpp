@@ -86,8 +86,21 @@ std::size_t wire_size(const RequestBody& body) {
 std::size_t wire_size(const ResponseBody& body) {
   return std::visit(RespSize{}, body);
 }
+namespace {
+
+// op_name() of the RequestBody alternative with index `index`.
+const char* op_name_at(std::size_t index) {
+  static const auto names = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<const char*, sizeof...(I)>{
+        OpName{}(std::variant_alternative_t<I, RequestBody>{})...};
+  }(std::make_index_sequence<std::variant_size_v<RequestBody>>{});
+  return names[index];
+}
+
+}  // namespace
+
 const char* op_name(const RequestBody& body) {
-  return std::visit(OpName{}, body);
+  return op_name_at(body.index());
 }
 
 RpcEndpoint::RpcEndpoint(redbud::sim::Simulation& sim, Network& net,
@@ -138,7 +151,7 @@ void RpcEndpoint::start_call(RpcEndpoint& server, RequestBody body,
   if (obs_ != nullptr && ctx.active()) rpc_ctx = obs_->tracer.child(ctx);
   const SimTime now = sim_->now();
   auto [it, inserted] = calls_.emplace(
-      xid, Call{std::move(promise), now, now, op_name(body), rpc_ctx,
+      xid, Call{std::move(promise), now, now, body.index(), rpc_ctx,
                 ctx.span});
   assert(inserted);
   Call& c = it->second;
@@ -227,7 +240,7 @@ void RpcEndpoint::receive_request(std::uint64_t xid, NodeId from,
     }
   }
   ++calls_received_;
-  ++op_stats_[op_name(body)].received;
+  ++op_stats_[body.index()].received;
   const bool ok = incoming_.try_send(
       IncomingRpc{xid, from, std::move(body), ctx, retryable});
   assert(ok);
@@ -287,7 +300,9 @@ void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {
   // per-attempt matching a real XID cache would do is not worth it).
   const SimTime rtt = sim_->now() - c.sent_at;
   rtt_.record(rtt);
-  op_stats_[c.op].rtt.record(rtt);
+  auto& op_rtt = op_stats_[c.op].rtt;
+  if (!op_rtt) op_rtt.emplace();
+  op_rtt->record(rtt);
   if (obs_ != nullptr && c.rpc_ctx.active()) {
     obs_->tracer.record(obs::Stage::kRpcWire, c.rpc_ctx, c.parent, track_,
                         c.first_sent_at, sim_->now());
@@ -318,14 +333,27 @@ void RpcEndpoint::set_down(bool down) {
 
 SimTime RpcEndpoint::mean_rtt() const { return rtt_.mean(); }
 
+std::map<std::string, RpcEndpoint::OpStats> RpcEndpoint::op_stats() const {
+  std::map<std::string, OpStats> out;
+  for (std::size_t i = 0; i < op_stats_.size(); ++i) {
+    const OpSlot& slot = op_stats_[i];
+    if (slot.sent == 0 && slot.received == 0) continue;
+    out.emplace(op_name_at(i),
+                OpStats{slot.sent, slot.received, slot.bytes_sent,
+                        slot.rtt.value_or(redbud::sim::LatencyHistogram{})});
+  }
+  return out;
+}
+
 void RpcEndpoint::dump(std::ostream& out, const std::string& label) const {
-  if (op_stats_.empty()) return;
+  const auto stats = op_stats();
+  if (stats.empty()) return;
   out << "per-op RPC stats [" << label << "]\n";
   out << "  " << std::left << std::setw(16) << "op" << std::right
       << std::setw(10) << "sent" << std::setw(10) << "served" << std::setw(14)
       << "bytes_sent" << std::setw(14) << "mean_rtt_us" << std::setw(13)
       << "p99_rtt_us" << "\n";
-  for (const auto& [op, st] : op_stats_) {
+  for (const auto& [op, st] : stats) {
     out << "  " << std::left << std::setw(16) << op << std::right
         << std::setw(10) << st.sent << std::setw(10) << st.received
         << std::setw(14) << st.bytes_sent;

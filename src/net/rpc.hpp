@@ -7,6 +7,7 @@
 // compound controller reads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -159,16 +160,15 @@ class RpcEndpoint {
   [[nodiscard]] redbud::sim::LatencyHistogram& rtt() { return rtt_; }
 
   // Per-op accounting, keyed by op_name(): calls issued/served by this
-  // endpoint, request bytes, and client-side round-trip histograms.
+  // endpoint, request bytes, and client-side round-trip histograms. Only
+  // ops this endpoint sent or served appear.
   struct OpStats {
     std::uint64_t sent = 0;          // calls issued from this endpoint
     std::uint64_t received = 0;      // requests that arrived here
     std::uint64_t bytes_sent = 0;    // request bytes incl. framing
     redbud::sim::LatencyHistogram rtt;  // completed round trips
   };
-  [[nodiscard]] const std::map<std::string, OpStats>& op_stats() const {
-    return op_stats_;
-  }
+  [[nodiscard]] std::map<std::string, OpStats> op_stats() const;
   // Render the per-op table (op, sent, served, mean/p99 RTT) to `out`,
   // prefixed with `label`. Prints nothing when no ops were recorded.
   void dump(std::ostream& out, const std::string& label) const;
@@ -192,7 +192,7 @@ class RpcEndpoint {
         promise;
     redbud::sim::SimTime first_sent_at;
     redbud::sim::SimTime sent_at;  // of the latest transmission
-    const char* op = nullptr;      // op_name() of the request, for op_stats_
+    std::size_t op = 0;            // RequestBody::index(), for op_stats_
     obs::TraceContext rpc_ctx;     // the rpc-wire span (inert when untraced)
     std::uint64_t parent = 0;      // caller's span, parent of the wire span
     std::uint32_t attempts = 1;
@@ -252,7 +252,15 @@ class RpcEndpoint {
   std::uint64_t late_replies_ = 0;
   std::uint64_t dropped_while_down_ = 0;
   redbud::sim::LatencyHistogram rtt_;
-  std::map<std::string, OpStats> op_stats_;
+  // OpStats by RequestBody::index(); op_stats() names the entries. The
+  // RTT histogram (1 KiB of buckets) is built on the op's first reply.
+  struct OpSlot {
+    std::uint64_t sent = 0;
+    std::uint64_t received = 0;
+    std::uint64_t bytes_sent = 0;
+    std::optional<redbud::sim::LatencyHistogram> rtt;
+  };
+  std::array<OpSlot, std::variant_size_v<RequestBody>> op_stats_;
   obs::Obs* obs_ = nullptr;
   obs::Track track_;
 };

@@ -82,9 +82,14 @@ void SimDomain::run_round(SimTime end, bool inclusive) {
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     Simulation& part = *parts_[i];
     // An idle partition's window would dispatch nothing and leave its
-    // clock where it is (ring events sit at now() < end), so skip it.
+    // clock where it is (ring events sit at now() < end), so skip it. Its
+    // parked ticks still rotate through the window, before any injection
+    // delivered after this round takes a sequence number there.
     const SimTime next = part.peek_next_time();
-    if (inclusive ? next > end : next >= end) continue;
+    if (inclusive ? next > end : next >= end) {
+      part.rotate_ticks_through(end, inclusive);
+      continue;
+    }
     if (!timing) {
       t0 = detail::wall_now_ns();
       timing = true;
@@ -148,6 +153,7 @@ KernelProfile SimDomain::kernel_profile() const {
   kp.partitions.resize(parts_.size());
   for (std::size_t i = 0; i < parts_.size(); ++i) {
     kp.partitions[i].events = parts_[i]->events_processed();
+    kp.partitions[i].ticks_elided = parts_[i]->ticks_elided();
     kp.partitions[i].busy_ns = busy_ns_[i];
   }
   return kp;

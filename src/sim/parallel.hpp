@@ -13,7 +13,8 @@
 //   3. stop if m > horizon, else run every partition with an event inside
 //      the window [m, min(m + L, horizon)), in index order, through that
 //      window — no partition can invalidate another inside the window,
-//      because any injection it posts lands at >= m + L,
+//      because any injection it posts lands at >= m + L — and rotate the
+//      parked ticks (sim/ticker.hpp) of the others through it,
 //   4. go to 1.
 //
 // Determinism contract: within a partition events replay in exact
@@ -49,7 +50,10 @@ namespace detail {
 // time, and have no effect on the event stream.
 struct KernelProfile {
   struct Partition {
-    std::uint64_t events = 0;   // events dispatched by the partition
+    // Events processed by the partition: dispatched ones plus elided
+    // parked ticks (see sim/ticker.hpp).
+    std::uint64_t events = 0;
+    std::uint64_t ticks_elided = 0;  // of which never dispatched
     // Wall time charged to the partition's windows: from the round's
     // previous clock read (its first active partition's start, or the end
     // of the window before) to the end of its own run_window. Idle

@@ -246,7 +246,10 @@ TEST(CommitQueue, DropDetachesPendingWrites) {
 // Randomised equivalence of the indexed first_ready_shard() and checkout()
 // with a brute-force scan of a reference model of the queue, across adds
 // (new and merge), drops, checkouts, requeues, acks and data-write
-// resolutions (successful and failed).
+// resolutions (successful and failed). Also checks that the queue wakes
+// its ticker completely: whenever the model's poll turns from "nothing to
+// do" to "would act" (a visible ready entry, or an empty queue), a poll
+// parked while it had nothing to do has been woken.
 TEST(CommitQueue, IndexedPollMatchesBruteForceScan) {
   struct RefTask {
     net::FileId file;
@@ -283,11 +286,23 @@ TEST(CommitQueue, IndexedPollMatchesBruteForceScan) {
     return net::shard_tag(std::uint32_t(rng.next_below(4))) + 1 +
            rng.next_below(400);
   };
+  const auto would_act = [&] { return ref.empty() || scan().has_value(); };
+  // Park one poll on the queue's ticker (the clock stays at zero; a woken
+  // poll's tick is left pending in the event heap).
+  const auto park_poll = [&] {
+    sim.spawn([](CommitQueue& cq) -> Process {
+      co_await cq.ticker().park(SimTime::micros(500));
+    }(q));
+    sim.run_until(sim.now());
+  };
   std::size_t max_depth = 0;
   std::size_t merges_into_ready = 0;
   std::size_t requeued_front = 0;
+  std::size_t wakes_checked = 0;
 
   for (int step = 0; step < 20000; ++step) {
+    const bool acted_before = would_act();
+    if (!acted_before && q.ticker().parked() == 0) park_poll();
     const std::uint64_t op = rng.next_below(100);
     if (op < 40) {  // add: new entry or merge
       const net::FileId file = pick_file();
@@ -360,10 +375,15 @@ TEST(CommitQueue, IndexedPollMatchesBruteForceScan) {
     max_depth = std::max(max_depth, ref.size());
     ASSERT_EQ(q.size(), ref.size()) << "step " << step;
     ASSERT_EQ(q.first_ready_shard(), scan()) << "step " << step;
+    if (!acted_before && would_act()) {
+      ++wakes_checked;
+      ASSERT_EQ(q.ticker().parked(), 0u) << "step " << step;
+    }
   }
   EXPECT_GT(max_depth, CommitQueue::kScanLimit);
   EXPECT_GT(merges_into_ready, 0u);
   EXPECT_GT(requeued_front, 0u);
+  EXPECT_GT(wakes_checked, 100u);
 }
 
 }  // namespace

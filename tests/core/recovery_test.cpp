@@ -3,10 +3,16 @@
 // unordered mode breaks it; orphan GC reclaims every unreachable block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <numeric>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/recovery.hpp"
+#include "sim/random.hpp"
 
 namespace redbud::core {
 namespace {
@@ -177,6 +183,152 @@ TEST(CrashConsistency, GcOnCleanShutdownReclaimsDelegationsOnly) {
   const auto check = check_consistency(c);
   EXPECT_TRUE(check.consistent());
   EXPECT_GT(check.blocks_checked, 0u);
+}
+
+// The checker's previous form, kept as the reference: replay the merged
+// logs by seq into a std::map of expectations, then peek block by block.
+// `recommits` counts commits that re-expect a block a remove retracted.
+ConsistencyReport map_replay(const std::vector<mds::DurableCommitRecord>& log,
+                             const std::vector<mds::DurableRemoveRecord>& removes,
+                             const storage::DiskArray& array,
+                             std::size_t& recommits) {
+  ConsistencyReport report;
+  struct Expected {
+    storage::ContentToken token;
+    std::size_t commit_index;
+  };
+  std::map<std::pair<std::uint32_t, storage::BlockNo>, Expected> expected;
+  std::set<std::pair<std::uint32_t, storage::BlockNo>> retracted;
+  struct Event {
+    std::uint64_t seq;
+    bool is_remove;
+    std::size_t index;
+  };
+  std::vector<Event> events;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    events.push_back({log[i].seq, false, i});
+  }
+  for (std::size_t i = 0; i < removes.size(); ++i) {
+    events.push_back({removes[i].seq, true, i});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  for (const Event& ev : events) {
+    if (ev.is_remove) {
+      for (const auto& e : removes[ev.index].extents) {
+        for (std::uint32_t k = 0; k < e.nblocks; ++k) {
+          if (expected.erase({e.addr.device, e.addr.block + k}) > 0) {
+            retracted.insert({e.addr.device, e.addr.block + k});
+          }
+        }
+      }
+      continue;
+    }
+    const auto& rec = log[ev.index];
+    std::size_t bi = 0;
+    for (const auto& e : rec.extents) {
+      for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
+        if (bi < rec.block_tokens.size()) {
+          recommits += retracted.erase({e.addr.device, e.addr.block + k});
+          expected[{e.addr.device, e.addr.block + k}] =
+              Expected{rec.block_tokens[bi], ev.index};
+        }
+      }
+    }
+  }
+  report.commits_checked = log.size();
+  std::set<std::size_t> bad_commits;
+  for (const auto& [addr, exp] : expected) {
+    ++report.blocks_checked;
+    if (array.peek({addr.first, addr.second}, 1)[0] != exp.token) {
+      ++report.inconsistent_blocks;
+      bad_commits.insert(exp.commit_index);
+    }
+  }
+  report.inconsistent_commits = bad_commits.size();
+  return report;
+}
+
+TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
+  // Randomised durable histories on three devices of 48 blocks: commits
+  // whose extents overlap (one record may name a block twice, the later
+  // position winning), short token vectors, removes interleaved by seq
+  // with re-commits of the blocks they retract, and disk contents drawn
+  // from the same few tokens, so matches and mismatches both occur.
+  constexpr std::uint32_t kDevices = 3;
+  constexpr std::uint32_t kBlocks = 48;
+  redbud::sim::Rng rng(20121120);
+  std::size_t recommits = 0;
+  std::size_t duplicate_blocks = 0;
+  std::size_t inconsistent_histories = 0;
+  for (int history = 0; history < 300; ++history) {
+    redbud::sim::SimDomain domain;
+    storage::ArrayParams ap;
+    ap.ndisks = kDevices;
+    storage::DiskArray array(domain, domain.add_partition(), ap);
+    for (std::uint32_t d = 0; d < kDevices; ++d) {
+      for (storage::BlockNo b = 0; b < kBlocks; ++b) {
+        const storage::ContentToken t = rng.next_below(5);
+        if (t != storage::kUnwrittenToken) array.disk(d).store(b, {&t, 1});
+      }
+    }
+    const std::size_t nrecords = 1 + rng.next_below(40);
+    std::vector<std::uint64_t> seqs(nrecords);
+    std::iota(seqs.begin(), seqs.end(), std::uint64_t{0});
+    for (std::size_t i = nrecords; i > 1; --i) {
+      std::swap(seqs[i - 1], seqs[rng.next_below(i)]);
+    }
+    std::vector<mds::DurableCommitRecord> commits;
+    std::vector<mds::DurableRemoveRecord> removes;
+    for (std::size_t r = 0; r < nrecords; ++r) {
+      std::vector<net::Extent> extents;
+      std::uint32_t nblocks = 0;
+      std::set<std::pair<std::uint32_t, storage::BlockNo>> seen;
+      const std::size_t nextents = 1 + rng.next_below(3);
+      for (std::size_t x = 0; x < nextents; ++x) {
+        net::Extent e;
+        e.nblocks = 1 + std::uint32_t(rng.next_below(6));
+        e.addr.device = std::uint32_t(rng.next_below(kDevices));
+        e.addr.block = rng.next_below(kBlocks - e.nblocks + 1);
+        for (std::uint32_t k = 0; k < e.nblocks; ++k) {
+          duplicate_blocks += !seen.insert({e.addr.device, e.addr.block + k})
+                                   .second;
+        }
+        nblocks += e.nblocks;
+        extents.push_back(e);
+      }
+      if (rng.bernoulli(0.25)) {
+        mds::DurableRemoveRecord rec;
+        rec.extents = std::move(extents);
+        rec.seq = seqs[r];
+        removes.push_back(std::move(rec));
+        continue;
+      }
+      mds::DurableCommitRecord rec;
+      rec.extents = std::move(extents);
+      // Occasionally fewer tokens than blocks: the tail goes unchecked.
+      const std::uint32_t ntokens =
+          rng.bernoulli(0.1) ? std::uint32_t(rng.next_below(nblocks)) : nblocks;
+      for (std::uint32_t k = 0; k < ntokens; ++k) {
+        rec.block_tokens.push_back(rng.next_below(5));
+      }
+      rec.seq = seqs[r];
+      commits.push_back(std::move(rec));
+    }
+
+    const ConsistencyReport want =
+        map_replay(commits, removes, array, recommits);
+    const ConsistencyReport got = check_consistency(commits, removes, array);
+    ASSERT_EQ(got.commits_checked, want.commits_checked) << history;
+    ASSERT_EQ(got.blocks_checked, want.blocks_checked) << history;
+    ASSERT_EQ(got.inconsistent_blocks, want.inconsistent_blocks) << history;
+    ASSERT_EQ(got.inconsistent_commits, want.inconsistent_commits) << history;
+    inconsistent_histories += want.consistent() ? 0 : 1;
+  }
+  EXPECT_GT(recommits, 0u);
+  EXPECT_GT(duplicate_blocks, 0u);
+  EXPECT_GT(inconsistent_histories, 0u);
+  EXPECT_LT(inconsistent_histories, 300u);
 }
 
 }  // namespace

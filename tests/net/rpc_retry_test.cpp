@@ -199,10 +199,12 @@ TEST(RpcRetry, SingleShotResultMatchesCall) {
   EXPECT_EQ(single.client.rtt().buckets(), plain.client.rtt().buckets());
   EXPECT_EQ(single.client.rtt().mean(), plain.client.rtt().mean());
   const auto same_ops = [](const RpcEndpoint& a, const RpcEndpoint& b) {
-    ASSERT_EQ(a.op_stats().size(), b.op_stats().size());
-    for (const auto& [op, st] : a.op_stats()) {
-      const auto it = b.op_stats().find(op);
-      ASSERT_NE(it, b.op_stats().end()) << op;
+    const auto as = a.op_stats();
+    const auto bs = b.op_stats();
+    ASSERT_EQ(as.size(), bs.size());
+    for (const auto& [op, st] : as) {
+      const auto it = bs.find(op);
+      ASSERT_NE(it, bs.end()) << op;
       EXPECT_EQ(st.sent, it->second.sent) << op;
       EXPECT_EQ(st.received, it->second.received) << op;
       EXPECT_EQ(st.bytes_sent, it->second.bytes_sent) << op;
