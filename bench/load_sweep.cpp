@@ -165,7 +165,6 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
     op.files_per_client = 1;
     op.write_bytes = 4 << 10;
     op.read_bytes = 4 << 10;
-    op.prepare_parallelism = 128;
     engines.push_back(std::make_unique<OpenLoopEngine>(
         cluster->client_sim(h), *hosts.back(), op, master.split()));
     engines.back()->register_metrics(cluster->obs().registry, h);

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
+
+#include "mds/mds_server.hpp"
+#include "sim/parallel.hpp"
 
 namespace redbud::client {
 
@@ -29,12 +33,14 @@ BlockRange block_range(std::uint64_t offset, std::uint32_t nbytes) {
 ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
                    const core::ShardMap& smap,
                    std::vector<net::RpcEndpoint*> mds_shards,
+                   std::vector<mds::MdsServer*> mds_servers,
                    storage::DiskArray& array,
                    std::shared_ptr<const ClientPersonality> personality,
                    std::uint32_t client_id)
     : sim_(&sim),
       smap_(smap),
       mds_(std::move(mds_shards)),
+      servers_(std::move(mds_servers)),
       array_(&array),
       persona_(std::move(personality)),
       client_id_(client_id),
@@ -51,6 +57,7 @@ ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
       refill_failed_(smap.nshards(), 0),
       chunk_target_(smap.nshards(), persona_->chunk_blocks) {
   assert(mds_.size() == smap_.nshards());
+  assert(servers_.size() == smap_.nshards());
 }
 
 void ClientFs::start() {
@@ -152,6 +159,86 @@ std::uint64_t ClientFs::known_size(net::FileId file) const {
   return fit == files_.end() ? 0 : fit->second.size_bytes;
 }
 
+OpenResult ClientFs::preload(net::DirId dir, std::string name,
+                             std::uint32_t nbytes) {
+  REDBUD_REQUIRE(sim_->events_processed() == 0 &&
+                     sim_->now() == redbud::sim::SimTime::zero(),
+                 "ClientFs::preload after the domain ran");
+  mds::MdsServer& home = *servers_[smap_.shard_of_name(dir, name)];
+  const auto cr = std::get<net::CreateResp>(
+      home.install(node_, net::CreateReq{dir, std::move(name)}));
+  if (cr.status != Status::kOk) {
+    return OpenResult{cr.status, net::kInvalidFile, 0};
+  }
+  const net::FileId file = cr.file;
+  files_[file];  // fresh state
+  const BlockRange range = block_range(0, nbytes);
+  std::vector<net::Extent> extents;
+  const Status ast = preload_space(file, range.first, range.count, &extents);
+  if (ast != Status::kOk) return OpenResult{ast, file, 0};
+
+  // The data lands as I/O completion stores it; the pages stay cached
+  // clean, as the acked commit leaves them.
+  std::vector<ContentToken> tokens =
+      stamp_pages(file, 0, nbytes, /*dirty=*/false);
+  const std::span<const ContentToken> all(tokens);
+  std::size_t ti = 0;
+  for (const auto& e : extents) {
+    array_->disk(e.addr.device).store(e.addr.block, all.subspan(ti, e.nblocks));
+    ti += e.nblocks;
+  }
+  assert(ti == tokens.size());
+  const std::uint64_t size = state(file).size_bytes;
+  net::CommitReq creq;
+  creq.entries.push_back(
+      net::CommitEntry{file, std::move(extents), size, std::move(tokens)});
+  (void)home.install(node_, std::move(creq));
+  return OpenResult{Status::kOk, file, size};
+}
+
+Status ClientFs::preload_space(net::FileId file, std::uint64_t file_block,
+                               std::uint32_t nblocks,
+                               std::vector<net::Extent>* out) {
+  const std::vector<Hole> holes = cached_extents(file, file_block, nblocks, out);
+  const std::uint32_t shard = smap_.shard_of_file(file);
+  mds::MdsServer& home = *servers_[shard];
+  DoubleSpacePool& pool = pools_[shard];
+  const auto refill = [&] {
+    const auto resp = home.install(node_, net::DelegateReq{chunk_target_[shard]});
+    apply_refill(shard, &std::get<net::DelegateResp>(resp));
+  };
+  for (const auto& hole : holes) {
+    bool central = !(persona_->delegation && pool.eligible(hole.count));
+    if (!central) {
+      for (PoolStep step; (step = pool_step(shard, hole, out)) !=
+                          PoolStep::kPlaced;) {
+        if (step == PoolStep::kCentral) {
+          central = true;
+          break;
+        }
+        refill();
+      }
+      // No standby refill here: the protocol fills the standby off the
+      // critical path, so a concurrently populating fleet takes every
+      // host's first chunk before any standby, and round-robin AG
+      // selection puts those on other devices. The run's first allocation
+      // from this pool sends that refill.
+      while (auto leftover = pool.take_leftover()) {
+        (void)home.install(node_, net::DelegateReturnReq{leftover->addr,
+                                                         leftover->nblocks});
+      }
+    }
+    if (central) {
+      const auto lg = std::get<net::LayoutGetResp>(home.install(
+          node_, net::LayoutGetReq{file, hole.block, hole.count, true}));
+      if (lg.status != Status::kOk) return lg.status;
+      out->insert(out->end(), lg.extents.begin(), lg.extents.end());
+    }
+  }
+  finish_layout(file, out);
+  return Status::kOk;
+}
+
 // --- processes ------------------------------------------------------------------
 
 redbud::sim::SimFuture<net::RpcResult> ClientFs::mds_call(
@@ -218,48 +305,78 @@ void ClientFs::cache_layout(FileState& st,
   for (const auto& e : extents) st.layout[e.file_block] = e;
 }
 
+std::vector<ClientFs::Hole> ClientFs::cached_extents(
+    net::FileId file, std::uint64_t file_block, std::uint32_t nblocks,
+    std::vector<net::Extent>* out) {
+  // Reuse extents already known from the layout cache (overwrites), and
+  // collect the holes that still need fresh space.
+  std::vector<Hole> holes;
+  FileState& st = state(file);
+  std::uint64_t cursor = file_block;
+  const std::uint64_t end = file_block + nblocks;
+  while (cursor < end) {
+    // Find a cached extent containing `cursor`.
+    const net::Extent* covering = nullptr;
+    auto it = st.layout.upper_bound(cursor);
+    if (it != st.layout.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second.end_block() > cursor) covering = &prev->second;
+    }
+    if (covering) {
+      const std::uint64_t take =
+          std::min<std::uint64_t>(end, covering->end_block()) - cursor;
+      net::Extent e;
+      e.file_block = cursor;
+      e.nblocks = static_cast<std::uint32_t>(take);
+      e.addr.device = covering->addr.device;
+      e.addr.block = covering->addr.block + (cursor - covering->file_block);
+      out->push_back(e);
+      cursor += take;
+    } else {
+      const std::uint64_t next =
+          it == st.layout.end() ? end : std::min(end, it->first);
+      holes.push_back(Hole{cursor, static_cast<std::uint32_t>(next - cursor)});
+      cursor = next;
+    }
+  }
+  return holes;
+}
+
+ClientFs::PoolStep ClientFs::pool_step(std::uint32_t shard, const Hole& hole,
+                                       std::vector<net::Extent>* out) {
+  if (auto got = pools_[shard].alloc(hole.count)) {
+    net::Extent e;
+    e.file_block = hole.block;
+    e.nblocks = hole.count;
+    e.addr = got->addr;
+    out->push_back(e);
+    return PoolStep::kPlaced;
+  }
+  if (refill_failed_[shard]) {
+    // The shard's partition could not produce a contiguous chunk just
+    // now. Take this hole through central allocation (which can splice
+    // small runs) instead of spinning on delegation; the next refill
+    // attempt will try a smaller chunk.
+    refill_failed_[shard] = 0;
+    return PoolStep::kCentral;
+  }
+  return PoolStep::kRefill;
+}
+
+void ClientFs::finish_layout(net::FileId file,
+                             std::vector<net::Extent>* extents) {
+  std::sort(extents->begin(), extents->end(),
+            [](const net::Extent& a, const net::Extent& b) {
+              return a.file_block < b.file_block;
+            });
+  cache_layout(state(file), *extents);
+}
+
 Process ClientFs::allocate_space(net::FileId file, std::uint64_t file_block,
                                  std::uint32_t nblocks,
                                  std::vector<net::Extent>* out,
                                  SimPromise<Status> p) {
-  // Reuse extents already known from the layout cache (overwrites), and
-  // collect the holes that still need fresh space.
-  struct Hole {
-    std::uint64_t block;
-    std::uint32_t count;
-  };
-  std::vector<Hole> holes;
-  {
-    FileState& st = state(file);
-    std::uint64_t cursor = file_block;
-    const std::uint64_t end = file_block + nblocks;
-    while (cursor < end) {
-      // Find a cached extent containing `cursor`.
-      const net::Extent* covering = nullptr;
-      auto it = st.layout.upper_bound(cursor);
-      if (it != st.layout.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second.end_block() > cursor) covering = &prev->second;
-      }
-      if (covering) {
-        const std::uint64_t take =
-            std::min<std::uint64_t>(end, covering->end_block()) - cursor;
-        net::Extent e;
-        e.file_block = cursor;
-        e.nblocks = static_cast<std::uint32_t>(take);
-        e.addr.device = covering->addr.device;
-        e.addr.block =
-            covering->addr.block + (cursor - covering->file_block);
-        out->push_back(e);
-        cursor += take;
-      } else {
-        const std::uint64_t next =
-            it == st.layout.end() ? end : std::min(end, it->first);
-        holes.push_back(Hole{cursor, static_cast<std::uint32_t>(next - cursor)});
-        cursor = next;
-      }
-    }
-  }
+  const std::vector<Hole> holes = cached_extents(file, file_block, nblocks, out);
 
   // All of a file's space comes from its home shard: the shard's pool for
   // delegated allocations, the shard's MDS for central ones. That keeps
@@ -272,20 +389,9 @@ Process ClientFs::allocate_space(net::FileId file, std::uint64_t file_block,
     if (!central) {
       // Local allocation from the delegated double space pool.
       for (;;) {
-        if (auto got = pool.alloc(hole.count)) {
-          net::Extent e;
-          e.file_block = hole.block;
-          e.nblocks = hole.count;
-          e.addr = got->addr;
-          out->push_back(e);
-          break;
-        }
-        if (refill_failed_[shard]) {
-          // The shard's partition could not produce a contiguous chunk
-          // just now. Take this hole through central allocation (which
-          // can splice small runs) instead of spinning on delegation;
-          // the next refill attempt will try a smaller chunk.
-          refill_failed_[shard] = 0;
+        const PoolStep step = pool_step(shard, hole, out);
+        if (step == PoolStep::kPlaced) break;
+        if (step == PoolStep::kCentral) {
           central = true;
           break;
         }
@@ -323,11 +429,7 @@ Process ClientFs::allocate_space(net::FileId file, std::uint64_t file_block,
     }
   }
 
-  std::sort(out->begin(), out->end(),
-            [](const net::Extent& a, const net::Extent& b) {
-              return a.file_block < b.file_block;
-            });
-  cache_layout(state(file), *out);
+  finish_layout(file, out);
   p.set_value(Status::kOk);
 }
 
@@ -336,17 +438,21 @@ Process ClientFs::refill_proc(std::uint32_t shard) {
   auto fut = mds_call(shard, std::move(req));
   auto res = co_await fut;
   refill_in_progress_[shard] = 0;
-  if (!res.ok) {
+  apply_refill(shard,
+               res.ok ? &std::get<net::DelegateResp>(res.body) : nullptr);
+  refill_done_.notify_all();
+}
+
+void ClientFs::apply_refill(std::uint32_t shard, const net::DelegateResp* dr) {
+  if (dr == nullptr) {
     // Shard unreachable: make waiters fall back to central allocation
     // (which will surface kUnavailable if the outage persists) instead of
     // spinning on delegation.
     refill_failed_[shard] = 1;
-    refill_done_.notify_all();
-    co_return;
+    return;
   }
-  const auto& dr = std::get<net::DelegateResp>(res.body);
-  if (dr.status == Status::kOk) {
-    pools_[shard].install_chunk(mds::PhysExtent{dr.start, dr.nblocks});
+  if (dr->status == Status::kOk) {
+    pools_[shard].install_chunk(mds::PhysExtent{dr->start, dr->nblocks});
     refill_failed_[shard] = 0;
     // Recover the chunk size gradually after a shrink.
     chunk_target_[shard] =
@@ -358,7 +464,6 @@ Process ClientFs::refill_proc(std::uint32_t shard) {
     refill_failed_[shard] = 1;
     chunk_target_[shard] = std::max<std::uint64_t>(64, chunk_target_[shard] / 2);
   }
-  refill_done_.notify_all();
 }
 
 Process ClientFs::return_leftovers_proc(std::uint32_t shard) {
@@ -373,6 +478,28 @@ Process ClientFs::return_leftovers_proc(std::uint32_t shard) {
   }
 }
 
+std::vector<ContentToken> ClientFs::stamp_pages(net::FileId file,
+                                                std::uint64_t offset,
+                                                std::uint32_t nbytes,
+                                                bool dirty) {
+  // Content tokens: one fresh version per page touched.
+  const BlockRange range = block_range(offset, nbytes);
+  std::vector<ContentToken> tokens(range.count);
+  FileState& st = state(file);
+  for (std::uint32_t i = 0; i < range.count; ++i) {
+    const std::uint64_t blk = range.first + i;
+    const std::uint64_t ver = ++st.versions[blk];
+    tokens[i] = storage::make_token(file, blk, ver);
+    if (dirty) {
+      cache_.put_dirty(file, blk, tokens[i]);
+    } else {
+      cache_.put_clean(file, blk, tokens[i]);
+    }
+  }
+  st.size_bytes = std::max(st.size_bytes, offset + nbytes);
+  return tokens;
+}
+
 Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
                              std::uint32_t nbytes, SimPromise<Status> p) {
   const obs::TraceContext octx = begin_op();
@@ -383,18 +510,8 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
   co_await sim_->delay(persona_->cpu_op +
                        persona_->cpu_page * std::int64_t(range.count));
 
-  // Content tokens: one fresh version per page touched.
-  std::vector<ContentToken> tokens(range.count);
-  {
-    FileState& st = state(file);
-    for (std::uint32_t i = 0; i < range.count; ++i) {
-      const std::uint64_t blk = range.first + i;
-      const std::uint64_t ver = ++st.versions[blk];
-      tokens[i] = storage::make_token(file, blk, ver);
-      cache_.put_dirty(file, blk, tokens[i]);
-    }
-    st.size_bytes = std::max(st.size_bytes, offset + nbytes);
-  }
+  std::vector<ContentToken> tokens =
+      stamp_pages(file, offset, nbytes, /*dirty=*/true);
 
   // Physical space.
   std::vector<net::Extent> extents;

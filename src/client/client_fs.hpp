@@ -42,6 +42,10 @@
 #include "obs/obs.hpp"
 #include "storage/disk_array.hpp"
 
+namespace redbud::mds {
+class MdsServer;
+}  // namespace redbud::mds
+
 namespace redbud::client {
 
 enum class CommitMode : std::uint8_t {
@@ -80,13 +84,15 @@ using ReadResult = fsapi::ReadResult;
 
 class ClientFs final : public fsapi::FsClient {
  public:
-  // `mds_shards[s]` is the endpoint of metadata shard s; `smap` decides
-  // which shard each operation targets. `personality` is the fleet's
-  // shared behaviour; `client_id` labels this client's metrics and
-  // Perfetto tracks.
+  // `mds_shards[s]` is the endpoint of metadata shard s and
+  // `mds_servers[s]` its server, which only preload() calls directly;
+  // `smap` decides which shard each operation targets. `personality` is
+  // the fleet's shared behaviour; `client_id` labels this client's
+  // metrics and Perfetto tracks.
   ClientFs(redbud::sim::Simulation& sim, net::Network& network,
            const core::ShardMap& smap,
            std::vector<net::RpcEndpoint*> mds_shards,
+           std::vector<mds::MdsServer*> mds_servers,
            storage::DiskArray& array,
            std::shared_ptr<const ClientPersonality> personality,
            std::uint32_t client_id);
@@ -120,6 +126,19 @@ class ClientFs final : public fsapi::FsClient {
       net::FileId file) override;
   [[nodiscard]] redbud::sim::SimFuture<net::Status> remove(
       net::DirId dir, std::string name) override;
+
+  // mkfs-style install of one file, only before the domain runs any
+  // event: create `name` in `dir` and write [0, nbytes) with the state
+  // mutations the protocol performs, back to back and with no network,
+  // CPU, journal or elevator time. The create, delegation refills and
+  // the commit run through the home shard's MdsServer::install, the
+  // tokens go to the array as I/O completion stores them, and each page
+  // is left cached clean — what create + write leave once the commit is
+  // acked. The pool's standby chunk is left for the run's first
+  // allocation to request. A failed create returns kInvalidFile; a failed
+  // allocation returns its status with the created file's id.
+  [[nodiscard]] OpenResult preload(net::DirId dir, std::string name,
+                                   std::uint32_t nbytes);
 
   // Token the most recent write stored for (file, block) — lets workloads
   // verify read-back without tracking contents themselves.
@@ -181,6 +200,39 @@ class ClientFs final : public fsapi::FsClient {
   redbud::sim::Process refill_proc(std::uint32_t shard);
   redbud::sim::Process return_leftovers_proc(std::uint32_t shard);
 
+  // The steps write_proc/allocate_space share with preload().
+  struct Hole {
+    std::uint64_t block;
+    std::uint32_t count;
+  };
+  enum class PoolStep : std::uint8_t { kPlaced, kCentral, kRefill };
+  // Bump the version of every page [offset, offset + nbytes) touches and
+  // cache it (dirty pages are pinned until their commit is acked); grows
+  // the known size. Returns the pages' new content tokens.
+  [[nodiscard]] std::vector<storage::ContentToken> stamp_pages(
+      net::FileId file, std::uint64_t offset, std::uint32_t nbytes,
+      bool dirty);
+  // Append the layout-cached extents of [file_block, file_block + nblocks)
+  // to `out`; return the holes that still need fresh space.
+  [[nodiscard]] std::vector<Hole> cached_extents(
+      net::FileId file, std::uint64_t file_block, std::uint32_t nblocks,
+      std::vector<net::Extent>* out);
+  // Try to place `hole` from the shard's delegated pool: kPlaced appended
+  // it to `out`; kCentral means the last refill failed, so take the hole
+  // through central allocation; kRefill means wait for a refill.
+  [[nodiscard]] PoolStep pool_step(std::uint32_t shard, const Hole& hole,
+                                   std::vector<net::Extent>* out);
+  // Apply a delegate reply to the shard's pool (nullptr: the RPC failed).
+  void apply_refill(std::uint32_t shard, const net::DelegateResp* dr);
+  // Sort the allocated extents by file block and cache them as layout.
+  void finish_layout(net::FileId file, std::vector<net::Extent>* extents);
+  // preload()'s allocation: allocate_space's steps, with each RPC run
+  // through the shard's MdsServer::install.
+  [[nodiscard]] net::Status preload_space(net::FileId file,
+                                          std::uint64_t file_block,
+                                          std::uint32_t nblocks,
+                                          std::vector<net::Extent>* out);
+
   // Allocate physical extents for [file_block, file_block + nblocks).
   // Fills `out` (file-block annotated) — may suspend on a delegation
   // refill or a layout-get RPC.
@@ -215,6 +267,7 @@ class ClientFs final : public fsapi::FsClient {
   redbud::sim::Simulation* sim_;
   core::ShardMap smap_;
   std::vector<net::RpcEndpoint*> mds_;
+  std::vector<mds::MdsServer*> servers_;
   storage::DiskArray* array_;
   std::shared_ptr<const ClientPersonality> persona_;
   std::uint32_t client_id_;

@@ -99,8 +99,13 @@ Cluster::Cluster(ClusterParams params)
   }
 
   std::vector<net::RpcEndpoint*> endpoints;
+  std::vector<mds::MdsServer*> servers;
   endpoints.reserve(shards_.size());
-  for (auto& sh : shards_) endpoints.push_back(sh->endpoint.get());
+  servers.reserve(shards_.size());
+  for (auto& sh : shards_) {
+    endpoints.push_back(sh->endpoint.get());
+    servers.push_back(sh->mds.get());
+  }
 
   // One immutable personality shared by the whole fleet; only the client
   // id varies per instance.
@@ -108,8 +113,8 @@ Cluster::Cluster(ClusterParams params)
       std::make_shared<const client::ClientPersonality>(params_.client);
   for (std::uint32_t i = 0; i < params_.nclients; ++i) {
     clients_.push_back(std::make_unique<client::ClientFs>(
-        *client_sims_[i], *network_, shard_map_, endpoints, *array_,
-        personality, i));
+        *client_sims_[i], *network_, shard_map_, endpoints, servers,
+        *array_, personality, i));
     clients_.back()->set_obs(&obs_);
   }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/parallel.hpp"
+
 namespace redbud::mds {
 
 using net::ResponseBody;
@@ -118,11 +120,7 @@ Process MdsServer::daemon() {
     // it from that instant — not from journal flush. Otherwise a crash in
     // the execute→flush window keeps expectations for blocks that were
     // already reallocated and legally rewritten.
-    for (auto& rec : pending.removes) {
-      rec.removed_at = sim_->now();
-      rec.seq = seq;
-      durable_removes_.push_back(std::move(rec));
-    }
+    log_removes(pending, seq);
 
     if (journal) {
       std::size_t bytes = params_.journal_record_bytes;
@@ -142,11 +140,7 @@ Process MdsServer::daemon() {
       }
       // Journal flushed: the staged mutations are now durable; record
       // them for the recovery checker.
-      for (auto& rec : pending.commits) {
-        rec.committed_at = sim_->now();
-        rec.seq = seq;
-        durable_commits_.push_back(std::move(rec));
-      }
+      log_commits(pending, seq);
     }
 
     // Piggyback the current load on commit replies.
@@ -160,6 +154,37 @@ Process MdsServer::daemon() {
     }
     endpoint_->reply(rpc, std::move(resp));
   }
+}
+
+void MdsServer::log_removes(PendingDurable& pending, std::uint64_t seq) {
+  for (auto& rec : pending.removes) {
+    rec.removed_at = sim_->now();
+    rec.seq = seq;
+    durable_removes_.push_back(std::move(rec));
+  }
+}
+
+void MdsServer::log_commits(PendingDurable& pending, std::uint64_t seq) {
+  for (auto& rec : pending.commits) {
+    rec.committed_at = sim_->now();
+    rec.seq = seq;
+    durable_commits_.push_back(std::move(rec));
+  }
+}
+
+ResponseBody MdsServer::install(net::NodeId from, net::RequestBody body) {
+  REDBUD_REQUIRE(sim_->events_processed() == 0 &&
+                     sim_->now() == SimTime::zero(),
+                 "MdsServer::install after the domain ran");
+  net::IncomingRpc rpc;
+  rpc.from = from;
+  rpc.body = std::move(body);
+  PendingDurable pending;
+  ResponseBody resp = execute(rpc, pending);
+  const std::uint64_t seq = durable_seq_++;
+  log_removes(pending, seq);
+  log_commits(pending, seq);
+  return resp;
 }
 
 ResponseBody MdsServer::execute(const net::IncomingRpc& rpc,

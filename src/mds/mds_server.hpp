@@ -87,6 +87,14 @@ class MdsServer {
   // Spawn the daemon pool. Call once.
   void start();
 
+  // mkfs-style install, only before the domain runs any event: execute
+  // `body` as if node `from` had sent it and its journal append had
+  // flushed at once. It is the same execute() a daemon runs, stamped as
+  // the daemon stamps it, with no network, CPU, queueing or journal time;
+  // the durable logs then hold the journal-checkpointed image.
+  [[nodiscard]] net::ResponseBody install(net::NodeId from,
+                                          net::RequestBody body);
+
   // Attach the cluster's observability bundle; mds-handle spans land on
   // this shard's daemon row, counters register under {shard=...}.
   void set_obs(obs::Obs* obs);
@@ -166,6 +174,9 @@ class MdsServer {
   [[nodiscard]] net::ResponseBody execute(const net::IncomingRpc& rpc,
                                           PendingDurable& pending);
   [[nodiscard]] bool in_active_grant(const net::Extent& e) const;
+  // Move staged records into their durable log, stamped (now(), seq).
+  void log_removes(PendingDurable& pending, std::uint64_t seq);
+  void log_commits(PendingDurable& pending, std::uint64_t seq);
 
   net::ResponseBody do_create(const net::CreateReq& r);
   net::ResponseBody do_lookup(const net::LookupReq& r);

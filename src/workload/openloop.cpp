@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "sim/simulation.hpp"
 
 namespace redbud::workload {
+
+namespace {
+// prepare() installs the population in the order of this many concurrent
+// creators, each owning a contiguous run of clients (DESIGN §7a).
+constexpr std::uint32_t kInstallStripes = 128;
+}  // namespace
 
 using net::Status;
 using redbud::sim::Done;
@@ -64,43 +71,39 @@ std::string OpenLoopEngine::file_name(std::uint32_t client,
 }
 
 SimFuture<Done> OpenLoopEngine::prepare() {
-  assert(!prep_promise_.has_value() && "prepare() called twice");
-  prep_promise_.emplace(*sim_);
-  auto fut = prep_promise_->future();
-  const std::uint32_t lanes =
-      std::min(params_.prepare_parallelism, params_.clients);
-  prepared_pending_ = lanes;
-  const std::uint32_t per = (params_.clients + lanes - 1) / lanes;
-  for (std::uint32_t l = 0; l < lanes; ++l) {
-    const std::uint32_t first = l * per;
-    if (first >= params_.clients) {
-      // Short final stripe: the lane has no clients, retire it now.
-      if (--prepared_pending_ == 0) prep_promise_->set_value(Done{});
-      continue;
+  assert(!prepared_ && "prepare() called twice");
+  prepared_ = true;
+  client::ClientFs& fs = host_->engine();
+  // Delegation places files in install order and the Zipf rank is the
+  // client index, so the order decides which hot files share a seek.
+  // Step k installs the k-th client of every stripe, the stripes in a
+  // random order, as concurrent creators would; a client-major or a fixed
+  // order packs hot files closer than a concurrent population does. The
+  // order's stream is split from a copy of the engine's, so the window
+  // draws what it would without a prepare().
+  redbud::sim::Rng order = redbud::sim::Rng(rng_).split();
+  const std::uint32_t nstripes = std::min(kInstallStripes, params_.clients);
+  const std::uint32_t per = (params_.clients + nstripes - 1) / nstripes;
+  std::vector<std::uint32_t> stripes(nstripes);
+  for (std::uint32_t k = 0; k < per; ++k) {
+    std::iota(stripes.begin(), stripes.end(), 0u);
+    for (std::uint32_t i = nstripes - 1; i > 0; --i) {
+      std::swap(stripes[i], stripes[order.next_below(i + 1)]);
     }
-    const std::uint32_t n = std::min(per, params_.clients - first);
-    sim_->spawn(creator(first, n));
-  }
-  return fut;
-}
-
-Process OpenLoopEngine::creator(std::uint32_t first_client,
-                                std::uint32_t nclients) {
-  for (std::uint32_t c = first_client; c < first_client + nclients; ++c) {
-    auto& fs = *sessions_[c];
-    for (std::uint32_t s = 0; s < params_.files_per_client; ++s) {
-      auto cfut = fs.create(net::kRootDir, file_name(c, s));
-      const net::FileId id = co_await cfut;
-      if (id == net::kInvalidFile) {
-        ++prepare_failures_;
-        continue;
+    for (const std::uint32_t l : stripes) {
+      const std::uint32_t c = l * per + k;
+      if (c >= params_.clients) continue;
+      for (std::uint32_t s = 0; s < params_.files_per_client; ++s) {
+        const fsapi::OpenResult r =
+            fs.preload(net::kRootDir, file_name(c, s), params_.write_bytes);
+        files_[std::uint64_t(c) * params_.files_per_client + s] = r.file;
+        if (r.status != Status::kOk) ++prepare_failures_;
       }
-      files_[std::uint64_t(c) * params_.files_per_client + s] = id;
-      auto wfut = fs.write(id, 0, params_.write_bytes);
-      if (co_await wfut != Status::kOk) ++prepare_failures_;
     }
   }
-  if (--prepared_pending_ == 0) prep_promise_->set_value(Done{});
+  SimPromise<Done> done(*sim_);
+  done.set_value(Done{});
+  return done.future();
 }
 
 void OpenLoopEngine::register_metrics(obs::MetricsRegistry& reg,
@@ -136,7 +139,6 @@ Process OpenLoopEngine::dispatcher() {
   if (sched_.start_at > sim_->now()) {
     co_await sim_->delay(sched_.start_at - sim_->now());
   }
-  assert(prepared_pending_ == 0 && "start_at arrived before prepare() done");
   for (;;) {
     co_await sim_->delay(arrivals_.next_gap(sim_->now()));
     const SimTime now = sim_->now();

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,7 +52,8 @@ struct OpenLoopParams {
   std::uint32_t read_bytes = 16 << 10;
   // Overload valve: arrivals past this many in-flight ops are shed.
   std::uint64_t max_outstanding = 1 << 14;
-  // Parallel creator coroutines during prepare().
+  // Ignored: prepare() installs the population without simulating it.
+  // Still declared because the benchmark harness assigns it.
   std::uint32_t prepare_parallelism = 64;
 };
 
@@ -80,8 +80,12 @@ class OpenLoopEngine {
   OpenLoopEngine(redbud::sim::Simulation& sim, client::ClientHost& host,
                  OpenLoopParams params, redbud::sim::Rng rng);
 
-  // Create and pre-write the per-client population files. Must complete
-  // (await the future) before start().
+  // Install the per-client population files (create + one write of
+  // `write_bytes` each) at t = 0 through ClientFs::preload, the way
+  // Filebench pre-allocates its filesets before the timed run: no event
+  // is simulated, so call it before the domain runs (refused otherwise).
+  // Returns an already-resolved future; files that could not be
+  // installed count in prepare_failures().
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> prepare();
 
   // Phase schedule, all ABSOLUTE simulated instants. Driving the phases
@@ -96,9 +100,8 @@ class OpenLoopEngine {
   };
 
   // Spawn the dispatcher with a phase schedule. Call BEFORE the cluster
-  // runs (alongside prepare()); start_at must leave prepare() room to
-  // finish. stop() additionally makes the dispatcher exit at the next
-  // arrival (manual early-out).
+  // runs (alongside prepare()). stop() additionally makes the dispatcher
+  // exit at the next arrival (manual early-out).
   void start(const Schedule& schedule);
   void stop() { stopped_ = true; }
 
@@ -127,8 +130,6 @@ class OpenLoopEngine {
   redbud::sim::Process dispatcher();
   redbud::sim::Process op_proc(OpClass cls, std::uint32_t client,
                                std::uint64_t file_slot, bool measured);
-  redbud::sim::Process creator(std::uint32_t first_client,
-                               std::uint32_t nclients);
   [[nodiscard]] OpClass sample_class();
   [[nodiscard]] std::string file_name(std::uint32_t client,
                                       std::uint32_t slot) const;
@@ -153,8 +154,7 @@ class OpenLoopEngine {
   std::uint64_t shed_ = 0;
   std::uint64_t arrivals_n_ = 0;
   std::uint64_t prepare_failures_ = 0;
-  std::uint32_t prepared_pending_ = 0;
-  std::optional<redbud::sim::SimPromise<redbud::sim::Done>> prep_promise_;
+  bool prepared_ = false;
   Schedule sched_{};
   redbud::sim::SimTime measured_span_;
   bool stopped_ = false;
