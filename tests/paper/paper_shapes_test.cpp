@@ -16,11 +16,27 @@
 //          thread, while xcdn-32KB drives it to its 9-thread cap.
 //   Fig 7  compound degree 3 beats degree 1 at one MDS daemon, and 16
 //          daemons do not beat 8 at any compound degree.
+//
+// Every Fig 3 cell (6 workloads x 4 protocols) is also pinned by a golden
+// digest line in tests/paper/golden/fig3_smoke.txt: op count, op errors,
+// verification failures, kernel events, measured span, mean and p99 op
+// latency, and the value the figure prints. The cells the shape gates run
+// check their line as they run; the Fig3Baselines* cases run the NFS3 and
+// PVFS2 cells nothing else does. Together they cover every number
+// fig3_overall --smoke prints. Regenerate the lines after an intentional
+// change of behaviour, in one process (each case rewrites its own lines):
+//   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
+//       --gtest_filter='PaperShapes.Fig3*'      (one command line)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common.hpp"
 
@@ -52,13 +68,59 @@ struct Cell {
   std::uint64_t errors = 0;  // verification mismatches + op errors
 };
 
+// Compare a cell's digest line with its pinned line in the golden file,
+// or, under REDBUD_REGEN_GOLDEN, replace that line (lines stay sorted).
+// A line's key is its first two words: the workload and the protocol.
+void expect_fig3_golden(const std::string& line) {
+  const std::string path =
+      std::string(REDBUD_TEST_SRC_DIR) + "/paper/golden/fig3_smoke.txt";
+  const std::string key = line.substr(0, line.find(' ', line.find(' ') + 1));
+  const auto has_key = [&key](const std::string& l) {
+    return l.compare(0, key.size() + 1, key + " ") == 0;
+  };
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  const auto it = std::find_if(lines.begin(), lines.end(), has_key);
+  if (std::getenv("REDBUD_REGEN_GOLDEN") != nullptr) {
+    if (it != lines.end()) lines.erase(it);
+    lines.push_back(line);
+    std::sort(lines.begin(), lines.end());
+    std::ofstream out(path, std::ios::trunc);
+    for (const auto& l : lines) out << l << '\n';
+    ASSERT_TRUE(bool(out)) << "failed to regenerate " << path;
+    return;
+  }
+  ASSERT_NE(it, lines.end()) << "no golden line for " << key << " in "
+                             << path;
+  EXPECT_EQ(line, *it) << "Fig 3 digest drifted from the golden file; "
+                          "regenerate with REDBUD_REGEN_GOLDEN=1 if the "
+                          "change is intentional.";
+}
+
 Cell fig3_cell(const std::string& which, Protocol proto) {
   auto w = fig3_workload(which);
   core::Testbed bed(paper_testbed(proto));
   bed.start();
   const auto r = run_workload(bed, *w, paper_run(/*smoke=*/true));
-  return {w->fixed_work() ? r.mb_per_sec : r.ops_per_sec,
-          r.verify_failures + r.op_errors};
+  const double value = w->fixed_work() ? r.mb_per_sec : r.ops_per_sec;
+  char line[512];
+  std::snprintf(line, sizeof line,
+                "%s %s ops=%llu op_errors=%llu verify_failures=%llu "
+                "events=%llu measured_ns=%lld mean_ns=%lld p99_ns=%lld "
+                "value=%.17g",
+                which.c_str(), core::protocol_name(proto),
+                static_cast<unsigned long long>(r.ops),
+                static_cast<unsigned long long>(r.op_errors),
+                static_cast<unsigned long long>(r.verify_failures),
+                static_cast<unsigned long long>(bed.events_processed()),
+                static_cast<long long>(r.measured.ns()),
+                static_cast<long long>(r.mean_latency.ns()),
+                static_cast<long long>(r.p99_latency.ns()), value);
+  expect_fig3_golden(line);
+  return {value, r.verify_failures + r.op_errors};
 }
 
 void expect_dc_beats_sync(const std::string& which) {
@@ -100,6 +162,25 @@ TEST(PaperShapes, Fig3Xcdn32KNfs3AboveRedbudAbovePvfs2) {
   EXPECT_EQ(sync.errors, 0u) << "Redbud";
   EXPECT_EQ(pvfs.errors, 0u) << "PVFS2";
 }
+
+// The NFS3 and PVFS2 cells no shape gate runs: each must stay clean, and
+// fig3_cell pins its digest.
+void expect_baselines_clean(const std::string& which) {
+  for (const Protocol proto : {Protocol::kPvfs2, Protocol::kNfs3}) {
+    EXPECT_EQ(fig3_cell(which, proto).errors, 0u)
+        << which << " " << core::protocol_name(proto);
+  }
+}
+
+TEST(PaperShapes, Fig3BaselinesFileserver) {
+  expect_baselines_clean("fileserver");
+}
+TEST(PaperShapes, Fig3BaselinesVarmail) { expect_baselines_clean("varmail"); }
+TEST(PaperShapes, Fig3BaselinesWebproxy) {
+  expect_baselines_clean("webproxy");
+}
+TEST(PaperShapes, Fig3BaselinesXcdn1M) { expect_baselines_clean("xcdn-1MB"); }
+TEST(PaperShapes, Fig3BaselinesNpbBt) { expect_baselines_clean("NPB-BT"); }
 
 // Write merge ratio on the data array over the measured window, as
 // fig4_iomerge measures it (16 MiB delegation chunks).
