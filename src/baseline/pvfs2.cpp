@@ -163,7 +163,7 @@ PvfsClient::PvfsClient(redbud::sim::Simulation& sim, net::Network& network,
       io_servers_(std::move(io_servers)),
       params_(params),
       strip_blocks_(params.strip_blocks),
-      node_(network.add_node()),
+      node_(network.add_node(sim)),
       endpoint_(sim, network, node_) {
   assert(!io_servers_.empty());
 }

@@ -1,7 +1,5 @@
 #include "core/testbed.hpp"
 
-#include <cassert>
-
 namespace redbud::core {
 
 const char* protocol_name(Protocol p) {
@@ -18,11 +16,19 @@ const char* protocol_name(Protocol p) {
   return "?";
 }
 
-// Holds whichever baseline stack is active. Declaration order = teardown
-// safety: the Simulation first.
+// Holds whichever baseline stack is active, on its own domain with one
+// partition per network node, in node-id order: the NFS3 server (with its
+// disk and scheduler), or the PVFS2 metadata server and then each I/O
+// server (with its disk and scheduler); then each client. Ethernet is the
+// only cross-node edge, so the lookahead is link + switch latency.
+// Declaration order = teardown safety: the domain, which owns every
+// partition, goes last.
 struct Testbed::BaselineStack {
-  redbud::sim::Simulation sim;
-  std::unique_ptr<net::Network> network;
+  explicit BaselineStack(const net::NetworkParams& np)
+      : domain(np.link_latency + np.switch_latency), network(domain, np) {}
+
+  redbud::sim::SimDomain domain;
+  net::Network network;
 
   // NFS3 pieces.
   std::unique_ptr<storage::Disk> nfs_disk;
@@ -54,61 +60,68 @@ Testbed::Testbed(TestbedParams params) : params_(std::move(params)) {
                            ? client::CommitMode::kSync
                            : client::CommitMode::kDelayed;
       cluster_ = std::make_unique<Cluster>(cp);
+      domain_ = &cluster_->domain();
       for (std::size_t i = 0; i < cluster_->nclients(); ++i) {
+        client_sims_.push_back(&cluster_->client_sim(i));
         fs_.push_back(&cluster_->client(i));
       }
       break;
     }
     case Protocol::kNfs3: {
-      baseline_ = std::make_unique<BaselineStack>();
+      baseline_ = std::make_unique<BaselineStack>(params_.redbud.network);
       auto& b = *baseline_;
-      b.network =
-          std::make_unique<net::Network>(b.sim, params_.redbud.network);
-      const auto server_node = b.network->add_node();
+      domain_ = &b.domain;
+      auto& ssim = b.domain.add_partition();
+      const auto server_node = b.network.add_node(ssim);
       b.nfs_endpoint =
-          std::make_unique<net::RpcEndpoint>(b.sim, *b.network, server_node);
+          std::make_unique<net::RpcEndpoint>(ssim, b.network, server_node);
       b.nfs_disk =
-          std::make_unique<storage::Disk>(b.sim, params_.redbud.array.disk);
+          std::make_unique<storage::Disk>(ssim, params_.redbud.array.disk);
       b.nfs_sched = std::make_unique<storage::IoScheduler>(
-          b.sim, *b.nfs_disk, params_.redbud.array.scheduler);
+          ssim, *b.nfs_disk, params_.redbud.array.scheduler);
       b.nfs_server = std::make_unique<baseline::Nfs3Server>(
-          b.sim, *b.nfs_endpoint, *b.nfs_sched, params_.nfs_server);
+          ssim, *b.nfs_endpoint, *b.nfs_sched, params_.nfs_server);
       for (std::uint32_t i = 0; i < params_.nclients; ++i) {
+        auto& csim = b.domain.add_partition();
+        client_sims_.push_back(&csim);
         b.nfs_clients.push_back(std::make_unique<baseline::Nfs3Client>(
-            b.sim, *b.network, *b.nfs_endpoint, params_.nfs_client));
+            csim, b.network, *b.nfs_endpoint, params_.nfs_client));
         fs_.push_back(b.nfs_clients.back().get());
       }
       break;
     }
     case Protocol::kPvfs2: {
-      baseline_ = std::make_unique<BaselineStack>();
+      baseline_ = std::make_unique<BaselineStack>(params_.redbud.network);
       auto& b = *baseline_;
-      b.network =
-          std::make_unique<net::Network>(b.sim, params_.redbud.network);
-      const auto meta_node = b.network->add_node();
+      domain_ = &b.domain;
+      auto& msim = b.domain.add_partition();
+      const auto meta_node = b.network.add_node(msim);
       b.pvfs_meta_endpoint =
-          std::make_unique<net::RpcEndpoint>(b.sim, *b.network, meta_node);
+          std::make_unique<net::RpcEndpoint>(msim, b.network, meta_node);
       b.pvfs_meta = std::make_unique<baseline::PvfsMetaServer>(
-          b.sim, *b.pvfs_meta_endpoint, params_.pvfs_server);
+          msim, *b.pvfs_meta_endpoint, params_.pvfs_server);
       std::vector<net::RpcEndpoint*> io_eps;
       for (std::uint32_t i = 0; i < params_.pvfs_io_servers; ++i) {
+        auto& isim = b.domain.add_partition();
         BaselineStack::IoServer srv;
         storage::DiskParams dp = params_.redbud.array.disk;
         dp.seed += i;
-        srv.disk = std::make_unique<storage::Disk>(b.sim, dp);
+        srv.disk = std::make_unique<storage::Disk>(isim, dp);
         srv.sched = std::make_unique<storage::IoScheduler>(
-            b.sim, *srv.disk, params_.redbud.array.scheduler);
-        const auto node = b.network->add_node();
+            isim, *srv.disk, params_.redbud.array.scheduler);
+        const auto node = b.network.add_node(isim);
         srv.endpoint =
-            std::make_unique<net::RpcEndpoint>(b.sim, *b.network, node);
+            std::make_unique<net::RpcEndpoint>(isim, b.network, node);
         srv.server = std::make_unique<baseline::PvfsIoServer>(
-            b.sim, *srv.endpoint, *srv.sched, params_.pvfs_server);
+            isim, *srv.endpoint, *srv.sched, params_.pvfs_server);
         b.pvfs_io.push_back(std::move(srv));
         io_eps.push_back(b.pvfs_io.back().endpoint.get());
       }
       for (std::uint32_t i = 0; i < params_.nclients; ++i) {
+        auto& csim = b.domain.add_partition();
+        client_sims_.push_back(&csim);
         b.pvfs_clients.push_back(std::make_unique<baseline::PvfsClient>(
-            b.sim, *b.network, *b.pvfs_meta_endpoint, io_eps,
+            csim, b.network, *b.pvfs_meta_endpoint, io_eps,
             params_.pvfs_client));
         fs_.push_back(b.pvfs_clients.back().get());
       }
@@ -135,35 +148,6 @@ void Testbed::start() {
       srv.sched->start();
       srv.server->start();
     }
-  }
-}
-
-redbud::sim::Simulation& Testbed::client_sim(std::size_t i) {
-  return cluster_ ? cluster_->client_sim(i) : baseline_->sim;
-}
-
-void Testbed::run_until(redbud::sim::SimTime t) {
-  if (cluster_) {
-    cluster_->run_until(t);
-  } else {
-    baseline_->sim.run_until(t);
-  }
-}
-
-redbud::sim::SimTime Testbed::now() {
-  return cluster_ ? cluster_->now() : baseline_->sim.now();
-}
-
-std::uint64_t Testbed::events_processed() {
-  return cluster_ ? cluster_->events_processed()
-                  : baseline_->sim.events_processed();
-}
-
-void Testbed::check_failures() {
-  if (cluster_) {
-    cluster_->check_failures();
-  } else {
-    baseline_->sim.check_failures();
   }
 }
 

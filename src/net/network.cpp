@@ -9,7 +9,6 @@
 namespace redbud::net {
 
 using redbud::sim::BitPipe;
-using redbud::sim::Process;
 using redbud::sim::SimTime;
 using redbud::sim::SmallFn;
 
@@ -32,7 +31,6 @@ NodeId Network::add_node(redbud::sim::Simulation& owner,
   node->egress = std::make_unique<BitPipe>(owner, bw, params_.link_latency);
   node->ingress = std::make_unique<BitPipe>(owner, bw, params_.link_latency);
   node->sim = &owner;
-  node->partition = owner.partition_id();
   node->loss_rate = params_.loss_rate;
   const auto id = static_cast<NodeId>(nodes_.size());
   node->fault_rng = redbud::sim::Rng(params_.fault_seed ^
@@ -64,15 +62,6 @@ void Network::register_endpoint(NodeId n, RpcEndpoint* ep) {
   endpoints_[n] = ep;
 }
 
-Process Network::deliver_proc(NodeId from, NodeId to, std::size_t bytes,
-                              bool lost, SimTime extra, SmallFn done) {
-  co_await nodes_[from]->egress->transfer(bytes);
-  if (lost) co_return;  // dropped in the fabric: `done` is never run
-  co_await nodes_[from]->sim->delay(params_.switch_latency + extra);
-  co_await nodes_[to]->ingress->transfer(bytes);
-  done();
-}
-
 void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
                       SmallFn done) {
   assert(from < nodes_.size() && to < nodes_.size());
@@ -80,37 +69,31 @@ void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
   bytes_ += bytes;
   Node& src = *nodes_[from];
   Node& dst = *nodes_[to];
-  // Loss draw + delay read at entry, in the source partition, in call
-  // order. The local coroutine still makes the egress reservation at its
-  // own run point so reservation ordering between dropped and delivered
-  // frames is unchanged from the lossless path.
-  const bool lost = lose_frame(src);
-  if (lost) {
+  // Egress reservation, loss draw and delay read at entry, in the source
+  // partition, in call order. A dropped frame keeps its NIC slot, but
+  // nothing crosses the fabric.
+  const SimTime at_egress = src.egress->enqueue(bytes);
+  if (lose_frame(src)) {
     ++src.dropped;
     ++drops_;
-  }
-  if (domain_ == nullptr || src.partition == dst.partition) {
-    src.sim->spawn(
-        deliver_proc(from, to, bytes, lost, src.extra_delay, std::move(done)));
     return;
   }
-  // Cross-partition hop. The egress reservation is made synchronously in
-  // the sender's partition — same instant and FIFO order as the local
-  // coroutine, whose first action is the egress transfer. Arrival at
-  // the switch output is egress-arrival + switch latency, which is at
-  // least link + switch >= domain lookahead in the future, so it is a
-  // legal mailbox injection into the receiver's partition, where the
-  // ingress reservation and the completion callback run.
-  const SimTime at_egress = src.egress->enqueue(bytes);
-  if (lost) return;  // NIC slot consumed; nothing crosses the fabric
+  // One hop at the switch output: the receiver's partition reserves its
+  // ingress and runs `done` when the last byte arrives. The hop lies at
+  // least link + switch latency ahead, which is >= the domain lookahead,
+  // so across partitions it is a legal mailbox injection.
   const SimTime at_switch_out =
       at_egress + params_.switch_latency + src.extra_delay;
-  domain_->post(*src.sim, dst.partition, at_switch_out,
-                [this, to, bytes, done = std::move(done)]() mutable {
-                  Node& d = *nodes_[to];
-                  const SimTime arrival = d.ingress->enqueue(bytes);
-                  d.sim->call_at(arrival, std::move(done));
-                });
+  SmallFn hop = [this, to, bytes, done = std::move(done)]() mutable {
+    Node& d = *nodes_[to];
+    d.sim->call_at(d.ingress->enqueue(bytes), std::move(done));
+  };
+  if (src.sim == dst.sim) {
+    src.sim->call_at(at_switch_out, std::move(hop));
+  } else {
+    domain_->post(*src.sim, dst.sim->partition_id(), at_switch_out,
+                  std::move(hop));
+  }
 }
 
 }  // namespace redbud::net

@@ -7,13 +7,13 @@
 // server's NIC saturates.
 //
 // In a partitioned SimDomain the switch is the only cross-partition edge:
-// each node's pipes live in the partition that simulates the node, and a
-// remote delivery becomes a timestamped mailbox push — the egress
-// reservation happens synchronously in the sender's partition, the ingress
-// reservation and completion callback run in the receiver's partition at
-// egress-arrival + switch latency, which is >= the domain lookahead. A
-// network over one Simulation (the baseline stacks) moves every frame with
-// a local coroutine instead.
+// each node's pipes live in the partition that simulates the node. Every
+// frame takes one path. The egress reservation happens synchronously in
+// the sender's partition; one hop at egress-arrival + switch latency then
+// reserves the receiver's ingress and schedules the completion callback in
+// the receiver's partition. Between partitions the hop is a timestamped
+// mailbox push (it lies >= the domain lookahead ahead); within one
+// partition, or on a network over one Simulation, it is a local timer.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,8 @@ struct NetworkParams {
 
 class Network {
  public:
-  // Every node lives in `sim`.
+  // Every node lives in `sim` (the net/rpc/mds test rigs and the
+  // benchmark's layer-call timings).
   Network(redbud::sim::Simulation& sim, NetworkParams params);
   // Nodes live in the domain's partitions: add them with
   // add_node(Simulation&, ...).
@@ -128,7 +129,6 @@ class Network {
     std::unique_ptr<redbud::sim::BitPipe> egress;
     std::unique_ptr<redbud::sim::BitPipe> ingress;
     redbud::sim::Simulation* sim = nullptr;
-    std::uint32_t partition = 0;
     // Fault state, owned by this node's partition (see the fault section
     // of the public API for the determinism argument).
     double loss_rate = 0.0;
@@ -143,11 +143,6 @@ class Network {
     return src.loss_rate > 0.0 &&
            src.fault_rng.next_double() < src.loss_rate;
   }
-
-  redbud::sim::Process deliver_proc(NodeId from, NodeId to,
-                                    std::size_t bytes, bool lost,
-                                    redbud::sim::SimTime extra,
-                                    redbud::sim::SmallFn done);
 
   redbud::sim::Simulation* sim_;
   redbud::sim::SimDomain* domain_ = nullptr;

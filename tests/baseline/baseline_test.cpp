@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/testbed.hpp"
 
@@ -37,9 +38,10 @@ void run_bed(Testbed& bed, F body) {
   ASSERT_TRUE(ref.done()) << "testbed body did not finish";
 }
 
-Process write_read_roundtrip(Testbed& bed, std::uint32_t nbytes, bool* ok) {
-  auto& fs = bed.fs(0);
-  auto cfut = fs.create(net::kRootDir, "f");
+Process write_read_roundtrip(Testbed& bed, std::size_t client,
+                             std::uint32_t nbytes, bool* ok) {
+  auto& fs = bed.fs(client);
+  auto cfut = fs.create(net::kRootDir, "f" + std::to_string(client));
   const net::FileId id = co_await cfut;
   EXPECT_NE(id, net::kInvalidFile);
   if (id == net::kInvalidFile) co_return;
@@ -64,15 +66,26 @@ Process write_read_roundtrip(Testbed& bed, std::uint32_t nbytes, bool* ok) {
 class BaselineRoundTrip
     : public ::testing::TestWithParam<std::pair<Protocol, std::uint32_t>> {};
 
+// Both clients of the 2-client bed run the round trip at once, each on
+// its own kernel partition (every stack, the baselines included, gives
+// each client one).
 TEST_P(BaselineRoundTrip, WriteFsyncReadVerifies) {
   const auto [proto, nbytes] = GetParam();
   Testbed bed(small_bed(proto));
   bed.start();
-  bool ok = false;
-  run_bed(bed, [nbytes = nbytes, &ok](Testbed& b) {
-    return write_read_roundtrip(b, nbytes, &ok);
-  });
-  EXPECT_TRUE(ok);
+  EXPECT_NE(&bed.client_sim(0), &bed.client_sim(1));
+  bool ok[2] = {false, false};
+  std::vector<redbud::sim::ProcRef> refs;
+  for (std::size_t c = 0; c < 2; ++c) {
+    refs.push_back(bed.client_sim(c).spawn(
+        write_read_roundtrip(bed, c, nbytes, &ok[c])));
+  }
+  bed.run_until(bed.now() + SimTime::seconds(600));
+  bed.check_failures();
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_TRUE(refs[c].done()) << "client " << c << " did not finish";
+    EXPECT_TRUE(ok[c]) << "client " << c;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,16 @@
 // Tests for the star-topology network model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/network.hpp"
+#include "sim/parallel.hpp"
 
 namespace redbud::net {
 namespace {
 
+using redbud::sim::SimDomain;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
@@ -172,6 +177,94 @@ TEST(Network, ExtraLinkDelayShiftsArrival) {
   // shifted by exactly the injected 3ms.
   EXPECT_EQ(done,
             SimTime::seconds(2) + SimTime::micros(70) + SimTime::millis(3));
+}
+
+// What one frame schedule produced: per frame its completion instant
+// (SimTime::max() if dropped) and its sender's egress backlog right after
+// the send, plus each uplink's drop count.
+struct ScheduleTrace {
+  std::vector<SimTime> done;
+  std::vector<SimTime> backlog;
+  std::uint64_t dropped_a = 0;
+  std::uint64_t dropped_b = 0;
+};
+
+constexpr int kScheduleFrames = 48;
+
+NetworkParams schedule_params() {
+  NetworkParams np;
+  np.nic_bytes_per_second = 10 * kMiB;
+  np.link_latency = SimTime::micros(30);
+  np.switch_latency = SimTime::micros(10);
+  return np;
+}
+
+// Frames go a -> b, and every third one b -> a, at staggered instants that
+// queue on the egress pipes. a's uplink loses 30 % of its frames and b's
+// adds 2 ms to each. The sends and completions record into `tr`.
+void send_schedule(Network& net, NodeId a, NodeId b, Simulation& sa,
+                   Simulation& sb, ScheduleTrace& tr) {
+  net.set_link_loss(a, 0.3);
+  net.set_link_delay(b, SimTime::millis(2));
+  tr.done.assign(kScheduleFrames, SimTime::max());
+  tr.backlog.assign(kScheduleFrames, SimTime::zero());
+  for (int k = 0; k < kScheduleFrames; ++k) {
+    const bool from_b = k % 3 == 2;
+    Simulation& src = from_b ? sb : sa;
+    Simulation& dst = from_b ? sa : sb;
+    const NodeId from = from_b ? b : a;
+    const NodeId to = from_b ? a : b;
+    const std::size_t bytes = 4000 + 1500 * std::size_t(k % 5);
+    src.call_at(SimTime::micros(150 * k), [net = &net, tr = &tr, dst = &dst,
+                                           k, from, to, bytes] {
+      net->deliver(from, to, bytes,
+                   [tr, dst, k] { tr->done[k] = dst->now(); });
+      tr->backlog[k] = net->egress(from).backlog();
+    });
+  }
+}
+
+TEST(Network, SamePartitionAndCrossPartitionDeliveryMatch) {
+  // One Simulation: every hop is a local timer.
+  Simulation sim;
+  Network local(sim, schedule_params());
+  const auto la = local.add_node();
+  const auto lb = local.add_node();
+  ScheduleTrace one;
+  send_schedule(local, la, lb, sim, sim, one);
+  sim.run_until(SimTime::seconds(1));
+  one.dropped_a = local.link_dropped(la);
+  one.dropped_b = local.link_dropped(lb);
+
+  // Two partitions: every hop is a mailbox injection.
+  const NetworkParams np = schedule_params();
+  SimDomain domain(np.link_latency + np.switch_latency);
+  Simulation& pa = domain.add_partition();
+  Simulation& pb = domain.add_partition();
+  Network split(domain, np);
+  const auto da = split.add_node(pa);
+  const auto db = split.add_node(pb);
+  ScheduleTrace two;
+  send_schedule(split, da, db, pa, pb, two);
+  domain.run_until(SimTime::seconds(1));
+  two.dropped_a = split.link_dropped(da);
+  two.dropped_b = split.link_dropped(db);
+
+  EXPECT_GT(one.dropped_a, 0u) << "the lossy link dropped nothing";
+  EXPECT_EQ(one.dropped_b, 0u);
+  EXPECT_EQ(one.dropped_a, two.dropped_a);
+  EXPECT_EQ(one.dropped_b, two.dropped_b);
+  int delivered = 0;
+  for (int k = 0; k < kScheduleFrames; ++k) {
+    EXPECT_EQ(one.done[k], two.done[k]) << "frame " << k;
+    EXPECT_EQ(one.backlog[k], two.backlog[k]) << "frame " << k;
+    if (one.done[k] != SimTime::max()) ++delivered;
+  }
+  EXPECT_EQ(std::uint64_t(delivered) + one.dropped_a,
+            std::uint64_t(kScheduleFrames));
+  EXPECT_GT(*std::max_element(one.backlog.begin(), one.backlog.end()),
+            SimTime::zero())
+      << "the schedule never queued on an egress pipe";
 }
 
 }  // namespace
