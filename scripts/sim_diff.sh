@@ -7,14 +7,15 @@
 # BASE_REF, checked out into a temporary git worktree, and once from the
 # working tree. Runs each bench from its own temporary working directory
 # (they write bench_out/ relative to it) and diffs the two stdouts. The
-# diffed runs are fig4_iomerge .. fig7_compound with --smoke, which cover
-# the fault-free paper figures; fault_matrix --smoke, which covers the
-# retry ladder, the reply cache and failover; and crash_consistency, which
-# covers the crash paths under sync, delayed and unordered commit. These
-# benches print simulated results only, never host timings, so a change
-# that moves no simulated event leaves every stdout identical. Fig 3 is
-# not diffed here: every number fig3_overall --smoke prints is pinned by
-# the tier-1 golden digests in tests/paper/golden/fig3_smoke.txt.
+# diffed runs are fig5_seeks .. fig7_compound with --smoke, which cover
+# the rest of the fault-free paper figures; fault_matrix --smoke, which
+# covers the retry ladder, the reply cache and failover; and
+# crash_consistency, which covers the crash paths under sync, delayed and
+# unordered commit. These benches print simulated results only, never host
+# timings, so a change that moves no simulated event leaves every stdout
+# identical. Figs 3 and 4 are not diffed here: every number fig3_overall
+# --smoke and fig4_iomerge --smoke print is pinned by the tier-1 golden
+# digests in tests/paper/golden/fig3_smoke.txt and fig4_smoke.txt.
 #
 # Exit status: 0 when all runs match, 1 on any difference (stdout or exit
 # status), 2 on a usage or build error. Temporary directories live under
@@ -30,7 +31,6 @@ base_ref="$1"
 jobs="$(nproc)"
 # One run per entry: the bench, then its arguments.
 runs=(
-  "fig4_iomerge --smoke"
   "fig5_seeks --smoke"
   "fig6_adaptive --smoke"
   "fig7_compound --smoke"

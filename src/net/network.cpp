@@ -81,12 +81,15 @@ void Network::deliver(NodeId from, NodeId to, std::size_t bytes,
   // One hop at the switch output: the receiver's partition reserves its
   // ingress and runs `done` when the last byte arrives. The hop lies at
   // least link + switch latency ahead, which is >= the domain lookahead,
-  // so across partitions it is a legal mailbox injection.
+  // so across partitions it is a legal mailbox injection. `done` waits in
+  // the in-flight slab, so the hop's capture stays small and inline; one
+  // thread runs every partition, so both ends may touch the slab.
   const SimTime at_switch_out =
       at_egress + params_.switch_latency + src.extra_delay;
-  SmallFn hop = [this, to, bytes, done = std::move(done)]() mutable {
+  const std::uint32_t slot = in_flight_.put(std::move(done));
+  SmallFn hop = [this, to, bytes, slot] {
     Node& d = *nodes_[to];
-    d.sim->call_at(d.ingress->enqueue(bytes), std::move(done));
+    d.sim->call_at(d.ingress->enqueue(bytes), in_flight_.take(slot));
   };
   if (src.sim == dst.sim) {
     src.sim->call_at(at_switch_out, std::move(hop));

@@ -149,6 +149,8 @@ class Network {
   NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RpcEndpoint*> endpoints_;
+  // Completion callbacks of frames between deliver() and their hop.
+  redbud::sim::SmallFnSlab in_flight_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;

@@ -175,13 +175,14 @@ void RpcEndpoint::transmit(std::uint64_t xid, Call& c, RpcEndpoint& server,
   c.sent_at = sim_->now();
   // Arrival bookkeeping runs in the server's partition when the last byte
   // lands there.
-  net_->deliver(node_, server.node_, bytes,
-                [srv = &server, xid, from = node_, body = std::move(body),
+  auto arrive = [srv = &server, xid, from = node_, body = std::move(body),
                  rpc_ctx = c.rpc_ctx,
                  retryable = c.retry.has_value()]() mutable {
-                  srv->receive_request(xid, from, std::move(body), rpc_ctx,
-                                       retryable);
-                });
+    srv->receive_request(xid, from, std::move(body), rpc_ctx, retryable);
+  };
+  static_assert(sizeof(arrive) <= redbud::sim::SmallFn::kInlineBytes,
+                "the request closure must not allocate per frame");
+  net_->deliver(node_, server.node_, bytes, std::move(arrive));
 }
 
 void RpcEndpoint::arm_retry_timer(std::uint64_t xid,
@@ -279,10 +280,12 @@ void RpcEndpoint::send_response(NodeId to, std::uint64_t xid,
   // the caller's partition at wire arrival.
   RpcEndpoint* peer = net_->endpoint(to);
   assert(peer != nullptr && "reply to an unregistered endpoint");
-  net_->deliver(node_, to, bytes,
-                [peer, xid, body = std::move(body)]() mutable {
-                  peer->complete_call(xid, std::move(body));
-                });
+  auto arrive = [peer, xid, body = std::move(body)]() mutable {
+    peer->complete_call(xid, std::move(body));
+  };
+  static_assert(sizeof(arrive) <= redbud::sim::SmallFn::kInlineBytes,
+                "the response closure must not allocate per frame");
+  net_->deliver(node_, to, bytes, std::move(arrive));
 }
 
 void RpcEndpoint::complete_call(std::uint64_t xid, ResponseBody body) {

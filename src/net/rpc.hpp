@@ -232,7 +232,12 @@ class RpcEndpoint {
   Network* net_;
   NodeId node_;
   redbud::sim::Channel<IncomingRpc> incoming_;
-  std::unordered_map<std::uint64_t, Call> calls_;
+  // Nodes come from the thread's FrameArena: one per call in flight.
+  std::unordered_map<std::uint64_t, Call, std::hash<std::uint64_t>,
+                     std::equal_to<std::uint64_t>,
+                     redbud::sim::ArenaAllocator<
+                         std::pair<const std::uint64_t, Call>>>
+      calls_;
   // Server-side exactly-once-execution state for retryable requests:
   // requests currently queued or executing (duplicates dropped), and a
   // bounded FIFO cache of sent replies (duplicates answered from cache).

@@ -7,6 +7,10 @@
 // per-size freelists (O(1) pointer pop/push after warmup); larger frames
 // fall through to the global allocator.
 //
+// The same freelists back the kernel's shared states (a future's, a
+// process's) through ArenaAllocator, so std::allocate_shared places the
+// control block and the state in one recycled block.
+//
 // The arena is thread_local: each Simulation is single-threaded, and the
 // parallel bench runner gives every configuration its own OS thread, so
 // no locking is needed. A frame freed on a different thread than it was
@@ -82,3 +86,29 @@ class FrameArena {
 };
 
 }  // namespace redbud::sim::detail
+
+namespace redbud::sim {
+
+// Minimal allocator over the thread's FrameArena: for std::allocate_shared
+// and for node-based containers on the event path, whose nodes then
+// recycle through the arena's freelists instead of malloc.
+template <typename T>
+struct ArenaAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  ArenaAllocator() = default;
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>&) noexcept {}  // NOLINT: rebind
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(
+        detail::FrameArena::local().allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::FrameArena::local().deallocate(p, n * sizeof(T));
+  }
+  friend bool operator==(ArenaAllocator, ArenaAllocator) { return true; }
+};
+
+}  // namespace redbud::sim

@@ -3,7 +3,9 @@
 // Channel<T> is an (optionally bounded) multi-producer multi-consumer
 // queue. Hand-off is race-free under deferred wakeups: a sender either
 // deposits directly into a waiting receiver's slot or enqueues the item;
-// a woken receiver never finds its item stolen.
+// a woken receiver never finds its item stolen. Blocked receivers and
+// senders queue on intrusive wait lists whose nodes are their awaiters,
+// so blocking allocates nothing.
 #pragma once
 
 #include <cassert>
@@ -34,7 +36,7 @@ class Channel {
   [[nodiscard]] bool full() const { return items_.size() >= capacity_; }
 
   // --- receive ------------------------------------------------------------
-  struct RecvAwaiter {
+  struct RecvAwaiter : detail::WaitNode {
     Channel* ch;
     std::optional<T> slot;
 
@@ -48,14 +50,16 @@ class Channel {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      ch->recv_waiters_.push_back({h, &slot});
+      ch->recv_waiters_.push(this, h);
     }
     T await_resume() {
       assert(slot.has_value());
       return std::move(*slot);
     }
   };
-  [[nodiscard]] RecvAwaiter recv() { return RecvAwaiter{this, std::nullopt}; }
+  [[nodiscard]] RecvAwaiter recv() {
+    return RecvAwaiter{{}, this, std::nullopt};
+  }
 
   // Non-blocking receive.
   [[nodiscard]] std::optional<T> try_recv() {
@@ -67,7 +71,7 @@ class Channel {
   }
 
   // --- send ---------------------------------------------------------------
-  struct SendAwaiter {
+  struct SendAwaiter : detail::WaitNode {
     Channel* ch;
     std::optional<T> item;
 
@@ -76,12 +80,12 @@ class Channel {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      ch->send_waiters_.push_back({h, &item});
+      ch->send_waiters_.push(this, h);
     }
     void await_resume() const noexcept {}
   };
   [[nodiscard]] SendAwaiter send(T v) {
-    return SendAwaiter{this, std::optional<T>(std::move(v))};
+    return SendAwaiter{{}, this, std::optional<T>(std::move(v))};
   }
 
   // Non-blocking send; returns false when the channel is full.
@@ -91,24 +95,14 @@ class Channel {
   }
 
  private:
-  struct RecvWaiter {
-    std::coroutine_handle<> h;
-    std::optional<T>* slot;
-  };
-  struct SendWaiter {
-    std::coroutine_handle<> h;
-    std::optional<T>* item;
-  };
-
   // Deposit into a waiting receiver or the buffer. Returns true on success
   // (consumes *item), false when the buffer is full.
   bool deliver_or_buffer(std::optional<T>& item) {
     if (!recv_waiters_.empty()) {
-      RecvWaiter w = recv_waiters_.front();
-      recv_waiters_.pop_front();
-      w.slot->emplace(std::move(*item));
+      auto* w = static_cast<RecvAwaiter*>(recv_waiters_.pop_front());
+      w->slot.emplace(std::move(*item));
       item.reset();
-      sim_->schedule_now(w.h);
+      sim_->schedule_now(w->handle);
       return true;
     }
     if (items_.size() < capacity_) {
@@ -121,20 +115,19 @@ class Channel {
 
   void wake_one_sender() {
     if (send_waiters_.empty()) return;
-    SendWaiter w = send_waiters_.front();
-    send_waiters_.pop_front();
+    auto* w = static_cast<SendAwaiter*>(send_waiters_.pop_front());
     // The freed slot is handed to this sender directly.
-    bool ok = deliver_or_buffer(*w.item);
+    bool ok = deliver_or_buffer(w->item);
     assert(ok);
     (void)ok;
-    sim_->schedule_now(w.h);
+    sim_->schedule_now(w->handle);
   }
 
   Simulation* sim_;
   std::size_t capacity_;
   std::deque<T> items_;
-  std::deque<RecvWaiter> recv_waiters_;
-  std::deque<SendWaiter> send_waiters_;
+  detail::WaitList recv_waiters_;
+  detail::WaitList send_waiters_;
 };
 
 }  // namespace redbud::sim

@@ -12,10 +12,10 @@
 //    keep their global sequence number so the kernel can merge ring and
 //    heap events back into the exact (time, seq) total order — replay
 //    stays bit-identical with the single-queue kernel.
-//  * TimerSlab — side storage for `call_at` callbacks. The heap carries a
-//    slab index; the SmallFn moves exactly twice (in, out), and captures up
-//    to SmallFn::kInlineBytes live in the slab itself — no per-timer heap
-//    allocation.
+//  * a SmallFnSlab (sim/small_fn.hpp) — side storage for `call_at`
+//    callbacks. The heap carries a slab index; the SmallFn moves exactly
+//    twice (in, out), and captures up to SmallFn::kInlineBytes live in the
+//    slab itself — no per-timer heap allocation.
 //
 // Payload tagging: coroutine frame addresses are at least 2-byte aligned,
 // so the low bit distinguishes a coroutine resumption (bit clear, value is
@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace redbud::sim::detail {
@@ -165,35 +164,6 @@ class ReadyRing {
   std::size_t mask_ = 15;
   std::size_t head_ = 0;
   std::size_t tail_ = 0;
-};
-
-// Slab of pending timer callbacks, indexed by the heap/ring payload.
-// Freed slots are recycled LIFO.
-class TimerSlab {
- public:
-  [[nodiscard]] std::uint32_t put(SmallFn fn) {
-    if (!free_.empty()) {
-      const std::uint32_t slot = free_.back();
-      free_.pop_back();
-      slots_[slot] = std::move(fn);
-      return slot;
-    }
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-
-  // Moves the callback out and frees the slot. The caller invokes the
-  // returned function *after* this returns, so a callback that schedules
-  // new timers may safely reallocate the slab.
-  [[nodiscard]] SmallFn take(std::uint32_t slot) {
-    SmallFn fn = std::move(slots_[slot]);
-    free_.push_back(slot);
-    return fn;
-  }
-
- private:
-  std::vector<SmallFn> slots_;
-  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace redbud::sim::detail

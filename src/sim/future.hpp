@@ -5,6 +5,10 @@
 // event queue). Used pervasively for asynchronous completions: disk I/O,
 // RPC replies, commit acknowledgements.
 //
+// Waiting allocates nothing: each awaiter carries the node of the
+// state's intrusive wait list, and the state itself comes from the
+// thread's FrameArena.
+//
 // Besides its waiters, a future's shared state holds at most one
 // completion hook: a host-side observer that fulfilment calls inline,
 // without scheduling an event. The commit queue uses it to keep its ready
@@ -17,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/simulation.hpp"
 
@@ -38,16 +41,15 @@ struct FutureShared {
   Simulation* sim;
   std::optional<T> value;
   std::exception_ptr error;
-  std::vector<std::coroutine_handle<>> waiters;
+  WaitList waiters;
   CompletionHook* hook = nullptr;
 
   [[nodiscard]] bool ready() const { return value.has_value() || error; }
 
-  // Waiters resume through the event queue; the hook runs inline, once,
-  // after them, with its slot already cleared.
+  // Waiters resume through the event queue, in the order they suspended;
+  // the hook runs inline, once, after them, with its slot already cleared.
   void fulfil() {
-    for (auto h : waiters) sim->schedule_now(h);
-    waiters.clear();
+    sim->wake_all(waiters);
     if (hook != nullptr) {
       CompletionHook* h = std::exchange(hook, nullptr);
       h->fire(h);
@@ -86,8 +88,9 @@ class SimFuture {
 
   struct Awaiter {
     std::shared_ptr<detail::FutureShared<T>> s;
+    detail::WaitNode node{};
     bool await_ready() const noexcept { return s->ready(); }
-    void await_suspend(std::coroutine_handle<> h) { s->waiters.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) { s->waiters.push(&node, h); }
     T await_resume() const {
       if (s->error) std::rethrow_exception(s->error);
       return *s->value;  // copy: several waiters may consume
@@ -106,7 +109,8 @@ template <typename T>
 class SimPromise {
  public:
   explicit SimPromise(Simulation& sim)
-      : s_(std::make_shared<detail::FutureShared<T>>()) {
+      : s_(std::allocate_shared<detail::FutureShared<T>>(
+            ArenaAllocator<detail::FutureShared<T>>{})) {
     s_->sim = &sim;
   }
 

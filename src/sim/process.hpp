@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <vector>
 
 #include "sim/arena.hpp"
 #include "sim/time.hpp"
@@ -27,13 +26,52 @@ namespace redbud::sim {
 
 class Simulation;
 
+namespace detail {
+
+// One suspended awaiter in an intrusive FIFO wait list. The node is a
+// member of the awaiter, which lives in the suspended coroutine's frame
+// until the coroutine resumes, so waiting allocates nothing.
+struct WaitNode {
+  std::coroutine_handle<> handle;
+  WaitNode* next = nullptr;
+};
+
+// Head and tail of a list of WaitNodes, in the order they suspended.
+// Simulation::wake_all() schedules and unlinks them all.
+struct WaitList {
+  WaitNode* head = nullptr;
+  WaitNode* tail = nullptr;
+
+  [[nodiscard]] bool empty() const { return head == nullptr; }
+  void push(WaitNode* n, std::coroutine_handle<> h) {
+    n->handle = h;
+    n->next = nullptr;
+    if (tail != nullptr) {
+      tail->next = n;
+    } else {
+      head = n;
+    }
+    tail = n;
+  }
+  // Unlink the earliest waiter (the list must not be empty).
+  WaitNode* pop_front() {
+    WaitNode* n = head;
+    head = n->next;
+    if (head == nullptr) tail = nullptr;
+    return n;
+  }
+};
+
+}  // namespace detail
+
 // Shared completion state, outliving the coroutine frame so that joiners
-// holding a ProcRef remain valid after the process finishes.
+// holding a ProcRef remain valid after the process finishes. Allocated
+// from the thread's FrameArena.
 struct ProcessState {
   Simulation* sim = nullptr;
   bool done = false;
   std::exception_ptr error;
-  std::vector<std::coroutine_handle<>> joiners;
+  detail::WaitList joiners;
 };
 
 // The coroutine task type. Move-only owner of the (not yet spawned)
@@ -50,7 +88,8 @@ class [[nodiscard]] Process {
   };
 
   struct promise_type {
-    std::shared_ptr<ProcessState> state = std::make_shared<ProcessState>();
+    std::shared_ptr<ProcessState> state =
+        std::allocate_shared<ProcessState>(ArenaAllocator<ProcessState>{});
     // Position in the kernel's live-frame table; maintained by Simulation
     // so retirement is a swap-pop instead of a linear scan.
     std::uint32_t live_index = 0;
@@ -106,9 +145,10 @@ class ProcRef {
   // uncaught exception, if any.
   struct JoinAwaiter {
     std::shared_ptr<ProcessState> state;
+    detail::WaitNode node{};
     bool await_ready() const noexcept { return state->done; }
     void await_suspend(std::coroutine_handle<> h) {
-      state->joiners.push_back(h);
+      state->joiners.push(&node, h);
     }
     void await_resume() const {
       if (state->error) std::rethrow_exception(state->error);

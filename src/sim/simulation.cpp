@@ -166,8 +166,7 @@ void Simulation::on_process_done(Process::Handle h) {
   if (st.error && st.joiners.empty()) {
     failures_.push_back(st.error);
   }
-  for (auto j : st.joiners) schedule_now(j);
-  st.joiners.clear();
+  wake_all(st.joiners);
   retired_.push_back(h);
 }
 

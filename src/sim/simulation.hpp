@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_heap.hpp"
@@ -84,6 +85,15 @@ class Simulation {
   }
   void schedule_now(std::coroutine_handle<> h) {
     ring_.push({next_seq_++, detail::coro_payload(h)});
+  }
+  // Schedule every waiter in `list` at now(), in the order they
+  // suspended, and empty the list.
+  void wake_all(detail::WaitList& list) {
+    for (detail::WaitNode* n = std::exchange(list.head, nullptr);
+         n != nullptr; n = n->next) {
+      schedule_now(n->handle);
+    }
+    list.tail = nullptr;
   }
 
   // Schedule a plain callback (timer). Captures up to SmallFn::kInlineBytes
@@ -192,7 +202,7 @@ class Simulation {
   std::uint64_t events_processed_ = 0;
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_
-  detail::TimerSlab timers_;  // pending call_at callbacks
+  SmallFnSlab timers_;       // pending call_at callbacks
   // Parked ticks in (due, seq) order: with one period per partition every
   // rotation appends, so this is a FIFO. tick_due_ caches the front's due
   // (SimTime::max() when none) for the per-dispatch check.

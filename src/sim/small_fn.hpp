@@ -1,11 +1,11 @@
 // Small-buffer type-erased callable for the kernel's timer hot path.
 //
-// Simulation::call_at used to store std::function<void()>, whose libstdc++
-// small-object buffer is 16 bytes — every sampler/pipe-completion lambda
-// that captures more than two words heap-allocates per scheduled timer.
-// SmallFn inlines up to 48 bytes of capture (covering every timer the
-// kernel schedules today) and falls back to the heap above that, so the
-// timer path stays allocation-free without capping capture size.
+// SmallFn inlines up to kInlineBytes of capture and falls back to the
+// heap above that. The budget covers every callback the kernel and the
+// network schedule per event: timers, sampler and pipe completions, the
+// network's switch hop, and both RPC arrival closures (the request one,
+// with its 56-byte body, is the largest at 104 bytes; rpc.cpp asserts
+// that both fit). Larger captures still allocate.
 //
 // Move-only by design: timers fire exactly once and the slab moves the
 // callable in and out; copyability would force every capture to be
@@ -13,18 +13,20 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace redbud::sim {
 
 class SmallFn {
  public:
-  // Inline capture budget. 48 + the ops pointer keeps sizeof(SmallFn) at
-  // 56–64 bytes: one cache line per timer slab slot.
-  static constexpr std::size_t kInlineBytes = 48;
+  // Inline capture budget: with the ops pointer, sizeof(SmallFn) is 128
+  // bytes, two cache lines per slab slot.
+  static constexpr std::size_t kInlineBytes = 112;
 
   SmallFn() = default;
 
@@ -124,6 +126,36 @@ class SmallFn {
     void* heap_;
   };
   const Ops* ops_ = nullptr;
+};
+static_assert(sizeof(SmallFn) == 128);
+
+// Slab of parked callbacks, addressed by slot: the kernel's pending timers
+// and the network's frames in flight. Freed slots are recycled LIFO.
+class SmallFnSlab {
+ public:
+  [[nodiscard]] std::uint32_t put(SmallFn fn) {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      slots_[slot] = std::move(fn);
+      return slot;
+    }
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+
+  // Moves the callback out and frees the slot. The caller invokes the
+  // returned function *after* this returns, so a callback that parks new
+  // callbacks may safely reallocate the slab.
+  [[nodiscard]] SmallFn take(std::uint32_t slot) {
+    SmallFn fn = std::move(slots_[slot]);
+    free_.push_back(slot);
+    return fn;
+  }
+
+ private:
+  std::vector<SmallFn> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace redbud::sim

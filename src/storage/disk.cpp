@@ -57,7 +57,17 @@ SimTime Disk::service(IoKind kind, BlockNo block, std::uint32_t nblocks) {
 
 void Disk::store(BlockNo block, std::span<const ContentToken> tokens) {
   for (std::size_t i = 0; i < tokens.size(); ++i) {
-    contents_[block + i] = tokens[i];
+    const BlockNo b = block + i;
+    const std::size_t p = b >> kPageShift;
+    if (p >= pages_.size()) pages_.resize(p + 1);
+    if (!pages_[p]) pages_[p] = std::make_unique<Page>();
+    Page& page = *pages_[p];
+    const std::size_t off = b & (kPageBlocks - 1);
+    page.tokens[off] = tokens[i];
+    if (!page.stored[off]) {
+      page.stored[off] = true;
+      ++stored_blocks_;
+    }
   }
 }
 
@@ -65,8 +75,10 @@ std::vector<ContentToken> Disk::load(BlockNo block,
                                      std::uint32_t nblocks) const {
   std::vector<ContentToken> out(nblocks, kUnwrittenToken);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
-    if (auto it = contents_.find(block + i); it != contents_.end()) {
-      out[i] = it->second;
+    const BlockNo b = block + i;
+    const std::size_t p = b >> kPageShift;
+    if (p < pages_.size() && pages_[p]) {
+      out[i] = pages_[p]->tokens[b & (kPageBlocks - 1)];
     }
   }
   return out;

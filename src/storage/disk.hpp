@@ -9,12 +9,17 @@
 //
 // The disk also stores per-block content tokens so reads, verification and
 // crash-consistency checks observe real durable state: a write's tokens
-// become visible only when its service completes.
+// become visible only when its service completes. The store is a paged
+// array: pages of kPageBlocks tokens, allocated on first store and filled
+// with kUnwrittenToken, so a store or load is two indexings, not a hash
+// probe, and a written block costs 8 bytes instead of a hash node.
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -62,8 +67,9 @@ class Disk {
   [[nodiscard]] std::uint64_t blocks_written() const { return blocks_written_; }
   [[nodiscard]] std::uint64_t blocks_read() const { return blocks_read_; }
   [[nodiscard]] redbud::sim::SimTime busy_time() const { return busy_time_; }
+  // Distinct blocks ever stored (rewrites do not count again).
   [[nodiscard]] std::uint64_t stored_block_count() const {
-    return contents_.size();
+    return stored_blocks_;
   }
 
   // Wipe volatile statistics (not the content store).
@@ -79,13 +85,22 @@ class Disk {
  private:
   [[nodiscard]] redbud::sim::SimTime seek_time(std::uint64_t distance) const;
 
+  static constexpr unsigned kPageShift = 10;
+  static constexpr std::size_t kPageBlocks = std::size_t{1} << kPageShift;
+  struct Page {
+    std::array<ContentToken, kPageBlocks> tokens;
+    std::bitset<kPageBlocks> stored;  // blocks stored at least once
+    Page() { tokens.fill(kUnwrittenToken); }
+  };
+
   redbud::sim::Simulation* sim_;
   DiskParams params_;
   redbud::sim::Rng rng_;
   BlockNo head_ = 0;
   redbud::sim::SimTime last_io_end_ = redbud::sim::SimTime::zero();
   BlkTrace trace_;
-  std::unordered_map<BlockNo, ContentToken> contents_;
+  std::vector<std::unique_ptr<Page>> pages_;  // by block >> kPageShift
+  std::uint64_t stored_blocks_ = 0;
   std::uint64_t ios_serviced_ = 0;
   std::uint64_t blocks_written_ = 0;
   std::uint64_t blocks_read_ = 0;

@@ -147,9 +147,8 @@ Process delete_file(Simulation& sim, fsapi::FsClient& fs, std::string name,
 }
 
 // Populate a fileset with `nfiles` files.
-Process populate(Simulation& sim, fsapi::FsClient& fs, Fileset& set,
-                 std::uint32_t nfiles, const FilebenchParams& params,
-                 Rng rng) {
+Process populate(fsapi::FsClient& fs, Fileset& set, std::uint32_t nfiles,
+                 const FilebenchParams& params, Rng rng) {
   for (std::uint32_t i = 0; i < nfiles; ++i) {
     Fileset::Entry e;
     e.name = set.fresh_name("fb");
@@ -192,7 +191,7 @@ Process FileserverWorkload::prepare(Simulation& sim, fsapi::FsClient& fs,
                                     std::uint32_t client_id,
                                     WorkloadContext& ctx) {
   Fileset& set = set_for(client_id);
-  auto ref = sim.spawn(populate(sim, fs, set, params_.nfiles_per_client,
+  auto ref = sim.spawn(populate(fs, set, params_.nfiles_per_client,
                                 params_, ctx.master_rng.split()));
   co_await ref.join();
 }
@@ -286,7 +285,7 @@ Process VarmailWorkload::prepare(Simulation& sim, fsapi::FsClient& fs,
                                  std::uint32_t client_id,
                                  WorkloadContext& ctx) {
   Fileset& set = set_for(client_id);
-  auto ref = sim.spawn(populate(sim, fs, set, params_.nfiles_per_client,
+  auto ref = sim.spawn(populate(fs, set, params_.nfiles_per_client,
                                 params_, ctx.master_rng.split()));
   co_await ref.join();
 }
@@ -385,7 +384,7 @@ Process WebproxyWorkload::prepare(Simulation& sim, fsapi::FsClient& fs,
                                   std::uint32_t client_id,
                                   WorkloadContext& ctx) {
   Fileset& set = set_for(client_id);
-  auto ref = sim.spawn(populate(sim, fs, set, params_.nfiles_per_client,
+  auto ref = sim.spawn(populate(fs, set, params_.nfiles_per_client,
                                 params_, ctx.master_rng.split()));
   co_await ref.join();
 }

@@ -29,7 +29,7 @@ XcdnWorkload::ClientState& XcdnWorkload::state_for(std::uint32_t client_id) {
   return *states_[client_id];
 }
 
-Process XcdnWorkload::prepare(Simulation& sim, fsapi::FsClient& fs,
+Process XcdnWorkload::prepare(Simulation&, fsapi::FsClient& fs,
                               std::uint32_t client_id, WorkloadContext& ctx) {
   (void)ctx;
   ClientState& st = state_for(client_id);

@@ -100,8 +100,7 @@ TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
   bool done = false;
   Simulation& csim = c.client_sim(0);
   auto& fs = c.client(0);
-  auto ref = csim.spawn([](Simulation& sim, client::ClientFs& fs,
-                           bool* done) -> Process {
+  auto ref = csim.spawn([](client::ClientFs& fs, bool* done) -> Process {
     for (int i = 0; i < 8; ++i) {
       auto cfut = fs.create(net::kRootDir, "data_f" + std::to_string(i));
       const net::FileId id = co_await cfut;
@@ -120,7 +119,7 @@ TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
       (void)co_await fs.close(id);
     }
     *done = true;
-  }(csim, fs, &done));
+  }(fs, &done));
   c.run_until(SimTime::seconds(120));
   c.check_failures();
   ASSERT_TRUE(ref.done());

@@ -23,10 +23,13 @@
 // latency, and the value the figure prints. The cells the shape gates run
 // check their line as they run; the Fig3Baselines* cases run the NFS3 and
 // PVFS2 cells nothing else does. Together they cover every number
-// fig3_overall --smoke prints. Regenerate the lines after an intentional
-// change of behaviour, in one process (each case rewrites its own lines):
+// fig3_overall --smoke prints. Every Fig 4 cell (3 file sizes x 3
+// configurations) is pinned the same way in fig4_smoke.txt, with the write
+// merge ratio fig4_iomerge --smoke prints as its value. Regenerate the
+// lines after an intentional change of behaviour, in one process (each
+// case rewrites its own lines):
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
-//       --gtest_filter='PaperShapes.Fig3*'      (one command line)
+//       --gtest_filter='PaperShapes.Fig3*:PaperShapes.Fig4*'
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,12 +71,13 @@ struct Cell {
   std::uint64_t errors = 0;  // verification mismatches + op errors
 };
 
-// Compare a cell's digest line with its pinned line in the golden file,
-// or, under REDBUD_REGEN_GOLDEN, replace that line (lines stay sorted).
-// A line's key is its first two words: the workload and the protocol.
-void expect_fig3_golden(const std::string& line) {
+// Compare a cell's digest line with its pinned line in golden file
+// `file`, or, under REDBUD_REGEN_GOLDEN, replace that line (lines stay
+// sorted). A line's key is its first two words: the workload and the
+// configuration.
+void expect_golden(const std::string& file, const std::string& line) {
   const std::string path =
-      std::string(REDBUD_TEST_SRC_DIR) + "/paper/golden/fig3_smoke.txt";
+      std::string(REDBUD_TEST_SRC_DIR) + "/paper/golden/" + file;
   const std::string key = line.substr(0, line.find(' ', line.find(' ') + 1));
   const auto has_key = [&key](const std::string& l) {
     return l.compare(0, key.size() + 1, key + " ") == 0;
@@ -95,9 +99,28 @@ void expect_fig3_golden(const std::string& line) {
   }
   ASSERT_NE(it, lines.end()) << "no golden line for " << key << " in "
                              << path;
-  EXPECT_EQ(line, *it) << "Fig 3 digest drifted from the golden file; "
-                          "regenerate with REDBUD_REGEN_GOLDEN=1 if the "
+  EXPECT_EQ(line, *it) << "digest drifted from " << file
+                       << "; regenerate with REDBUD_REGEN_GOLDEN=1 if the "
                           "change is intentional.";
+}
+
+// The digest line of one cell: `key` (workload and configuration), then
+// the run's counts, kernel events, latencies and the figure's value.
+std::string digest_line(const std::string& key, const workload::WorkloadResult& r,
+                        std::uint64_t events, double value) {
+  char line[512];
+  std::snprintf(line, sizeof line,
+                "%s ops=%llu op_errors=%llu verify_failures=%llu "
+                "events=%llu measured_ns=%lld mean_ns=%lld p99_ns=%lld "
+                "value=%.17g",
+                key.c_str(), static_cast<unsigned long long>(r.ops),
+                static_cast<unsigned long long>(r.op_errors),
+                static_cast<unsigned long long>(r.verify_failures),
+                static_cast<unsigned long long>(events),
+                static_cast<long long>(r.measured.ns()),
+                static_cast<long long>(r.mean_latency.ns()),
+                static_cast<long long>(r.p99_latency.ns()), value);
+  return line;
 }
 
 Cell fig3_cell(const std::string& which, Protocol proto) {
@@ -106,20 +129,9 @@ Cell fig3_cell(const std::string& which, Protocol proto) {
   bed.start();
   const auto r = run_workload(bed, *w, paper_run(/*smoke=*/true));
   const double value = w->fixed_work() ? r.mb_per_sec : r.ops_per_sec;
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "%s %s ops=%llu op_errors=%llu verify_failures=%llu "
-                "events=%llu measured_ns=%lld mean_ns=%lld p99_ns=%lld "
-                "value=%.17g",
-                which.c_str(), core::protocol_name(proto),
-                static_cast<unsigned long long>(r.ops),
-                static_cast<unsigned long long>(r.op_errors),
-                static_cast<unsigned long long>(r.verify_failures),
-                static_cast<unsigned long long>(bed.events_processed()),
-                static_cast<long long>(r.measured.ns()),
-                static_cast<long long>(r.mean_latency.ns()),
-                static_cast<long long>(r.p99_latency.ns()), value);
-  expect_fig3_golden(line);
+  expect_golden("fig3_smoke.txt",
+                digest_line(which + " " + core::protocol_name(proto), r,
+                            bed.events_processed(), value));
   return {value, r.verify_failures + r.op_errors};
 }
 
@@ -182,30 +194,59 @@ TEST(PaperShapes, Fig3BaselinesWebproxy) {
 TEST(PaperShapes, Fig3BaselinesXcdn1M) { expect_baselines_clean("xcdn-1MB"); }
 TEST(PaperShapes, Fig3BaselinesNpbBt) { expect_baselines_clean("NPB-BT"); }
 
-// Write merge ratio on the data array over the measured window, as
-// fig4_iomerge measures it (16 MiB delegation chunks).
-double fig4_merge_ratio(bool delegation) {
-  auto params = paper_testbed(Protocol::kRedbudDelayed);
-  params.redbud.client.delegation = delegation;
+// One Figure 4 cell as fig4_iomerge runs it with --smoke (16 MiB
+// delegation chunks): pins its digest and returns the write merge ratio
+// on the data array over the measured window.
+enum class Fig4Config { kOriginal, kDelayedCommit, kSpaceDelegation };
+
+double fig4_cell(std::uint32_t file_kb, Fig4Config config) {
+  static constexpr const char* kNames[] = {"Original-Redbud", "Delayed-Commit",
+                                           "Space-Delegation"};
+  auto params = paper_testbed(config == Fig4Config::kOriginal
+                                  ? Protocol::kRedbudSync
+                                  : Protocol::kRedbudDelayed);
+  params.redbud.client.delegation = config == Fig4Config::kSpaceDelegation;
   params.redbud.client.chunk_blocks = (16ull << 20) / storage::kBlockSize;
   core::Testbed bed(params);
   bed.start();
-  workload::XcdnWorkload w(xcdn_params(32));
+  workload::XcdnWorkload w(xcdn_params(file_kb));
   auto opt = paper_run(/*smoke=*/true);
   core::Cluster* cluster = bed.cluster();
   opt.on_measure_start = [cluster] { cluster->array().reset_stats(); };
   const auto r = run_workload(bed, w, opt);
   EXPECT_EQ(r.verify_failures + r.op_errors, 0u);
-  return cluster->array().write_merge_ratio();
+  const double merge = cluster->array().write_merge_ratio();
+  expect_golden("fig4_smoke.txt",
+                digest_line(std::to_string(file_kb) + "KB " +
+                                kNames[static_cast<int>(config)],
+                            r, bed.events_processed(), merge));
+  return merge;
 }
 
 TEST(PaperShapes, Fig4DelegationMergeGainInsidePaperBand) {
-  const double dc = fig4_merge_ratio(false);
-  const double delegation = fig4_merge_ratio(true);
+  const double dc = fig4_cell(32, Fig4Config::kDelayedCommit);
+  const double delegation = fig4_cell(32, Fig4Config::kSpaceDelegation);
   ASSERT_GT(dc, 0.0);
   const double gain = delegation / dc;
   EXPECT_GE(gain, 2.8) << "delegation " << delegation << " / DC " << dc;
   EXPECT_LE(gain, 5.9) << "delegation " << delegation << " / DC " << dc;
+}
+
+// The Fig 4 cells the band gate does not run; each pins its digest.
+TEST(PaperShapes, Fig4Cells32KOriginal) {
+  fig4_cell(32, Fig4Config::kOriginal);
+}
+TEST(PaperShapes, Fig4Cells64K) {
+  for (auto c : {Fig4Config::kOriginal, Fig4Config::kDelayedCommit,
+                 Fig4Config::kSpaceDelegation}) {
+    fig4_cell(64, c);
+  }
+}
+TEST(PaperShapes, Fig4Cells1M) {
+  for (auto c : {Fig4Config::kOriginal, Fig4Config::kDelayedCommit,
+                 Fig4Config::kSpaceDelegation}) {
+    fig4_cell(1024, c);
+  }
 }
 
 // Disk seeks per MB moved over the measured window, as fig5_seeks

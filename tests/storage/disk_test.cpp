@@ -87,6 +87,57 @@ TEST(Disk, OverwriteReplacesTokens) {
   EXPECT_EQ(d.load(7, 1)[0], 2u);
 }
 
+// The content store is paged (1024 tokens a page); these cases cross
+// page boundaries, reach the volume's last block and count stored blocks.
+TEST(Disk, StoreAndLoadSpanAPageBoundary) {
+  Simulation sim;
+  Disk d(sim, fast_params());
+  std::vector<ContentToken> tokens;
+  for (ContentToken t = 1; t <= 8; ++t) tokens.push_back(100 + t);
+  d.store(1020, tokens);  // blocks 1020..1027: pages 0 and 1
+  EXPECT_EQ(d.load(1020, 8), tokens);
+  const auto around = d.load(1019, 10);
+  EXPECT_EQ(around.front(), kUnwrittenToken);
+  EXPECT_EQ(around.back(), kUnwrittenToken);
+  EXPECT_EQ(d.stored_block_count(), 8u);
+}
+
+TEST(Disk, StoresTheVolumesLastBlock) {
+  Simulation sim;
+  Disk d(sim, fast_params());
+  const BlockNo last = d.params().total_blocks - 1;
+  d.store(last, std::vector<ContentToken>{77});
+  EXPECT_EQ(d.load(last, 1)[0], 77u);
+  EXPECT_EQ(d.load(last - 1, 1)[0], kUnwrittenToken);
+  EXPECT_EQ(d.stored_block_count(), 1u);
+}
+
+TEST(Disk, UnwrittenBlocksReadAsSentinelOnEveryPage) {
+  Simulation sim;
+  Disk d(sim, fast_params());
+  EXPECT_EQ(d.stored_block_count(), 0u);
+  // Nothing stored yet, then a page allocated by a neighbour's store.
+  EXPECT_EQ(d.load(0, 4), std::vector<ContentToken>(4, kUnwrittenToken));
+  d.store(5000, std::vector<ContentToken>{9});
+  EXPECT_EQ(d.load(4096, 4), std::vector<ContentToken>(4, kUnwrittenToken));
+  EXPECT_EQ(d.load(4999, 3),
+            (std::vector<ContentToken>{kUnwrittenToken, 9, kUnwrittenToken}));
+  // Past every stored page.
+  EXPECT_EQ(d.load(900'000, 2), std::vector<ContentToken>(2, kUnwrittenToken));
+}
+
+TEST(Disk, RewritesDoNotGrowStoredBlockCount) {
+  Simulation sim;
+  Disk d(sim, fast_params());
+  d.store(10, std::vector<ContentToken>{1, 2, 3});
+  EXPECT_EQ(d.stored_block_count(), 3u);
+  d.store(10, std::vector<ContentToken>{4, 5, 6});
+  d.store(12, std::vector<ContentToken>{7, 8});  // one rewrite, one new
+  EXPECT_EQ(d.stored_block_count(), 4u);
+  EXPECT_EQ(d.load(10, 5),
+            (std::vector<ContentToken>{4, 5, 7, 8, kUnwrittenToken}));
+}
+
 TEST(Disk, TraceRecordsDispatches) {
   Simulation sim;
   Disk d(sim, fast_params());
