@@ -147,16 +147,17 @@ SimFuture<Status> ClientFs::remove(net::DirId dir, std::string name) {
 
 ContentToken ClientFs::expected_token(net::FileId file,
                                       std::uint64_t block) const {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) return storage::kUnwrittenToken;
-  auto vit = fit->second.versions.find(block);
-  if (vit == fit->second.versions.end()) return storage::kUnwrittenToken;
-  return storage::make_token(file, block, vit->second);
+  const FileState* st = files_.find(file);
+  if (st == nullptr || block >= st->versions.size() ||
+      st->versions[block] == 0) {
+    return storage::kUnwrittenToken;
+  }
+  return storage::make_token(file, block, st->versions[block]);
 }
 
 std::uint64_t ClientFs::known_size(net::FileId file) const {
-  auto fit = files_.find(file);
-  return fit == files_.end() ? 0 : fit->second.size_bytes;
+  const FileState* st = files_.find(file);
+  return st == nullptr ? 0 : st->size_bytes;
 }
 
 OpenResult ClientFs::preload(net::DirId dir, std::string name,
@@ -171,7 +172,7 @@ OpenResult ClientFs::preload(net::DirId dir, std::string name,
     return OpenResult{cr.status, net::kInvalidFile, 0};
   }
   const net::FileId file = cr.file;
-  files_[file];  // fresh state
+  files_.try_emplace(file);  // fresh state
   const BlockRange range = block_range(0, nbytes);
   std::vector<net::Extent> extents;
   const Status ast = preload_space(file, range.first, range.count, &extents);
@@ -268,7 +269,7 @@ Process ClientFs::create_proc(net::DirId dir, std::string name,
   const bool created = cr.status == Status::kOk;
   const bool retried_dup = cr.status == Status::kExists &&
                            res.attempts > 1 && cr.file != net::kInvalidFile;
-  if (created || retried_dup) files_[cr.file];  // fresh state
+  if (created || retried_dup) files_.try_emplace(cr.file);  // fresh state
   end_op(obs::Stage::kClientMeta, octx, op_start, cr.file);
   p.set_value(created || retried_dup ? cr.file : net::kInvalidFile);
 }
@@ -486,6 +487,9 @@ std::vector<ContentToken> ClientFs::stamp_pages(net::FileId file,
   const BlockRange range = block_range(offset, nbytes);
   std::vector<ContentToken> tokens(range.count);
   FileState& st = state(file);
+  if (st.versions.size() < range.first + range.count) {
+    st.versions.resize(range.first + range.count);
+  }
   for (std::uint32_t i = 0; i < range.count; ++i) {
     const std::uint64_t blk = range.first + i;
     const std::uint64_t ver = ++st.versions[blk];
@@ -534,12 +538,12 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
     std::vector<SimFuture<Done>> waits;
     FileState& st = state(file);
     for (std::uint32_t i = 0; i < range.count; ++i) {
-      auto it = st.writeback.find(range.first + i);
-      if (it == st.writeback.end()) continue;
-      if (it->second.ready()) {
-        st.writeback.erase(it);
+      const auto* wb = st.writeback.find(range.first + i);
+      if (wb == nullptr) continue;
+      if (wb->ready()) {
+        st.writeback.erase(range.first + i);
       } else {
-        waits.push_back(it->second);
+        waits.push_back(*wb);
       }
     }
     for (auto& f : waits) co_await f;
@@ -556,7 +560,7 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
                                           std::ptrdiff_t(ti + e.nblocks));
       auto fut = array_->write(*sim_, e.addr, e.nblocks, std::move(slice));
       for (std::uint32_t b = 0; b < e.nblocks; ++b) {
-        st.writeback[e.file_block + b] = fut;
+        *st.writeback.try_emplace(e.file_block + b).first = fut;
       }
       data_futures.push_back(std::move(fut));
       ti += e.nblocks;

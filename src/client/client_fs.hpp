@@ -28,7 +28,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "client/commit_daemon.hpp"
@@ -40,6 +39,7 @@
 #include "fsapi/fs_client.hpp"
 #include "net/rpc.hpp"
 #include "obs/obs.hpp"
+#include "sim/flat_map.hpp"
 #include "storage/disk_array.hpp"
 
 namespace redbud::mds {
@@ -172,14 +172,14 @@ class ClientFs final : public fsapi::FsClient {
     std::uint64_t size_bytes = 0;
     // Layout cache: extents by file block.
     std::map<std::uint64_t, net::Extent> layout;
-    // Version per block (drives content tokens).
-    std::unordered_map<std::uint64_t, std::uint64_t> versions;
+    // Version per block (drives content tokens); 0 = never written.
+    std::vector<std::uint64_t> versions;
     // In-flight writeback per block (Linux PG_writeback analogue): a page
     // with an outstanding array write may not be written again until that
     // I/O completes, or the elevator could reorder two writes of the same
     // block and let stale data land last on the platter.
-    std::unordered_map<std::uint64_t,
-                       redbud::sim::SimFuture<redbud::sim::Done>>
+    redbud::sim::FlatMap<std::uint64_t,
+                         redbud::sim::SimFuture<redbud::sim::Done>>
         writeback;
   };
 
@@ -258,7 +258,9 @@ class ClientFs final : public fsapi::FsClient {
       obs_->tracer.record(stage, ctx, 0, op_track_, start, sim_->now(), arg0);
     }
   }
-  [[nodiscard]] FileState& state(net::FileId file) { return files_[file]; }
+  [[nodiscard]] FileState& state(net::FileId file) {
+    return *files_.try_emplace(file).first;
+  }
   // Endpoint of the shard owning `file`.
   [[nodiscard]] net::RpcEndpoint& mds_of(net::FileId file) {
     return *mds_[smap_.shard_of_file(file)];
@@ -290,7 +292,7 @@ class ClientFs final : public fsapi::FsClient {
   bool started_ = false;
   obs::Obs* obs_ = nullptr;
   obs::Track op_track_;  // client track group, fs-op row
-  std::unordered_map<net::FileId, FileState> files_;
+  redbud::sim::StableMap<net::FileId, FileState> files_;
   std::uint64_t writes_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t bytes_written_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 
 namespace redbud::client {
 
@@ -38,29 +37,28 @@ void PageCache::lru_push_front(std::uint32_t idx) {
 void PageCache::insert(net::FileId file, std::uint64_t block,
                        storage::ContentToken token, bool dirty) {
   const Key key{file, block};
-  auto it = pages_.find(key);
-  if (it != pages_.end()) {
-    auto& f = pool_.at(it->second);
+  if (const std::uint32_t* idx = pages_.find(key)) {
+    auto& f = pool_.at(*idx);
     f.token = token;
     if (f.dirty != dirty) {
       if (dirty) {
-        lru_unlink(it->second);
+        lru_unlink(*idx);
         ++dirty_;
         dirty_index_[file].insert(block);
       } else {
-        lru_push_front(it->second);
+        lru_push_front(*idx);
         --dirty_;
         drop_dirty_index(file, block);
       }
       f.dirty = dirty;
     } else if (!dirty) {
-      lru_unlink(it->second);
-      lru_push_front(it->second);
+      lru_unlink(*idx);
+      lru_push_front(*idx);
     }
     return;
   }
   evict_if_needed();
-  FileRecord& rec = files_[file];
+  FileRecord& rec = *files_.try_emplace(file).first;
   ++rec.pages;
   rec.end = std::uint32_t(std::max<std::uint64_t>(
       rec.end, std::min<std::uint64_t>(block + 1, kEndSaturated)));
@@ -78,7 +76,7 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
   } else {
     lru_push_front(idx);
   }
-  pages_.emplace(key, idx);
+  pages_.try_emplace(key, idx);
 }
 
 void PageCache::evict_if_needed() {
@@ -89,9 +87,7 @@ void PageCache::evict_if_needed() {
     const auto& f = pool_.at(victim);
     const Key key{f.file, f.block};
     lru_unlink(victim);
-    if (auto rec = files_.find(key.file); --rec->second.pages == 0) {
-      files_.erase(rec);
-    }
+    if (--files_.find(key.file)->pages == 0) files_.erase(key.file);
     pages_.erase(key);
     pool_.release(victim);
     ++evictions_;
@@ -109,12 +105,12 @@ void PageCache::put_clean(net::FileId file, std::uint64_t block,
 }
 
 void PageCache::mark_clean(net::FileId file, std::uint64_t block) {
-  auto it = pages_.find(Key{file, block});
-  if (it == pages_.end() || !pool_.at(it->second).dirty) return;
-  pool_.at(it->second).dirty = false;
+  const std::uint32_t* idx = pages_.find(Key{file, block});
+  if (idx == nullptr || !pool_.at(*idx).dirty) return;
+  pool_.at(*idx).dirty = false;
   --dirty_;
   drop_dirty_index(file, block);
-  lru_push_front(it->second);
+  lru_push_front(*idx);
 }
 
 void PageCache::drop_dirty_index(net::FileId file, std::uint64_t block) {
@@ -126,22 +122,22 @@ void PageCache::drop_dirty_index(net::FileId file, std::uint64_t block) {
 
 std::optional<storage::ContentToken> PageCache::get(net::FileId file,
                                                     std::uint64_t block) {
-  auto it = pages_.find(Key{file, block});
-  if (it == pages_.end()) {
+  const std::uint32_t* idx = pages_.find(Key{file, block});
+  if (idx == nullptr) {
     ++misses_;
     return std::nullopt;
   }
   ++hits_;
-  if (!pool_.at(it->second).dirty) {
-    lru_unlink(it->second);
-    lru_push_front(it->second);
+  if (!pool_.at(*idx).dirty) {
+    lru_unlink(*idx);
+    lru_push_front(*idx);
   }
-  return pool_.at(it->second).token;
+  return pool_.at(*idx).token;
 }
 
 bool PageCache::is_dirty(net::FileId file, std::uint64_t block) const {
-  auto it = pages_.find(Key{file, block});
-  return it != pages_.end() && pool_.at(it->second).dirty;
+  const std::uint32_t* idx = pages_.find(Key{file, block});
+  return idx != nullptr && pool_.at(*idx).dirty;
 }
 
 std::vector<std::pair<std::uint64_t, storage::ContentToken>>
@@ -151,42 +147,48 @@ PageCache::dirty_pages_of(net::FileId file) const {
   if (it == dirty_index_.end()) return out;
   out.reserve(it->second.size());
   for (const auto block : it->second) {
-    out.emplace_back(block, pool_.at(pages_.at(Key{file, block})).token);
+    out.emplace_back(block, pool_.at(*pages_.find(Key{file, block})).token);
   }
   return out;
 }
 
 void PageCache::invalidate_file(net::FileId file) {
-  const auto rec = files_.find(file);
-  if (rec == files_.end()) return;  // no pages, so no dirty index either
-  std::uint64_t left = rec->second.pages;
-  const std::uint64_t end = rec->second.end;
-  files_.erase(rec);
+  const FileRecord* rec = files_.find(file);
+  if (rec == nullptr) return;  // no pages, so no dirty index either
+  std::uint64_t left = rec->pages;
+  const std::uint64_t end = rec->end;
+  files_.erase(file);
   dirty_index_.erase(file);
-  const auto drop = [&](auto it) {
-    auto& f = pool_.at(it->second);
+  const auto drop = [&](const Key& key, std::uint32_t idx) {
+    auto& f = pool_.at(idx);
     if (f.dirty) {
       --dirty_;
     } else {
-      lru_unlink(it->second);
+      lru_unlink(idx);
     }
-    pool_.release(it->second);
+    pool_.release(idx);
+    pages_.erase(key);
     --left;
-    return pages_.erase(it);
   };
   // A saturated end is never below size(), so the probe loop always
   // covers every block the file has.
   if (end < pages_.size()) {
     // Dense enough: probe the file's block range.
     for (std::uint64_t block = 0; left > 0 && block < end; ++block) {
-      if (auto it = pages_.find(Key{file, block}); it != pages_.end()) {
-        drop(it);
-      }
+      const Key key{file, block};
+      if (const std::uint32_t* idx = pages_.find(key)) drop(key, *idx);
     }
   } else {
-    // Sparse high blocks: one pass over the cache is cheaper.
-    for (auto it = pages_.begin(); left > 0 && it != pages_.end();) {
-      it = it->first.file == file ? drop(it) : std::next(it);
+    // Sparse high blocks: one pass over the cache is cheaper. An erase
+    // shifts entries, so collect the file's blocks before dropping any.
+    std::vector<std::uint64_t> blocks;
+    blocks.reserve(left);
+    pages_.for_each([&](const Key& key, std::uint32_t) {
+      if (key.file == file) blocks.push_back(key.block);
+    });
+    for (const std::uint64_t block : blocks) {
+      const Key key{file, block};
+      drop(key, *pages_.find(key));
     }
   }
   assert(left == 0);

@@ -8,9 +8,9 @@
 // is full.
 //
 // Page frames live in the cache's own PageFramePool slab rather than
-// inline in the map, so a page costs one map node plus one slab slot. The
-// LRU list is intrusive (frame prev/next indices). A flyweight host's
-// sessions all share the host engine's one cache.
+// inline in the map, so a page costs one flat-index slot plus one slab
+// slot. The LRU list is intrusive (frame prev/next indices). A flyweight
+// host's sessions all share the host engine's one cache.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include "client/page_pool.hpp"
 #include "net/protocol.hpp"
 #include "obs/metrics_registry.hpp"
+#include "sim/flat_map.hpp"
 #include "storage/types.hpp"
 
 namespace redbud::client {
@@ -97,8 +98,10 @@ class PageCache {
 
   std::size_t capacity_;
   PageFramePool pool_;
-  std::unordered_map<Key, std::uint32_t, KeyHash> pages_;  // key -> frame
-  // Per-file dirty-block index so flushes never scan the whole cache.
+  redbud::sim::FlatMap<Key, std::uint32_t, KeyHash> pages_;  // key -> frame
+  // Per-file dirty-block index so flushes never scan the whole cache. It
+  // stays node-based: NFS3's flush places new blocks on disk in its
+  // enumeration order, so another order would move that stack's layout.
   std::unordered_map<net::FileId, std::unordered_set<std::uint64_t>>
       dirty_index_;
   // Per-file page count and block high-water mark (one past the highest
@@ -111,7 +114,7 @@ class PageCache {
     std::uint32_t pages = 0;
     std::uint32_t end = 0;
   };
-  std::unordered_map<net::FileId, FileRecord> files_;
+  redbud::sim::FlatMap<net::FileId, FileRecord> files_;
   std::uint32_t lru_head_ = kNil;  // clean frames, most recent first
   std::uint32_t lru_tail_ = kNil;
   std::size_t dirty_ = 0;

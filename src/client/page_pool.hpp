@@ -5,9 +5,9 @@
 // of its own. A flyweight host has one engine and so one cache and one
 // pool for all its sessions. PageCache keeps only the
 // (file, block) -> frame map and an intrusive LRU threaded through the
-// frames themselves, so the per-page cost is one map node + one slab
-// slot, and the pool's occupancy is a single gauge the obs layer exports
-// (`page_pool.frames_in_use`).
+// frames themselves, so the per-page cost is one flat-index slot + one
+// slab slot, and the pool's occupancy is a single gauge the obs layer
+// exports (`page_pool.frames_in_use`).
 //
 // Frames are recycled LIFO. Indices are stable; Frame references are NOT
 // (the slab grows by reallocation) — hold indices across operations that

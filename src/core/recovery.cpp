@@ -167,8 +167,7 @@ GcReport collect_orphans(mds::MdsServer& mds) {
 
     // Committed sub-ranges inside this grant, from the live namespace.
     std::vector<std::pair<storage::BlockNo, storage::BlockNo>> used;
-    for (const auto& [id, ino] : mds.ns().inodes()) {
-      (void)id;
+    mds.ns().for_each_inode([&](const mds::Inode& ino) {
       for (const auto& e : ino.all_extents()) {
         if (e.addr.device != dev) continue;
         const auto b = std::max<storage::BlockNo>(e.addr.block, lo);
@@ -176,7 +175,7 @@ GcReport collect_orphans(mds::MdsServer& mds) {
             std::min<storage::BlockNo>(e.addr.block + e.nblocks, hi);
         if (b < t) used.emplace_back(b, t);
       }
-    }
+    });
     std::sort(used.begin(), used.end());
     // Free the gaps.
     storage::BlockNo cursor = lo;

@@ -91,60 +91,55 @@ bool Inode::validate() const {
 }
 
 Namespace::Namespace(std::uint64_t id_tag) : id_tag_(id_tag) {
-  dirs_[net::kRootDir];  // root exists from the start
+  dirs_.try_emplace(net::kRootDir);  // root exists from the start
 }
 
 net::DirId Namespace::make_dir(net::DirId parent, const std::string& name) {
   (void)parent;
   (void)name;  // directory names are not needed by the simulated workloads
   const net::DirId id = id_tag_ | next_dir_++;
-  dirs_[id];
+  dirs_.try_emplace(id);
   return id;
 }
 
 net::FileId Namespace::create(net::DirId dir, const std::string& name) {
   // Unknown directories materialise on first touch: a directory striped
   // across shards exists on every shard its entries hash to.
-  auto dit = dirs_.try_emplace(dir).first;
-  if (dit->second.count(name)) return net::kInvalidFile;
-  const net::FileId id = id_tag_ | next_file_++;
-  dit->second.emplace(name, id);
-  inodes_.emplace(id, Inode(id));
-  return id;
+  auto [id, fresh] = dirs_.try_emplace(dir).first->try_emplace(name);
+  if (!fresh) return net::kInvalidFile;
+  *id = id_tag_ | next_file_++;
+  inodes_.try_emplace(*id, *id);
+  return *id;
 }
 
 std::optional<net::FileId> Namespace::lookup(net::DirId dir,
                                              const std::string& name) const {
-  auto dit = dirs_.find(dir);
-  if (dit == dirs_.end()) return std::nullopt;
-  auto fit = dit->second.find(name);
-  if (fit == dit->second.end()) return std::nullopt;
-  return fit->second;
+  const Dirents* d = dirs_.find(dir);
+  if (d == nullptr) return std::nullopt;
+  const net::FileId* id = d->find(name);
+  if (id == nullptr) return std::nullopt;
+  return *id;
 }
 
 std::optional<std::vector<Extent>> Namespace::remove(net::DirId dir,
                                                      const std::string& name) {
-  auto dit = dirs_.find(dir);
-  if (dit == dirs_.end()) return std::nullopt;
-  auto fit = dit->second.find(name);
-  if (fit == dit->second.end()) return std::nullopt;
-  const net::FileId id = fit->second;
-  dit->second.erase(fit);
-  auto iit = inodes_.find(id);
-  assert(iit != inodes_.end());
-  auto extents = iit->second.all_extents();
-  inodes_.erase(iit);
+  Dirents* d = dirs_.find(dir);
+  if (d == nullptr) return std::nullopt;
+  const net::FileId* found = d->find(name);
+  if (found == nullptr) return std::nullopt;
+  const net::FileId id = *found;
+  d->erase(name);
+  Inode* ino = inodes_.find(id);
+  assert(ino != nullptr);
+  auto extents = ino->all_extents();
+  inodes_.erase(id);
   return extents;
 }
 
-Inode* Namespace::inode(net::FileId id) {
-  auto it = inodes_.find(id);
-  return it == inodes_.end() ? nullptr : &it->second;
-}
+Inode* Namespace::inode(net::FileId id) { return inodes_.find(id); }
 
 const Inode* Namespace::inode(net::FileId id) const {
-  auto it = inodes_.find(id);
-  return it == inodes_.end() ? nullptr : &it->second;
+  return inodes_.find(id);
 }
 
 }  // namespace redbud::mds

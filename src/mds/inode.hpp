@@ -6,10 +6,10 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/protocol.hpp"
+#include "sim/flat_map.hpp"
 
 namespace redbud::mds {
 
@@ -76,14 +76,17 @@ class Namespace {
 
   [[nodiscard]] std::size_t file_count() const { return inodes_.size(); }
   [[nodiscard]] std::size_t dir_count() const { return dirs_.size(); }
-  [[nodiscard]] const std::unordered_map<net::FileId, Inode>& inodes() const {
-    return inodes_;
+  // f(const Inode&) for every inode, in no particular order.
+  template <typename F>
+  void for_each_inode(F&& f) const {
+    inodes_.for_each([&](net::FileId, const Inode& ino) { f(ino); });
   }
 
  private:
-  std::unordered_map<net::DirId, std::unordered_map<std::string, net::FileId>>
-      dirs_;
-  std::unordered_map<net::FileId, Inode> inodes_;
+  using Dirents = redbud::sim::FlatMap<std::string, net::FileId>;
+  redbud::sim::FlatMap<net::DirId, Dirents> dirs_;
+  // Inodes keep their address: callers hold Inode pointers.
+  redbud::sim::StableMap<net::FileId, Inode> inodes_;
   std::uint64_t id_tag_ = 0;
   net::FileId next_file_ = 1;
   net::DirId next_dir_ = 1;

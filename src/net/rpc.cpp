@@ -152,7 +152,7 @@ void RpcEndpoint::start_call(RpcEndpoint& server, RequestBody body,
   const SimTime now = sim_->now();
   auto [it, inserted] = calls_.emplace(
       xid, Call{std::move(promise), now, now, body.index(), rpc_ctx,
-                ctx.span});
+                ctx.span, 1, std::nullopt});
   assert(inserted);
   Call& c = it->second;
   if (!retry) {

@@ -331,6 +331,41 @@ TEST(ClientFs, OverwriteReusesExtents) {
   EXPECT_TRUE(ok);
 }
 
+// Block versions are a dense per-file array where 0 means never written:
+// the blocks below the only written one must still read as unwritten.
+TEST(ClientFs, BlocksBelowTheOnlyWrittenOneReadUnwritten) {
+  Cluster c(small_cluster(CommitMode::kDelayed));
+  c.start();
+  bool ok = false;
+  run_in_cluster(c, [&ok](Cluster& cl) -> Process {
+    auto& fs = cl.client(0);
+    auto cfut = fs.create(net::kRootDir, "sparse");
+    const auto id = co_await cfut;
+    auto wfut = fs.write(id, 5 * storage::kBlockSize, storage::kBlockSize);
+    (void)co_await wfut;
+    auto sfut = fs.fsync(id);
+    (void)co_await sfut;
+    bool match = true;
+    for (std::uint64_t b = 0; b < 5; ++b) {
+      match = match && fs.expected_token(id, b) == storage::kUnwrittenToken;
+    }
+    EXPECT_TRUE(match);
+    EXPECT_NE(fs.expected_token(id, 5), storage::kUnwrittenToken);
+    EXPECT_EQ(fs.expected_token(id, 6), storage::kUnwrittenToken);
+    auto rfut = fs.read(id, 0, 6 * storage::kBlockSize);
+    ReadResult rr = co_await rfut;
+    EXPECT_EQ(rr.status, Status::kOk);
+    EXPECT_EQ(rr.tokens.size(), 6u);
+    if (rr.tokens.size() != 6) co_return;
+    for (std::uint64_t b = 0; b < 6; ++b) {
+      match = match && rr.tokens[b] == fs.expected_token(id, b);
+    }
+    EXPECT_TRUE(match);
+    ok = match;
+  });
+  EXPECT_TRUE(ok);
+}
+
 TEST(ClientFs, RemoveDropsPendingCommitAndFile) {
   Cluster c(small_cluster(CommitMode::kDelayed));
   c.start();

@@ -145,10 +145,9 @@ TEST(CrashConsistency, OrphanGcReclaimsAllSpace) {
     EXPECT_TRUE(c.space(s).validate());
     EXPECT_EQ(c.mds(s).provisional_extent_count(), 0u);
     EXPECT_TRUE(c.mds(s).grants().empty());
-    for (const auto& [id, ino] : c.mds(s).ns().inodes()) {
-      (void)id;
+    c.mds(s).ns().for_each_inode([&](const mds::Inode& ino) {
       for (const auto& e : ino.all_extents()) committed += e.nblocks;
-    }
+    });
     total += c.space(s).total_blocks();
   }
 

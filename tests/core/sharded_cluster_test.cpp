@@ -120,13 +120,12 @@ TEST(ShardedCluster, ShardSpacePartitionsAreDisjoint) {
   for (std::uint32_t s = 0; s < c.nshards(); ++s) {
     const std::uint64_t lo = std::uint64_t(s) * span;
     const std::uint64_t hi = lo + span;
-    for (const auto& [id, ino] : c.mds(s).ns().inodes()) {
-      (void)id;
+    c.mds(s).ns().for_each_inode([&](const mds::Inode& ino) {
       for (const auto& e : ino.all_extents()) {
         EXPECT_GE(e.addr.block, lo);
         EXPECT_LE(e.addr.block + e.nblocks, hi);
       }
-    }
+    });
     EXPECT_TRUE(c.space(s).validate());
   }
 }

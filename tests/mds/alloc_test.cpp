@@ -117,7 +117,9 @@ TEST(AllocGroup, RandomAllocFreeChurnKeepsInvariants) {
       held[idx] = held.back();
       held.pop_back();
     }
-    if (i % 500 == 0) ASSERT_TRUE(ag.validate()) << "iteration " << i;
+    if (i % 500 == 0) {
+      ASSERT_TRUE(ag.validate()) << "iteration " << i;
+    }
   }
   ASSERT_TRUE(ag.validate());
   for (const auto& h : held) ag.free(h.offset, h.nblocks);

@@ -108,10 +108,12 @@ TEST(Rpc, IncomingDepthVisibleToServer) {
 
 TEST(WireSize, CompoundCommitGrowsWithEntriesAndExtents) {
   CommitReq one;
-  one.entries.push_back(CommitEntry{1, {Extent{0, 8, {0, 100}}}, 32768});
+  one.entries.push_back(CommitEntry{1, {Extent{0, 8, {0, 100}}}, 32768, {}});
   CommitReq three = one;
-  three.entries.push_back(CommitEntry{2, {Extent{0, 8, {0, 200}}}, 32768});
-  three.entries.push_back(CommitEntry{3, {Extent{0, 8, {0, 300}}}, 32768});
+  three.entries.push_back(
+      CommitEntry{2, {Extent{0, 8, {0, 200}}}, 32768, {}});
+  three.entries.push_back(
+      CommitEntry{3, {Extent{0, 8, {0, 300}}}, 32768, {}});
   const auto s1 = wire_size(RequestBody{one});
   const auto s3 = wire_size(RequestBody{three});
   EXPECT_GT(s3, s1);

@@ -4,9 +4,9 @@
 // latency_blame.json on a pinned small-testbed run (which also pins its
 // replay: every run must reproduce the checked-in artifact).
 //
-// Regenerate the golden file after an intentional format change:
-//   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests \
-//       --gtest_filter=BlameGolden.SmallTestbedRun
+// Regenerate the golden file after an intentional format change: run
+// `./build/tests/redbud_tests --gtest_filter=BlameGolden.SmallTestbedRun`
+// with REDBUD_REGEN_GOLDEN=1 in the environment.
 #include <gtest/gtest.h>
 
 #include <cstdint>

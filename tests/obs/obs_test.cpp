@@ -30,7 +30,7 @@ using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
 struct TracedObs : Obs {
-  TracedObs() : Obs(ObsParams{TracerParams{true, 1u << 20}}) {}
+  TracedObs() : Obs(ObsParams{TracerParams{true, 1u << 20}, {}}) {}
 };
 
 // --- Tracer basics -------------------------------------------------------

@@ -3,8 +3,10 @@
 // allocation in one relaxed counter and otherwise behave as malloc and
 // free. Each case runs a loop to a steady state, then asserts that many
 // more iterations of it allocate nothing: a future awaited and fulfilled,
-// a process joined before and after it finishes, and an RPC round trip
-// between two partitions of a SimDomain through Network::deliver.
+// a process joined before and after it finishes, an RPC round trip
+// between two partitions of a SimDomain through Network::deliver, page
+// cache hits and evicting inserts, and a FlatMap erase and reinsert at a
+// steady size.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +14,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "client/page_cache.hpp"
 #include "net/rpc.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/future.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
@@ -107,6 +111,24 @@ Process joiner(Simulation& sim, int& joins, int& missed) {
   }
 }
 
+TEST(AllocGate, FlatMapEraseThenReinsertAllocatesNothing) {
+  FlatMap<std::uint64_t, std::uint64_t> map;
+  for (std::uint64_t k = 0; k < 1000; ++k) map.try_emplace(k, k);
+  std::uint64_t next = 1000;
+  const auto churn = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) {
+      map.erase(next - 1000);
+      map.try_emplace(next, next);
+    }
+  };
+  churn(kWarmup);
+  const std::uint64_t before = allocations();
+  churn(kIterations);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(map.size(), 1000u);
+  EXPECT_EQ(*map.find(next - 1), next - 1);
+}
+
 TEST(AllocGate, JoiningProcessesAllocatesNothing) {
   Simulation sim;
   int joins = 0;
@@ -122,6 +144,47 @@ TEST(AllocGate, JoiningProcessesAllocatesNothing) {
 
 }  // namespace
 }  // namespace redbud::sim
+
+namespace redbud::client {
+namespace {
+
+constexpr std::uint64_t kPages = 512;
+
+TEST(AllocGate, PageCacheHitsOnResidentPagesAllocateNothing) {
+  PageCache cache(2 * kPages);
+  for (std::uint64_t b = 0; b < kPages; ++b) cache.put_clean(b % 4, b, b + 1);
+  const auto touch = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t b = std::uint64_t(i) * 7 % kPages;
+      if (cache.get(b % 4, b) != b + 1) return false;
+      cache.put_clean(b % 4, b, b + 1);
+    }
+    return true;
+  };
+  EXPECT_TRUE(touch(kWarmup));
+  const std::uint64_t before = allocations();
+  EXPECT_TRUE(touch(kIterations));
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.size(), kPages);
+}
+
+TEST(AllocGate, PageCacheEvictingCleanInsertAllocatesNothing) {
+  PageCache cache(kPages);
+  std::uint64_t next = 0;
+  const auto insert = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) cache.put_clean(next % 4, next, 1);
+  };
+  insert(int(kPages) + kWarmup);
+  const std::uint64_t evicted = cache.evictions();
+  const std::uint64_t before = allocations();
+  insert(kIterations);
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.evictions() - evicted, std::uint64_t(kIterations));
+  EXPECT_EQ(cache.size(), kPages);
+}
+
+}  // namespace
+}  // namespace redbud::client
 
 namespace redbud::net {
 namespace {
