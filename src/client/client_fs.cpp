@@ -50,8 +50,12 @@ ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
       pools_(smap.nshards(), DoubleSpacePool(persona_->chunk_blocks)),
       queue_(sim),
       compound_(persona_->compound, smap.nshards()),
-      pool_daemons_(sim, queue_, endpoint_, mds_, compound_, cache_,
-                    persona_->pool, persona_->retry),
+      pool_daemons_(
+          sim, queue_, endpoint_, mds_, compound_,
+          [this](net::FileId file, std::uint64_t block) {
+            committed(file, block);
+          },
+          persona_->pool, persona_->retry),
       refill_done_(sim),
       refill_in_progress_(smap.nshards(), 0),
       refill_failed_(smap.nshards(), 0),
@@ -303,7 +307,25 @@ Process ClientFs::open_proc(net::DirId dir, std::string name,
 
 void ClientFs::cache_layout(FileState& st,
                             const std::vector<net::Extent>& extents) {
-  for (const auto& e : extents) st.layout[e.file_block] = e;
+  for (const auto& e : extents) *net::try_emplace(st.layout, e).first = e;
+}
+
+void ClientFs::committed(net::FileId file, std::uint64_t block) {
+  cache_.mark_clean(file, block);
+  FileState* st = files_.find(file);
+  if (st == nullptr) return;
+  // An entry still in flight belongs to a newer write of the block.
+  const auto* wb = st->writeback.find(block);
+  if (wb != nullptr && wb->ready()) st->writeback.erase(block);
+}
+
+std::size_t ClientFs::completed_writebacks() const {
+  std::size_t n = 0;
+  files_.for_each([&](net::FileId, const FileState& st) {
+    st.writeback.for_each(
+        [&](std::uint64_t, const SimFuture<Done>& f) { n += f.ready(); });
+  });
+  return n;
 }
 
 std::vector<ClientFs::Hole> ClientFs::cached_extents(
@@ -316,13 +338,7 @@ std::vector<ClientFs::Hole> ClientFs::cached_extents(
   std::uint64_t cursor = file_block;
   const std::uint64_t end = file_block + nblocks;
   while (cursor < end) {
-    // Find a cached extent containing `cursor`.
-    const net::Extent* covering = nullptr;
-    auto it = st.layout.upper_bound(cursor);
-    if (it != st.layout.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end_block() > cursor) covering = &prev->second;
-    }
+    const auto [covering, next_extent] = net::find_block(st.layout, cursor);
     if (covering) {
       const std::uint64_t take =
           std::min<std::uint64_t>(end, covering->end_block()) - cursor;
@@ -334,8 +350,9 @@ std::vector<ClientFs::Hole> ClientFs::cached_extents(
       out->push_back(e);
       cursor += take;
     } else {
-      const std::uint64_t next =
-          it == st.layout.end() ? end : std::min(end, it->first);
+      const std::uint64_t next = next_extent == st.layout.end()
+                                     ? end
+                                     : std::min(end, next_extent->file_block);
       holes.push_back(Hole{cursor, static_cast<std::uint32_t>(next - cursor)});
       cursor = next;
     }
@@ -589,7 +606,7 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
         break;
       }
       for (std::uint32_t i = 0; i < range.count; ++i) {
-        cache_.mark_clean(file, range.first + i);
+        committed(file, range.first + i);
       }
       p.set_value(Status::kOk);
       break;
@@ -658,12 +675,7 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
     bool covered = true;
     for (std::uint32_t i = 0; i < range.count && covered; ++i) {
       if (have[i]) continue;
-      const std::uint64_t blk = range.first + i;
-      auto it = st.layout.upper_bound(blk);
-      if (it == st.layout.begin() ||
-          std::prev(it)->second.end_block() <= blk) {
-        covered = false;
-      }
+      covered = net::find_block(st.layout, range.first + i).covering != nullptr;
     }
     if (!covered) {
       net::RequestBody req =
@@ -703,12 +715,7 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
         continue;
       }
       const std::uint64_t blk = range.first + i;
-      const net::Extent* covering = nullptr;
-      auto it = st.layout.upper_bound(blk);
-      if (it != st.layout.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second.end_block() > blk) covering = &prev->second;
-      }
+      const net::Extent* covering = net::find_block(st.layout, blk).covering;
       if (!covering) {
         ++i;  // hole: reads back as unwritten
         continue;

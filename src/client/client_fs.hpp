@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,6 +36,7 @@
 #include "client/space_pool.hpp"
 #include "core/shard_map.hpp"
 #include "fsapi/fs_client.hpp"
+#include "net/extent_list.hpp"
 #include "net/rpc.hpp"
 #include "obs/obs.hpp"
 #include "sim/flat_map.hpp"
@@ -166,18 +166,24 @@ class ClientFs final : public fsapi::FsClient {
   [[nodiscard]] std::uint64_t reads_issued() const { return reads_; }
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
   [[nodiscard]] std::uint64_t bytes_read() const { return bytes_read_; }
+  // Writeback entries whose array write has completed. A block's entry
+  // goes when its commit is acked, so a drained client holds none.
+  [[nodiscard]] std::size_t completed_writebacks() const;
 
  private:
   struct FileState {
     std::uint64_t size_bytes = 0;
-    // Layout cache: extents by file block.
-    std::map<std::uint64_t, net::Extent> layout;
+    // Layout cache: extents by file block. A cached extent replaces only
+    // the one starting at its own file block, so entries may overlap.
+    net::ExtentList layout;
     // Version per block (drives content tokens); 0 = never written.
-    std::vector<std::uint64_t> versions;
+    // Most files are one block (DESIGN.md, "What a file costs").
+    redbud::sim::InlineVec<std::uint64_t, 1> versions;
     // In-flight writeback per block (Linux PG_writeback analogue): a page
     // with an outstanding array write may not be written again until that
     // I/O completes, or the elevator could reorder two writes of the same
-    // block and let stale data land last on the platter.
+    // block and let stale data land last on the platter. The entry goes
+    // when the block's commit is acked (committed()).
     redbud::sim::FlatMap<std::uint64_t,
                          redbud::sim::SimFuture<redbud::sim::Done>>
         writeback;
@@ -243,6 +249,10 @@ class ClientFs final : public fsapi::FsClient {
                                       redbud::sim::SimPromise<net::Status> p);
 
   void cache_layout(FileState& st, const std::vector<net::Extent>& extents);
+  // A commit covering (file, block) was acked: the page is clean, and
+  // the block's array write, which completed before the commit was sent,
+  // no longer needs its writeback entry.
+  void committed(net::FileId file, std::uint64_t block);
   // One metadata RPC under the personality's retry policy: retryable when
   // it has one, otherwise a single-shot call that parks forever on loss.
   [[nodiscard]] redbud::sim::SimFuture<net::RpcResult> mds_call(

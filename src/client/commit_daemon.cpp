@@ -12,14 +12,15 @@ CommitDaemonPool::CommitDaemonPool(redbud::sim::Simulation& sim,
                                    CommitQueue& queue, net::RpcEndpoint& self,
                                    std::vector<net::RpcEndpoint*> mds_shards,
                                    CompoundController& compound,
-                                   PageCache& cache, CommitPoolParams params,
+                                   CommittedFn committed,
+                                   CommitPoolParams params,
                                    std::optional<net::RetryPolicy> retry)
     : sim_(&sim),
       queue_(&queue),
       self_(&self),
       mds_(std::move(mds_shards)),
       compound_(&compound),
-      cache_(&cache),
+      committed_(std::move(committed)),
       params_(params),
       retry_(retry) {
   assert(params_.max_threads >= 1 && params_.max_queue_len >= 1);
@@ -149,7 +150,7 @@ Process CommitDaemonPool::daemon() {
     for (auto& task : batch) {
       for (const auto& e : task.extents) {
         for (std::uint32_t b = 0; b < e.nblocks; ++b) {
-          cache_->mark_clean(task.file, e.file_block + b);
+          committed_(task.file, e.file_block + b);
         }
       }
       queue_->ack(task, bctx.span);

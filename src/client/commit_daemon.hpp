@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "client/commit_queue.hpp"
 #include "client/compound_controller.hpp"
-#include "client/page_cache.hpp"
 #include "net/rpc.hpp"
 #include "sim/stats.hpp"
 
@@ -38,10 +38,12 @@ class CommitDaemonPool {
   // at-least-once: they retransmit under it and, when even the retry
   // budget is exhausted (shard down longer than the backoff ladder), the
   // whole batch goes back onto the commit queue instead of being lost.
+  // `committed(file, block)` runs for every block of an acked task.
+  using CommittedFn = std::function<void(net::FileId, std::uint64_t)>;
   CommitDaemonPool(redbud::sim::Simulation& sim, CommitQueue& queue,
                    net::RpcEndpoint& self,
                    std::vector<net::RpcEndpoint*> mds_shards,
-                   CompoundController& compound, PageCache& cache,
+                   CompoundController& compound, CommittedFn committed,
                    CommitPoolParams params,
                    std::optional<net::RetryPolicy> retry);
   CommitDaemonPool(const CommitDaemonPool&) = delete;
@@ -90,7 +92,7 @@ class CommitDaemonPool {
   net::RpcEndpoint* self_;
   std::vector<net::RpcEndpoint*> mds_;
   CompoundController* compound_;
-  PageCache* cache_;
+  CommittedFn committed_;
   CommitPoolParams params_;
   std::optional<net::RetryPolicy> retry_;
   bool started_ = false;

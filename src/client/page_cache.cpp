@@ -149,6 +149,7 @@ PageCache::dirty_pages_of(net::FileId file) const {
   for (const auto block : it->second) {
     out.emplace_back(block, pool_.at(*pages_.find(Key{file, block})).token);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

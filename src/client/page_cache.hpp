@@ -54,7 +54,8 @@ class PageCache {
   // the cache; a file with no cached pages costs one lookup.
   void invalidate_file(net::FileId file);
 
-  // Enumerate the dirty pages of one file (block, token), unordered.
+  // The dirty pages of one file (block, token), in ascending block order
+  // (NFS3's flush places new blocks on disk in this order).
   [[nodiscard]] std::vector<std::pair<std::uint64_t, storage::ContentToken>>
   dirty_pages_of(net::FileId file) const;
 
@@ -99,9 +100,9 @@ class PageCache {
   std::size_t capacity_;
   PageFramePool pool_;
   redbud::sim::FlatMap<Key, std::uint32_t, KeyHash> pages_;  // key -> frame
-  // Per-file dirty-block index so flushes never scan the whole cache. It
-  // stays node-based: NFS3's flush places new blocks on disk in its
-  // enumeration order, so another order would move that stack's layout.
+  // Per-file dirty-block index so flushes never scan the whole cache.
+  // dirty_pages_of sorts what it returns, so the index's own enumeration
+  // order is never seen.
   std::unordered_map<net::FileId, std::unordered_set<std::uint64_t>>
       dirty_index_;
   // Per-file page count and block high-water mark (one past the highest

@@ -148,8 +148,7 @@ GcReport collect_orphans(mds::MdsServer& mds) {
   //    committed. Pure orphans — recycle.
   for (const auto& [file, extents] : mds.provisional()) {
     (void)file;
-    for (const auto& [off, e] : extents) {
-      (void)off;
+    for (const auto& e : extents) {
       mds.space().free(mds::PhysExtent{e.addr, e.nblocks});
       ++report.provisional_extents_freed;
       report.provisional_blocks_freed += e.nblocks;
@@ -168,7 +167,7 @@ GcReport collect_orphans(mds::MdsServer& mds) {
     // Committed sub-ranges inside this grant, from the live namespace.
     std::vector<std::pair<storage::BlockNo, storage::BlockNo>> used;
     mds.ns().for_each_inode([&](const mds::Inode& ino) {
-      for (const auto& e : ino.all_extents()) {
+      for (const auto& e : ino.extents()) {
         if (e.addr.device != dev) continue;
         const auto b = std::max<storage::BlockNo>(e.addr.block, lo);
         const auto t =

@@ -24,25 +24,29 @@ std::optional<Extent> slice(const Extent& e, std::uint64_t lo,
 }
 }  // namespace
 
+const Extent* Inode::first_ending_after(std::uint64_t file_block) const {
+  const Extent* it = net::lower_bound_block(extents_, file_block);
+  if (it != extents_.begin() && (it - 1)->end_block() > file_block) --it;
+  return it;
+}
+
 void Inode::insert_trimming(const Extent& e) {
-  // Find everything overlapping [e.file_block, e.end_block()) and trim it.
-  std::vector<Extent> fragments;
-  auto it = extents_.lower_bound(e.file_block);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end_block() > e.file_block) it = prev;
+  // The extents overlapping [e.file_block, e.end_block()) form one run;
+  // only its first can stick out in front of `e` and only its last past
+  // the end, since the extents are disjoint.
+  const Extent* first = first_ending_after(e.file_block);
+  const Extent* last = first;
+  while (last != extents_.end() && last->file_block < e.end_block()) ++last;
+  std::optional<Extent> head;
+  std::optional<Extent> tail;
+  if (first != last) {
+    head = slice(*first, 0, e.file_block);
+    tail = slice(*(last - 1), e.end_block(), ~std::uint64_t{0});
   }
-  while (it != extents_.end() && it->second.file_block < e.end_block()) {
-    const Extent old = it->second;
-    it = extents_.erase(it);
-    // Keep the parts of `old` outside the new extent.
-    if (auto head = slice(old, 0, e.file_block)) fragments.push_back(*head);
-    if (auto tail = slice(old, e.end_block(), ~std::uint64_t{0})) {
-      fragments.push_back(*tail);
-    }
-  }
-  for (const auto& f : fragments) extents_.emplace(f.file_block, f);
-  extents_.emplace(e.file_block, e);
+  Extent* at = extents_.erase(first, last);
+  if (tail) at = extents_.insert(at, *tail);
+  at = extents_.insert(at, e);
+  if (head) extents_.insert(at, *head);
 }
 
 void Inode::apply_commit(const std::vector<Extent>& extents,
@@ -60,29 +64,22 @@ std::vector<Extent> Inode::lookup(std::uint64_t file_block,
   std::vector<Extent> out;
   const std::uint64_t lo = file_block;
   const std::uint64_t hi = file_block + nblocks;
-  auto it = extents_.lower_bound(lo);
-  if (it != extents_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.end_block() > lo) it = prev;
-  }
-  for (; it != extents_.end() && it->second.file_block < hi; ++it) {
-    if (auto s = slice(it->second, lo, hi)) out.push_back(*s);
+  for (const Extent* it = first_ending_after(lo);
+       it != extents_.end() && it->file_block < hi; ++it) {
+    if (auto s = slice(*it, lo, hi)) out.push_back(*s);
   }
   return out;
 }
 
 std::vector<Extent> Inode::all_extents() const {
-  std::vector<Extent> out;
-  out.reserve(extents_.size());
-  for (const auto& [_, e] : extents_) out.push_back(e);
-  return out;
+  return {extents_.begin(), extents_.end()};
 }
 
 bool Inode::validate() const {
   std::uint64_t prev_end = 0;
   bool first = true;
-  for (const auto& [off, e] : extents_) {
-    if (off != e.file_block || e.nblocks == 0) return false;
+  for (const auto& e : extents_) {
+    if (e.nblocks == 0) return false;
     if (!first && e.file_block < prev_end) return false;
     first = false;
     prev_end = e.end_block();
@@ -121,8 +118,8 @@ std::optional<net::FileId> Namespace::lookup(net::DirId dir,
   return *id;
 }
 
-std::optional<std::vector<Extent>> Namespace::remove(net::DirId dir,
-                                                     const std::string& name) {
+std::optional<net::ExtentList> Namespace::remove(net::DirId dir,
+                                                 const std::string& name) {
   Dirents* d = dirs_.find(dir);
   if (d == nullptr) return std::nullopt;
   const net::FileId* found = d->find(name);
@@ -131,7 +128,7 @@ std::optional<std::vector<Extent>> Namespace::remove(net::DirId dir,
   d->erase(name);
   Inode* ino = inodes_.find(id);
   assert(ino != nullptr);
-  auto extents = ino->all_extents();
+  auto extents = ino->take_extents();
   inodes_.erase(id);
   return extents;
 }

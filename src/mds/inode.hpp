@@ -3,18 +3,18 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "net/protocol.hpp"
+#include "net/extent_list.hpp"
 #include "sim/flat_map.hpp"
 
 namespace redbud::mds {
 
-// Per-file metadata. The extent map is keyed by file block offset; commits
-// replace any previously-mapped range they overlap (file overwrite).
+// Per-file metadata. The extents are disjoint and sorted by file block;
+// commits replace any previously-mapped range they overlap (file
+// overwrite).
 class Inode {
  public:
   explicit Inode(net::FileId id) : id_(id) {}
@@ -35,6 +35,9 @@ class Inode {
 
   // All extents (for free-on-remove and consistency checking).
   [[nodiscard]] std::vector<net::Extent> all_extents() const;
+  [[nodiscard]] const net::ExtentList& extents() const { return extents_; }
+  // Hand the extents over (the file is being removed).
+  [[nodiscard]] net::ExtentList take_extents() { return std::move(extents_); }
 
   [[nodiscard]] std::size_t extent_count() const { return extents_.size(); }
 
@@ -43,11 +46,14 @@ class Inode {
 
  private:
   void insert_trimming(const net::Extent& e);
+  // The first extent that ends after `file_block`.
+  [[nodiscard]] const net::Extent* first_ending_after(
+      std::uint64_t file_block) const;
 
   net::FileId id_;
   std::uint64_t size_bytes_ = 0;
   std::uint64_t version_ = 0;
-  std::map<std::uint64_t, net::Extent> extents_;  // by file_block
+  net::ExtentList extents_;
 };
 
 // The namespace: directories of name -> file, plus the inode table.
@@ -68,8 +74,8 @@ class Namespace {
                                                   const std::string& name) const;
   // Removes the file; returns its extents for the space manager to free,
   // or nullopt when absent.
-  std::optional<std::vector<net::Extent>> remove(net::DirId dir,
-                                                 const std::string& name);
+  std::optional<net::ExtentList> remove(net::DirId dir,
+                                        const std::string& name);
 
   [[nodiscard]] Inode* inode(net::FileId id);
   [[nodiscard]] const Inode* inode(net::FileId id) const;

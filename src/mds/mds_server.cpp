@@ -260,8 +260,9 @@ ResponseBody MdsServer::do_layout_get(const net::LayoutGetReq& r) {
 
   // Merge in provisional extents and allocate holes.
   auto& prov = provisional_[r.file];
-  for (const auto& [off, e] : prov) {
-    if (off < r.file_block + r.nblocks && e.end_block() > r.file_block) {
+  for (const auto& e : prov) {
+    if (e.file_block < r.file_block + r.nblocks &&
+        e.end_block() > r.file_block) {
       resp.extents.push_back(e);
     }
   }
@@ -298,7 +299,7 @@ ResponseBody MdsServer::do_layout_get(const net::LayoutGetReq& r) {
     }
   }
   for (const auto& ne : fresh) {
-    prov.emplace(ne.file_block, ne);
+    net::try_emplace(prov, ne);
     resp.extents.push_back(ne);
   }
   std::sort(resp.extents.begin(), resp.extents.end(),
@@ -317,12 +318,14 @@ ResponseBody MdsServer::do_commit(const net::CommitReq& r,
     ino->apply_commit(entry.extents, entry.new_size_bytes);
     // Committed extents are no longer provisional.
     if (auto it = provisional_.find(entry.file); it != provisional_.end()) {
-      for (const auto& e : entry.extents) it->second.erase(e.file_block);
+      for (const auto& e : entry.extents) {
+        net::erase_block(it->second, e.file_block);
+      }
       if (it->second.empty()) provisional_.erase(it);
     }
     pending.commits.push_back(DurableCommitRecord{
-        entry.file, entry.extents, entry.block_tokens, entry.new_size_bytes,
-        {}, 0});
+        entry.file, net::ExtentList(entry.extents),
+        TokenList(entry.block_tokens), entry.new_size_bytes, {}, 0});
   }
   return net::CommitResp{Status::kOk, 0};
 }
@@ -373,14 +376,14 @@ ResponseBody MdsServer::do_remove(const net::RemoveReq& r,
   auto extents = ns_.remove(r.dir, r.name);
   if (!extents) return net::RemoveResp{Status::kNoEnt};
   if (id) provisional_.erase(*id);
-  pending.removes.push_back(DurableRemoveRecord{
-      id ? *id : net::kInvalidFile, *extents, {}, 0});
   for (const auto& e : *extents) {
     // Space inside an active delegation grant belongs to the client's
     // local pool; it is reclaimed when the grant is returned, not here.
     if (in_active_grant(e)) continue;
     space_->free(PhysExtent{e.addr, e.nblocks});
   }
+  pending.removes.push_back(DurableRemoveRecord{
+      id ? *id : net::kInvalidFile, std::move(*extents), {}, 0});
   return net::RemoveResp{Status::kOk};
 }
 

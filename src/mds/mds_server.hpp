@@ -9,13 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <unordered_map>
 #include <vector>
 
 #include "mds/inode.hpp"
 #include "mds/journal.hpp"
+#include "net/extent_list.hpp"
 #include "mds/space_manager.hpp"
 #include "net/rpc.hpp"
 #include "sim/stats.hpp"
@@ -51,11 +51,14 @@ struct MdsParams {
 // checker validates these against durable disk contents. `seq` totally
 // orders durable mutations on one shard (shared with remove records):
 // it is assigned in execution order, so replaying commits and removes by
-// ascending seq reconstructs the namespace history exactly.
+// ascending seq reconstructs the namespace history exactly. Nearly every
+// record carries one extent and one token, so one of each is kept inline
+// (DESIGN.md, "What a file costs").
+using TokenList = redbud::sim::InlineVec<storage::ContentToken, 1>;
 struct DurableCommitRecord {
   net::FileId file = net::kInvalidFile;
-  std::vector<net::Extent> extents;
-  std::vector<storage::ContentToken> block_tokens;
+  net::ExtentList extents;
+  TokenList block_tokens;
   std::uint64_t new_size_bytes = 0;
   redbud::sim::SimTime committed_at;
   std::uint64_t seq = 0;
@@ -66,7 +69,7 @@ struct DurableCommitRecord {
 // tokens at those addresses — any later content there is legal.
 struct DurableRemoveRecord {
   net::FileId file = net::kInvalidFile;
-  std::vector<net::Extent> extents;
+  net::ExtentList extents;
   redbud::sim::SimTime removed_at;
   std::uint64_t seq = 0;
 };
@@ -116,8 +119,7 @@ class MdsServer {
   // Extents handed out by layout-get but not yet committed — the "orphan"
   // candidates ordered writes exist to keep unreachable.
   [[nodiscard]] std::size_t provisional_extent_count() const;
-  [[nodiscard]] const std::unordered_map<net::FileId,
-                                         std::map<std::uint64_t, net::Extent>>&
+  [[nodiscard]] const std::unordered_map<net::FileId, net::ExtentList>&
   provisional() const {
     return provisional_;
   }
@@ -199,8 +201,7 @@ class MdsServer {
   std::uint64_t requests_abandoned_ = 0;
 
   // Provisionally allocated (uncommitted) extents, per file by file block.
-  std::unordered_map<net::FileId, std::map<std::uint64_t, net::Extent>>
-      provisional_;
+  std::unordered_map<net::FileId, net::ExtentList> provisional_;
   std::vector<DelegationGrant> grants_;
   std::vector<DurableCommitRecord> durable_commits_;
   std::vector<DurableRemoveRecord> durable_removes_;

@@ -42,6 +42,7 @@ void MetricsRegistry::require_fresh(const std::string& canonical) const {
 }
 
 void MetricsRegistry::unregister(const std::string& canonical) {
+  ++generation_;
   values_.erase(canonical);
   gauges_.erase(canonical);
   histograms_.erase(canonical);
@@ -51,6 +52,7 @@ void MetricsRegistry::register_value(const std::string& name, Labels labels,
                                      const std::uint64_t* v) {
   auto canonical = canonical_metric_name(name, std::move(labels));
   require_fresh(canonical);
+  ++generation_;
   values_[std::move(canonical)] = v;
 }
 
@@ -58,6 +60,7 @@ void MetricsRegistry::register_gauge(const std::string& name, Labels labels,
                                      const redbud::sim::Gauge* g) {
   auto canonical = canonical_metric_name(name, std::move(labels));
   require_fresh(canonical);
+  ++generation_;
   gauges_[std::move(canonical)] = g;
 }
 
@@ -66,6 +69,7 @@ void MetricsRegistry::register_histogram(
     const redbud::sim::LatencyHistogram* h) {
   auto canonical = canonical_metric_name(name, std::move(labels));
   require_fresh(canonical);
+  ++generation_;
   histograms_[std::move(canonical)] = h;
 }
 

@@ -56,6 +56,10 @@ class MetricsRegistry {
   // The sanctioned path for re-registration after a component rebuild.
   void unregister(const std::string& canonical);
 
+  // Bumped by every register and unregister call, so a reader that
+  // cached instrument pointers knows when to resolve them again.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
+
   // Reads by canonical name.
   [[nodiscard]] std::optional<std::uint64_t> value(
       const std::string& canonical) const;
@@ -95,6 +99,7 @@ class MetricsRegistry {
   std::map<std::string, const std::uint64_t*> values_;
   std::map<std::string, const redbud::sim::Gauge*> gauges_;
   std::map<std::string, const redbud::sim::LatencyHistogram*> histograms_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace redbud::obs

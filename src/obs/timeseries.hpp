@@ -4,7 +4,7 @@
 // A TimeSeriesSampler turns the registry's point-in-time instruments into
 // columnar series over simulated time: at every grid instant
 // `interval, 2*interval, ...` it reads each registered value and gauge
-// and appends one column entry per channel into a keep-last-N ring.
+// into one row (one double per channel) and keeps the newest N rows.
 //
 // The sampling contract is *off-event*: the sampler is driven by the
 // kernel probe hook (SimDomain::set_probe), which fires between
@@ -16,19 +16,30 @@
 // lag by < lookahead of simulated time — see SimDomain::set_probe).
 //
 // The channel set is frozen at the first sample (sorted registry order:
-// values, then gauges); instruments registered later
-// are ignored so every column has the same length. Channels are matched
-// to the registry by canonical name on every sample, so a component that
-// re-registers a view (rebuild/failover) transparently feeds the same
-// column.
+// values, then gauges); instruments registered later are ignored so every
+// column has the same length. Each channel is resolved to its instrument
+// by canonical name once, and again whenever the registry's generation()
+// moves, so a component that re-registers a view (rebuild/failover)
+// transparently feeds the same column; a name that is not registered
+// samples as 0.
+//
+// A row is stored only when it differs bitwise from the row before it;
+// otherwise that row's repeat count grows. An idle stretch therefore
+// costs one row, and the readers unroll the runs into exactly the series
+// a ring of every sample would hold.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
+
+namespace redbud::sim {
+class Gauge;
+}  // namespace redbud::sim
 
 namespace redbud::obs {
 
@@ -37,8 +48,7 @@ class MetricsRegistry;
 struct SamplerParams {
   // Grid stride in simulated time; zero disables sampling entirely.
   redbud::sim::SimTime interval = redbud::sim::SimTime::zero();
-  // Ring capacity: the newest N samples are kept, older ones are
-  // overwritten and counted as dropped.
+  // The newest N samples are kept; older ones are dropped and counted.
   std::size_t max_samples = 8192;
 };
 
@@ -80,7 +90,7 @@ class TimeSeriesSampler {
   [[nodiscard]] std::uint64_t samples_dropped() const {
     return count_ > retained() ? count_ - retained() : 0;
   }
-  // Samples currently held in the ring.
+  // Samples currently held.
   [[nodiscard]] std::size_t retained() const { return instants_.size(); }
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
 
@@ -95,14 +105,11 @@ class TimeSeriesSampler {
   struct Channel {
     std::string name;  // canonical registry identity
     Kind kind = Kind::kValue;
-    std::vector<double> values;  // ring, same layout as instants_
   };
 
   void init_channels();
-  void push(std::size_t slot, Channel& ch, double v);
-  template <typename Map, typename Read>
-  void sample_kind(std::size_t slot, std::size_t begin, std::size_t end,
-                   const Map& map, Read read);
+  // Point every channel at its instrument (nullptr when unregistered).
+  void resolve();
 
   SamplerParams params_;
   const MetricsRegistry* registry_ = nullptr;
@@ -111,7 +118,19 @@ class TimeSeriesSampler {
   // Channel layout: [0, n_values_) values, then gauges.
   std::size_t n_values_ = 0;
   std::vector<Channel> channels_;
-  std::vector<redbud::sim::SimTime> instants_;  // ring, slot = count % cap
+  // The instruments channels_ resolved to at registry generation
+  // resolved_at_: values_[i] feeds channel i, gauges_[j] channel
+  // n_values_ + j.
+  std::vector<const std::uint64_t*> values_;
+  std::vector<const redbud::sim::Gauge*> gauges_;
+  std::uint64_t resolved_at_ = 0;
+  std::deque<redbud::sim::SimTime> instants_;  // oldest first
+  // Distinct consecutive rows, oldest first, row-major; repeats_[r] is
+  // the number of retained samples row r stands for.
+  std::deque<double> rows_;
+  std::deque<std::uint64_t> repeats_;
+  std::vector<double> last_;     // the newest stored row
+  std::vector<double> scratch_;  // the row being sampled
 };
 
 }  // namespace redbud::obs

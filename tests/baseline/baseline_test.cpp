@@ -5,7 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "baseline/nfs3.hpp"
 #include "core/testbed.hpp"
+#include "sim/parallel.hpp"
+#include "storage/io_scheduler.hpp"
 
 namespace redbud::baseline {
 namespace {
@@ -140,6 +143,55 @@ TEST(Nfs3, RemoveAndReopenFails) {
     ok = orr.status == Status::kNoEnt;
   });
   EXPECT_TRUE(ok);
+}
+
+// The server gives a file's new blocks their disk blocks when it flushes
+// them, in ascending file-block order: blocks written out of order still
+// land in file order, on consecutive disk blocks of the file's region.
+TEST(Nfs3, DirtyBlocksWrittenOutOfOrderLandInFileOrder) {
+  const net::NetworkParams np;
+  redbud::sim::SimDomain domain(np.link_latency + np.switch_latency);
+  net::Network network(domain, np);
+  Simulation& ssim = domain.add_partition();
+  net::RpcEndpoint endpoint(ssim, network, network.add_node(ssim));
+  storage::DiskParams dp;
+  dp.total_blocks = 1 << 16;
+  storage::Disk disk(ssim, dp);
+  storage::IoScheduler sched(ssim, disk, storage::SchedulerParams{});
+  Nfs3Server server(ssim, endpoint, sched, Nfs3ServerParams{});
+  sched.start();
+  server.start();
+  Simulation& csim = domain.add_partition();
+  Nfs3Client client(csim, network, endpoint, Nfs3ClientParams{});
+
+  constexpr std::uint64_t kOrder[] = {5, 2, 7, 0, 3, 6, 1, 4};
+  net::FileId id = net::kInvalidFile;
+  auto ref = csim.spawn([](Nfs3Client& fs, net::FileId& id,
+                           const std::uint64_t* order) -> Process {
+    auto cfut = fs.create(net::kRootDir, "scattered");
+    id = co_await cfut;
+    std::vector<redbud::sim::SimFuture<Status>> writes;
+    for (int i = 0; i < 8; ++i) {
+      writes.push_back(fs.write(id, order[i] * 4096, 4096));
+    }
+    for (auto& w : writes) EXPECT_EQ(co_await w, Status::kOk);
+    auto sfut = fs.fsync(id);
+    EXPECT_EQ(co_await sfut, Status::kOk);
+  }(client, id, kOrder));
+  domain.run_until(SimTime::seconds(10));
+  ASSERT_TRUE(ref.done());
+  ASSERT_EQ(server.flushes(), 1u) << "one flush places all eight blocks";
+
+  const auto tokens = disk.load(0, 1024);
+  std::vector<std::uint64_t> at(8, ~std::uint64_t{0});
+  for (std::uint64_t d = 0; d < tokens.size(); ++d) {
+    for (std::uint64_t b = 0; b < 8; ++b) {
+      if (tokens[d] == client.expected_token(id, b)) at[b] = d;
+    }
+  }
+  for (std::uint64_t b = 0; b < 8; ++b) {
+    EXPECT_EQ(at[b], at[0] + b) << "file block " << b;
+  }
 }
 
 TEST(Pvfs2, StripingSpreadsAcrossIoServers) {

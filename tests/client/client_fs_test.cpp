@@ -223,6 +223,31 @@ TEST(ClientFs, OrderedWritesInvariantHeldUnderDelayedCommit) {
   EXPECT_TRUE(ok);
 }
 
+// A block's writeback entry goes when its commit is acked, so a drained
+// client keeps no completed array write per block it ever wrote.
+TEST(ClientFs, DrainedClientHoldsNoCompletedWriteback) {
+  for (const CommitMode mode : {CommitMode::kDelayed, CommitMode::kSync}) {
+    Cluster c(small_cluster(mode));
+    c.start();
+    run_in_cluster(c, [](Cluster& cl) -> Process {
+      auto& fs = cl.client(0);
+      std::vector<net::FileId> ids;
+      for (int i = 0; i < 8; ++i) {
+        auto cfut = fs.create(net::kRootDir, "f" + std::to_string(i));
+        ids.push_back(co_await cfut);
+      }
+      // Overwrites race their own writebacks; none is awaited.
+      std::vector<redbud::sim::SimFuture<Status>> writes;
+      for (int round = 0; round < 3; ++round) {
+        for (const auto id : ids) writes.push_back(fs.write(id, 0, 16384));
+      }
+      for (auto& w : writes) EXPECT_EQ(co_await w, Status::kOk);
+    });
+    EXPECT_EQ(c.client(0).writes_issued(), 24u);
+    EXPECT_EQ(c.client(0).completed_writebacks(), 0u);
+  }
+}
+
 TEST(ClientFs, DelegationServesSmallWritesWithoutLayoutRpc) {
   Cluster c(small_cluster(CommitMode::kDelayed, /*delegation=*/true));
   c.start();

@@ -298,13 +298,13 @@ TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
       }
       if (rng.bernoulli(0.25)) {
         mds::DurableRemoveRecord rec;
-        rec.extents = std::move(extents);
+        rec.extents = net::ExtentList(extents);
         rec.seq = seqs[r];
         removes.push_back(std::move(rec));
         continue;
       }
       mds::DurableCommitRecord rec;
-      rec.extents = std::move(extents);
+      rec.extents = net::ExtentList(extents);
       // Occasionally fewer tokens than blocks: the tail goes unchecked.
       const std::uint32_t ntokens =
           rng.bernoulli(0.1) ? std::uint32_t(rng.next_below(nblocks)) : nblocks;

@@ -1,6 +1,7 @@
 // Tests for the time-series telemetry plane: the domain probe's
-// off-event grid semantics, the sampler ring, channel freezing and
-// name-based re-resolution, same-seed replay of the sampled series, the
+// off-event grid semantics, the sampler's keep-last-N window, channel
+// freezing and name-based re-resolution, its run-length rows against a
+// ring of every sample, same-seed replay of the sampled series, the
 // KernelProfile's accounting invariants, and a golden-file
 // check of the Perfetto counter-track export.
 //
@@ -11,8 +12,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <map>
+#include <memory>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -25,6 +30,7 @@
 #include "obs/obs.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/parallel.hpp"
+#include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 
@@ -198,6 +204,148 @@ TEST(TimeSeriesSampler, ChannelSetFreezesButNamesReResolve) {
   ASSERT_EQ(series.size(), 1u);
   EXPECT_EQ(series[0].name, "a");
   EXPECT_EQ(series[0].values, (std::vector<double>{1, 1, 42}));
+}
+
+// --- Sampler: run-length rows against a ring of every sample -------------
+
+// The sampler as a ring of every sample per channel, re-resolving each
+// channel by name through a merge on every sample: the reference the
+// run-length rows must reproduce exactly.
+class RingSampler {
+ public:
+  RingSampler(const MetricsRegistry& reg, std::size_t cap)
+      : reg_(&reg), cap_(cap) {}
+
+  void sample(SimTime instant) {
+    if (count_ == 0) {
+      for (const auto& [name, v] : reg_->values()) {
+        channels_.push_back({name, {}});
+      }
+      n_values_ = channels_.size();
+      for (const auto& [name, g] : reg_->gauges()) {
+        channels_.push_back({name, {}});
+      }
+    }
+    const std::size_t slot = count_ % cap_;
+    push(instants_, slot, instant);
+    merge(slot, 0, n_values_, reg_->values(),
+          [](const std::uint64_t* v) { return static_cast<double>(*v); });
+    merge(slot, n_values_, channels_.size(), reg_->gauges(),
+          [](const Gauge* g) { return g->current(); });
+    ++count_;
+  }
+  [[nodiscard]] std::vector<SimTime> instants() const {
+    return unroll(instants_);
+  }
+  [[nodiscard]] std::vector<std::vector<double>> series() const {
+    std::vector<std::vector<double>> out;
+    for (const Channel& ch : channels_) out.push_back(unroll(ch.values));
+    return out;
+  }
+  [[nodiscard]] std::size_t retained() const { return instants_.size(); }
+  [[nodiscard]] std::uint64_t dropped() const { return count_ - retained(); }
+
+ private:
+  struct Channel {
+    std::string name;
+    std::vector<double> values;
+  };
+  template <typename T>
+  void push(std::vector<T>& ring, std::size_t slot, T v) {
+    if (ring.size() < cap_) {
+      ring.push_back(v);
+    } else {
+      ring[slot] = v;
+    }
+  }
+  template <typename Map, typename Read>
+  void merge(std::size_t slot, std::size_t begin, std::size_t end,
+             const Map& map, Read read) {
+    auto it = map.begin();
+    for (std::size_t i = begin; i < end; ++i) {
+      while (it != map.end() && it->first < channels_[i].name) ++it;
+      const bool hit = it != map.end() && it->first == channels_[i].name;
+      push(channels_[i].values, slot, hit ? read(it->second) : 0.0);
+    }
+  }
+  template <typename T>
+  [[nodiscard]] std::vector<T> unroll(const std::vector<T>& ring) const {
+    const std::size_t n = ring.size();
+    const std::size_t head = count_ > n ? count_ % cap_ : 0;
+    std::vector<T> out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(ring[(head + i) % n]);
+    return out;
+  }
+
+  const MetricsRegistry* reg_;
+  std::size_t cap_;
+  std::uint64_t count_ = 0;
+  std::size_t n_values_ = 0;
+  std::vector<Channel> channels_;
+  std::vector<SimTime> instants_;
+};
+
+// Doubles compared by their bits: -0.0 != 0.0, and a NaN equals only the
+// same NaN.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+TEST(TimeSeriesSampler, RunLengthRowsMatchARingOfEverySample) {
+  constexpr std::size_t kCap = 8;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kSpecial[] = {0.0, -0.0, kNaN, -kNaN, 1.5};
+  redbud::sim::Rng rng(7);
+  MetricsRegistry reg;
+  std::array<std::uint64_t, 3> values{};
+  std::array<Gauge, 3> gauges;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    reg.register_value("v" + std::to_string(i), {}, &values[i]);
+    reg.register_gauge("g" + std::to_string(i), {}, &gauges[i]);
+  }
+  TimeSeriesSampler sampler(SamplerParams{SimTime::millis(1), kCap});
+  sampler.bind(&reg);
+  RingSampler ref(reg, kCap);
+  std::uint64_t rebuilt = 0;
+  Gauge rebuilt_gauge;
+  std::uint64_t late = 5;
+
+  for (int i = 1; i <= 400; ++i) {
+    const SimTime now = SimTime::millis(i);
+    // Long idle stretches, so runs form and wrap out of the window.
+    if (rng.bernoulli(0.3)) {
+      values[rng.next_below(values.size())] += rng.next_below(3);
+    }
+    if (rng.bernoulli(0.3)) {
+      gauges[rng.next_below(gauges.size())].set(
+          now, kSpecial[rng.next_below(std::size(kSpecial))]);
+    }
+    if (i == 50) {  // a rebuilt component re-registers its view
+      reg.unregister("v1");
+      reg.register_value("v1", {}, &rebuilt);
+    }
+    if (i == 60) reg.unregister("g2");  // gone: samples as 0 meanwhile
+    if (i == 75) reg.register_gauge("g2", {}, &rebuilt_gauge);
+    if (i == 90) reg.register_value("late", {}, &late);  // ignored
+    if (i > 50) rebuilt += rng.next_below(2);
+    if (i > 75 && rng.bernoulli(0.2)) rebuilt_gauge.set(now, -0.0);
+
+    sampler.sample(now);
+    ref.sample(now);
+    ASSERT_EQ(sampler.retained(), ref.retained()) << "sample " << i;
+    ASSERT_EQ(sampler.samples_dropped(), ref.dropped()) << "sample " << i;
+    ASSERT_EQ(sampler.instants(), ref.instants()) << "sample " << i;
+    const auto got = sampler.series();
+    const auto want = ref.series();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      ASSERT_EQ(bits(got[c].values), bits(want[c])) << got[c].name << " at "
+                                                    << i;
+    }
+  }
+  EXPECT_EQ(sampler.channel_count(), 6u);
 }
 
 // --- Partitioned domain: sampled series replay identically --------------

@@ -6,15 +6,19 @@
 // a process joined before and after it finishes, an RPC round trip
 // between two partitions of a SimDomain through Network::deliver, page
 // cache hits and evicting inserts, and a FlatMap erase and reinsert at a
-// steady size.
+// steady size. One more case bounds the allocations of installing a
+// one-block file with ClientFs::preload.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "client/page_cache.hpp"
+#include "core/cluster.hpp"
 #include "net/rpc.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/future.hpp"
@@ -229,3 +233,35 @@ TEST(AllocGate, RpcRoundTripAcrossPartitionsAllocatesNothing) {
 
 }  // namespace
 }  // namespace redbud::net
+
+namespace redbud::client {
+namespace {
+
+// The open-loop fleet installs its 10^5 one-block files through
+// ClientFs::preload. A file's extent lists, commit record and block
+// versions are held inline, so what still allocates per file is the
+// install's transient request vectors and amortised table growth.
+TEST(AllocGate, PreloadingOneBlockFilesAllocatesAtMostSixPerFile) {
+  core::ClusterParams p;
+  p.nclients = 1;
+  p.nshards = 2;
+  p.array.ndisks = 2;
+  p.array.disk.total_blocks = 1 << 20;
+  p.metadata_disk.total_blocks = 1 << 20;
+  p.client.cache_pages = 1 << 16;
+  core::Cluster cluster(p);
+  ClientFs& fs = cluster.client(0);
+  constexpr int kFiles = 20'000;
+  std::vector<std::string> names;
+  for (int i = 0; i < kFiles; ++i) names.push_back("f" + std::to_string(i));
+
+  const std::uint64_t before = allocations();
+  for (const auto& name : names) {
+    ASSERT_EQ(fs.preload(net::kRootDir, name, 4096).status, net::Status::kOk);
+  }
+  const double per_file = double(allocations() - before) / kFiles;
+  EXPECT_LE(per_file, 6.0);
+}
+
+}  // namespace
+}  // namespace redbud::client
