@@ -10,7 +10,15 @@ first:
                 [--seed 1 --seed 2] [--cpu 2] [--moves-events]
 
 For every end-to-end metric of BENCHMARK.json it prints each side's
-median and quartiles, the change of the medians, and the pairs HEAD won.
+median and quartiles, the change of the medians, the pairs HEAD won, the
+metric's bound from BENCHMARK.json and two marks. `status` compares the
+change of the medians with the bound: "clears" when it is better by more
+than the bound, "PAST" when it is worse by more, "within" otherwise.
+`claim` is "met" when HEAD won at least 9 in 10 pairs and its median is
+better than BASE's by more than BASE's interquartile range, "inside"
+when HEAD's median lies within BASE's quartiles, and "better" or "WORSE"
+when it lies outside them otherwise.
+
 The simulated digest of a run is sim_ops_per_s, sim_op_p99_ms, attempted,
 failed and the per-layer `sim` map. Exit status: 0 when every digest of
 one workload and seed agrees across runs and revisions, 1 when one
@@ -87,11 +95,28 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def marks(m, base, head, wins):
+    """The `bound` and `claim` marks of one metric (see the docstring)."""
+    lower = m["better"] == "lower"
+    bm, hm = statistics.median(base), statistics.median(head)
+    gain = (bm - hm if lower else hm - bm) / bm if bm else 0.0
+    bound = ("clears" if gain > m["bound"] else
+             "PAST" if -gain > m["bound"] else "within")
+    q1, q3 = quartiles(base)
+    if wins * 10 >= 9 * len(base) and abs(hm - bm) > q3 - q1 and gain > 0:
+        claim = "met"
+    elif q1 <= hm <= q3:
+        claim = "inside"
+    else:
+        claim = "better" if gain > 0 else "WORSE"
+    return bound, claim
+
+
 def report(workload, seed, metrics, base, head):
     print("\n%s, seed %d, %d pairs" % (workload, seed, len(base)))
-    print("%-14s %-30s %-30s %9s %6s" %
+    print("%-14s %-30s %-30s %9s %6s %6s %-7s %s" %
           ("metric", "base median [q1, q3]", "head median [q1, q3]",
-           "change", "wins"))
+           "change", "wins", "bound", "status", "claim"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         b = [r[name] for r in base]
@@ -100,9 +125,10 @@ def report(workload, seed, metrics, base, head):
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
         change = (hm - bm) / bm * 100 if bm else 0.0
         cell = "%.4g [%.4g, %.4g]"
-        print("%-14s %-30s %-30s %+8.1f%% %3d/%d" %
-              (name, cell % ((bm,) + quartiles(b)),
-               cell % ((hm,) + quartiles(h)), change, wins, len(b)))
+        print("%-14s %-30s %-30s %+8.1f%% %3d/%-2d %5.0f%% %-7s %s" %
+              ((name, cell % ((bm,) + quartiles(b)),
+                cell % ((hm,) + quartiles(h)), change, wins, len(b),
+                m["bound"] * 100) + marks(m, b, h, wins)))
 
 
 def main():

@@ -312,19 +312,16 @@ void ClientFs::cache_layout(FileState& st,
 
 void ClientFs::committed(net::FileId file, std::uint64_t block) {
   cache_.mark_clean(file, block);
-  FileState* st = files_.find(file);
-  if (st == nullptr) return;
   // An entry still in flight belongs to a newer write of the block.
-  const auto* wb = st->writeback.find(block);
-  if (wb != nullptr && wb->ready()) st->writeback.erase(block);
+  const FileBlock key{file, block};
+  const auto* wb = writeback_.find(key);
+  if (wb != nullptr && wb->ready()) writeback_.erase(key);
 }
 
 std::size_t ClientFs::completed_writebacks() const {
   std::size_t n = 0;
-  files_.for_each([&](net::FileId, const FileState& st) {
-    st.writeback.for_each(
-        [&](std::uint64_t, const SimFuture<Done>& f) { n += f.ready(); });
-  });
+  writeback_.for_each(
+      [&](const FileBlock&, const SimFuture<Done>& f) { n += f.ready(); });
   return n;
 }
 
@@ -553,12 +550,12 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
   // writeback has not completed could be reordered by the elevator).
   {
     std::vector<SimFuture<Done>> waits;
-    FileState& st = state(file);
     for (std::uint32_t i = 0; i < range.count; ++i) {
-      const auto* wb = st.writeback.find(range.first + i);
+      const FileBlock key{file, range.first + i};
+      const auto* wb = writeback_.find(key);
       if (wb == nullptr) continue;
       if (wb->ready()) {
-        st.writeback.erase(range.first + i);
+        writeback_.erase(key);
       } else {
         waits.push_back(*wb);
       }
@@ -570,14 +567,14 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
   std::vector<SimFuture<Done>> data_futures;
   {
     std::size_t ti = 0;
-    FileState& st = state(file);
     for (const auto& e : extents) {
       std::vector<ContentToken> slice(tokens.begin() + std::ptrdiff_t(ti),
                                       tokens.begin() +
                                           std::ptrdiff_t(ti + e.nblocks));
       auto fut = array_->write(*sim_, e.addr, e.nblocks, std::move(slice));
       for (std::uint32_t b = 0; b < e.nblocks; ++b) {
-        *st.writeback.try_emplace(e.file_block + b).first = fut;
+        *writeback_.try_emplace(FileBlock{file, e.file_block + b}).first =
+            fut;
       }
       data_futures.push_back(std::move(fut));
       ti += e.nblocks;
@@ -776,6 +773,11 @@ Process ClientFs::remove_proc(net::DirId dir, std::string name,
   if (lr.status == Status::kOk) {
     queue_.drop(lr.file);
     cache_.invalidate_file(lr.file);
+    if (const FileState* st = files_.find(lr.file)) {
+      for (std::uint64_t b = 0; b < st->versions.size(); ++b) {
+        writeback_.erase(FileBlock{lr.file, b});
+      }
+    }
     files_.erase(lr.file);
   }
   net::RequestBody req = net::RemoveReq{dir, std::move(name)};

@@ -179,15 +179,9 @@ class ClientFs final : public fsapi::FsClient {
     // Version per block (drives content tokens); 0 = never written.
     // Most files are one block (DESIGN.md, "What a file costs").
     redbud::sim::InlineVec<std::uint64_t, 1> versions;
-    // In-flight writeback per block (Linux PG_writeback analogue): a page
-    // with an outstanding array write may not be written again until that
-    // I/O completes, or the elevator could reorder two writes of the same
-    // block and let stale data land last on the platter. The entry goes
-    // when the block's commit is acked (committed()).
-    redbud::sim::FlatMap<std::uint64_t,
-                         redbud::sim::SimFuture<redbud::sim::Done>>
-        writeback;
   };
+  // A fleet host keeps 12 500 of these (DESIGN.md, "What a file costs").
+  static_assert(sizeof(FileState) <= 64);
 
   redbud::sim::Process create_proc(net::DirId dir, std::string name,
                                    redbud::sim::SimPromise<net::FileId> p);
@@ -303,6 +297,15 @@ class ClientFs final : public fsapi::FsClient {
   obs::Obs* obs_ = nullptr;
   obs::Track op_track_;  // client track group, fs-op row
   redbud::sim::StableMap<net::FileId, FileState> files_;
+  // In-flight writeback per (file, block) (Linux PG_writeback analogue):
+  // a page with an outstanding array write may not be written again until
+  // that I/O completes, or the elevator could reorder two writes of the
+  // same block and let stale data land last on the platter. The entry
+  // goes when the block's commit is acked (committed()) or its file is
+  // removed.
+  redbud::sim::FlatMap<FileBlock, redbud::sim::SimFuture<redbud::sim::Done>,
+                       FileBlockHash>
+      writeback_;
   std::uint64_t writes_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t bytes_written_ = 0;

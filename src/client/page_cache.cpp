@@ -36,7 +36,7 @@ void PageCache::lru_push_front(std::uint32_t idx) {
 
 void PageCache::insert(net::FileId file, std::uint64_t block,
                        storage::ContentToken token, bool dirty) {
-  const Key key{file, block};
+  const FileBlock key{file, block};
   if (const std::uint32_t* idx = pages_.find(key)) {
     auto& f = pool_.at(*idx);
     f.token = token;
@@ -85,7 +85,7 @@ void PageCache::evict_if_needed() {
   while (pages_.size() >= capacity_ && lru_tail_ != kNil) {
     const std::uint32_t victim = lru_tail_;
     const auto& f = pool_.at(victim);
-    const Key key{f.file, f.block};
+    const FileBlock key{f.file, f.block};
     lru_unlink(victim);
     if (--files_.find(key.file)->pages == 0) files_.erase(key.file);
     pages_.erase(key);
@@ -105,7 +105,7 @@ void PageCache::put_clean(net::FileId file, std::uint64_t block,
 }
 
 void PageCache::mark_clean(net::FileId file, std::uint64_t block) {
-  const std::uint32_t* idx = pages_.find(Key{file, block});
+  const std::uint32_t* idx = pages_.find(FileBlock{file, block});
   if (idx == nullptr || !pool_.at(*idx).dirty) return;
   pool_.at(*idx).dirty = false;
   --dirty_;
@@ -122,7 +122,7 @@ void PageCache::drop_dirty_index(net::FileId file, std::uint64_t block) {
 
 std::optional<storage::ContentToken> PageCache::get(net::FileId file,
                                                     std::uint64_t block) {
-  const std::uint32_t* idx = pages_.find(Key{file, block});
+  const std::uint32_t* idx = pages_.find(FileBlock{file, block});
   if (idx == nullptr) {
     ++misses_;
     return std::nullopt;
@@ -136,7 +136,7 @@ std::optional<storage::ContentToken> PageCache::get(net::FileId file,
 }
 
 bool PageCache::is_dirty(net::FileId file, std::uint64_t block) const {
-  const std::uint32_t* idx = pages_.find(Key{file, block});
+  const std::uint32_t* idx = pages_.find(FileBlock{file, block});
   return idx != nullptr && pool_.at(*idx).dirty;
 }
 
@@ -147,7 +147,8 @@ PageCache::dirty_pages_of(net::FileId file) const {
   if (it == dirty_index_.end()) return out;
   out.reserve(it->second.size());
   for (const auto block : it->second) {
-    out.emplace_back(block, pool_.at(*pages_.find(Key{file, block})).token);
+    out.emplace_back(block,
+                     pool_.at(*pages_.find(FileBlock{file, block})).token);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -160,7 +161,7 @@ void PageCache::invalidate_file(net::FileId file) {
   const std::uint64_t end = rec->end;
   files_.erase(file);
   dirty_index_.erase(file);
-  const auto drop = [&](const Key& key, std::uint32_t idx) {
+  const auto drop = [&](const FileBlock& key, std::uint32_t idx) {
     auto& f = pool_.at(idx);
     if (f.dirty) {
       --dirty_;
@@ -176,7 +177,7 @@ void PageCache::invalidate_file(net::FileId file) {
   if (end < pages_.size()) {
     // Dense enough: probe the file's block range.
     for (std::uint64_t block = 0; left > 0 && block < end; ++block) {
-      const Key key{file, block};
+      const FileBlock key{file, block};
       if (const std::uint32_t* idx = pages_.find(key)) drop(key, *idx);
     }
   } else {
@@ -184,11 +185,11 @@ void PageCache::invalidate_file(net::FileId file) {
     // shifts entries, so collect the file's blocks before dropping any.
     std::vector<std::uint64_t> blocks;
     blocks.reserve(left);
-    pages_.for_each([&](const Key& key, std::uint32_t) {
+    pages_.for_each([&](const FileBlock& key, std::uint32_t) {
       if (key.file == file) blocks.push_back(key.block);
     });
     for (const std::uint64_t block : blocks) {
-      const Key key{file, block};
+      const FileBlock key{file, block};
       drop(key, *pages_.find(key));
     }
   }

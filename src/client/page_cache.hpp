@@ -28,6 +28,19 @@
 
 namespace redbud::client {
 
+// One block of one file: the key of the client's per-block tables.
+struct FileBlock {
+  net::FileId file;
+  std::uint64_t block;
+  friend bool operator==(const FileBlock&, const FileBlock&) = default;
+};
+struct FileBlockHash {
+  std::size_t operator()(const FileBlock& k) const {
+    return std::hash<std::uint64_t>{}(k.file * 0x9E3779B97F4A7C15ULL ^
+                                      k.block);
+  }
+};
+
 class PageCache {
  public:
   explicit PageCache(std::size_t capacity_pages);
@@ -78,18 +91,6 @@ class PageCache {
  private:
   static constexpr std::uint32_t kNil = PageFramePool::kNil;
 
-  struct Key {
-    net::FileId file;
-    std::uint64_t block;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>{}(k.file * 0x9E3779B97F4A7C15ULL ^
-                                        k.block);
-    }
-  };
-
   void insert(net::FileId file, std::uint64_t block,
               storage::ContentToken token, bool dirty);
   void evict_if_needed();
@@ -99,7 +100,8 @@ class PageCache {
 
   std::size_t capacity_;
   PageFramePool pool_;
-  redbud::sim::FlatMap<Key, std::uint32_t, KeyHash> pages_;  // key -> frame
+  redbud::sim::FlatMap<FileBlock, std::uint32_t, FileBlockHash>
+      pages_;  // key -> frame
   // Per-file dirty-block index so flushes never scan the whole cache.
   // dirty_pages_of sorts what it returns, so the index's own enumeration
   // order is never seen.

@@ -3,14 +3,24 @@
 // FlatMap keeps every entry in one power-of-two slot array. A key's home
 // slot is a multiply-shift (Fibonacci) hash of std::hash's value, so a
 // lookup takes no modulo and probes adjacent slots (linear probing,
-// wrapping at the end). Erase shifts the rest of the probe run back, so
-// there are no tombstones, and an insert that would pass 3/4 load first
-// doubles the array. An empty map owns no storage.
+// wrapping at the end). Each slot carries a one-byte tag in what would
+// be padding: 0 marks it free, otherwise it holds 0x80 and the seven
+// bits of the product just below the home bits. A probe compares the
+// tag before the key, so passing another key's slot costs a byte
+// compare, not a string or 16-byte compare; a growth recomputes the
+// tags, because the home bits change. That keeps the longer probe runs
+// of a fuller table cheap, so an insert doubles the array only when it
+// would pass 7/8 load (kMaxLoadEighths), not 3/4: a population just past
+// 3/4 of a power of two (a fleet host's 12 500 files) then fits in the
+// smaller array. Erase shifts the rest of the probe run back, tags with
+// their entries, so there are no tombstones. An empty map owns no
+// storage.
 //
 // Entries move when the array grows or an erase shifts a run: a pointer
 // from find() or try_emplace() holds only until the next insert or
 // erase. for_each visits the slot array in order, which depends on the
-// hashes and the insert history; callers must not depend on it.
+// hashes, the capacity and the insert history; callers must not depend
+// on it.
 //
 // StableMap is for values that are held across a later insert or a
 // coroutine suspension: the FlatMap maps each key to a slot of a deque,
@@ -49,10 +59,11 @@ class FlatMap {
 
   [[nodiscard]] V* find(const K& key) {
     if (size_ == 0) return nullptr;
-    for (std::size_t i = home(key);; i = next(i)) {
+    const Probe pr = probe(key);
+    for (std::size_t i = pr.home;; i = next(i)) {
       Slot& s = slots_[i];
-      if (!s.full) return nullptr;
-      if (s.key == key) return &s.value;
+      if (s.tag == kFree) return nullptr;
+      if (s.tag == pr.tag && s.key == key) return &s.value;
     }
   }
   [[nodiscard]] const V* find(const K& key) const {
@@ -63,21 +74,26 @@ class FlatMap {
   // key's value and whether it was inserted.
   template <typename... Args>
   std::pair<V*, bool> try_emplace(const K& key, Args&&... args) {
+    Probe pr;
     std::size_t i = 0;
     if (!slots_.empty()) {
-      for (i = home(key); slots_[i].full; i = next(i)) {
-        if (slots_[i].key == key) return {&slots_[i].value, false};
+      pr = probe(key);
+      for (i = pr.home; slots_[i].tag != kFree; i = next(i)) {
+        if (slots_[i].tag == pr.tag && slots_[i].key == key) {
+          return {&slots_[i].value, false};
+        }
       }
     }
-    if ((size_ + 1) * 4 > slots_.size() * 3) {
+    if ((size_ + 1) * 8 > slots_.size() * kMaxLoadEighths) {
       grow();
-      for (i = home(key); slots_[i].full; i = next(i)) {
+      pr = probe(key);
+      for (i = pr.home; slots_[i].tag != kFree; i = next(i)) {
       }
     }
     Slot& s = slots_[i];
     s.key = key;
     s.value = V(std::forward<Args>(args)...);
-    s.full = true;
+    s.tag = pr.tag;
     ++size_;
     return {&s.value, true};
   }
@@ -85,18 +101,18 @@ class FlatMap {
   // Returns whether the key was present.
   bool erase(const K& key) {
     if (size_ == 0) return false;
-    std::size_t hole = home(key);
+    const Probe pr = probe(key);
+    std::size_t hole = pr.home;
     for (;; hole = next(hole)) {
-      if (!slots_[hole].full) return false;
-      if (slots_[hole].key == key) break;
+      if (slots_[hole].tag == kFree) return false;
+      if (slots_[hole].tag == pr.tag && slots_[hole].key == key) break;
     }
     // Backward shift: an entry later in the run moves into the hole
     // when the hole lies on its probe path (between its home and it).
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t j = next(hole); slots_[j].full; j = next(j)) {
-      if (((j - home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
-        slots_[hole].key = std::move(slots_[j].key);
-        slots_[hole].value = std::move(slots_[j].value);
+    for (std::size_t j = next(hole); slots_[j].tag != kFree; j = next(j)) {
+      if (((j - probe(slots_[j].key).home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = std::move(slots_[j]);
         hole = j;
       }
     }
@@ -112,22 +128,34 @@ class FlatMap {
   template <typename F>
   void for_each(F&& f) const {
     for (const Slot& s : slots_) {
-      if (s.full) f(s.key, s.value);
+      if (s.tag != kFree) f(s.key, s.value);
     }
   }
 
  private:
   static constexpr std::size_t kMinCapacity = 8;
+  // An insert grows the array when the map would pass this many eighths
+  // of its slots (see the header comment for why 7/8).
+  static constexpr std::size_t kMaxLoadEighths = 7;
+  static constexpr std::uint8_t kFree = 0;
 
   struct Slot {
     K key{};
     V value{};
-    bool full = false;
+    std::uint8_t tag = kFree;
+  };
+  struct Probe {
+    std::size_t home = 0;
+    std::uint8_t tag = kFree;
   };
 
-  [[nodiscard]] std::size_t home(const K& key) const {
-    return std::size_t((std::uint64_t(hash_(key)) * 0x9E3779B97F4A7C15ULL) >>
-                       shift_);
+  // The key's home slot (the product's top bits) and its tag (the seven
+  // bits below them, with the high bit set so no tag reads as free).
+  [[nodiscard]] Probe probe(const K& key) const {
+    const std::uint64_t product =
+        std::uint64_t(hash_(key)) * 0x9E3779B97F4A7C15ULL;
+    return {std::size_t(product >> shift_),
+            std::uint8_t(0x80 | ((product >> (shift_ - 7)) & 0x7f))};
   }
   [[nodiscard]] std::size_t next(std::size_t i) const {
     return (i + 1) & (slots_.size() - 1);
@@ -140,10 +168,12 @@ class FlatMap {
     old.swap(slots_);
     shift_ = 64 - std::countr_zero(cap);
     for (Slot& s : old) {
-      if (!s.full) continue;
-      std::size_t i = home(s.key);
-      while (slots_[i].full) i = next(i);
+      if (s.tag == kFree) continue;
+      const Probe pr = probe(s.key);
+      std::size_t i = pr.home;
+      while (slots_[i].tag != kFree) i = next(i);
       slots_[i] = std::move(s);
+      slots_[i].tag = pr.tag;
     }
   }
 

@@ -412,6 +412,38 @@ TEST(ClientFs, RemoveDropsPendingCommitAndFile) {
   EXPECT_TRUE(ok);
 }
 
+// Removing a file while its array write is still on a slow disk drops
+// the file's queued commit, so no ack will erase the block's writeback
+// entry: the remove must, or the drained client keeps a completed one.
+TEST(ClientFs, RemovedFileLeavesNoWriteback) {
+  Cluster c(small_cluster(CommitMode::kDelayed));
+  for (std::uint32_t d = 0; d < c.array().ndisks(); ++d) {
+    c.array().disk(d).set_slow_factor(1000);
+  }
+  c.start();
+  bool in_flight = false;
+  bool ok = false;
+  run_in_cluster(c, [&in_flight, &ok](Cluster& cl) -> Process {
+    auto& fs = cl.client(0);
+    auto cfut = fs.create(net::kRootDir, "doomed");
+    const auto id = co_await cfut;
+    auto wfut = fs.write(id, 0, 8192);
+    const Status ws = co_await wfut;
+    in_flight = cl.array().disk(0).blocks_written() +
+                    cl.array().disk(1).blocks_written() ==
+                0;
+    auto dfut = fs.remove(net::kRootDir, "doomed");
+    const Status ds = co_await dfut;
+    ok = ws == Status::kOk && ds == Status::kOk;
+  });
+  EXPECT_TRUE(in_flight) << "the array write finished before the remove";
+  EXPECT_TRUE(ok);
+  EXPECT_GT(c.array().disk(0).blocks_written() +
+                c.array().disk(1).blocks_written(),
+            0u);
+  EXPECT_EQ(c.client(0).completed_writebacks(), 0u);
+}
+
 TEST(ClientFs, AdaptiveCommitThreadsScaleWithBacklog) {
   Cluster c(small_cluster(CommitMode::kDelayed));
   c.start();

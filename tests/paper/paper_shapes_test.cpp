@@ -25,11 +25,16 @@
 // PVFS2 cells nothing else does. Together they cover every number
 // fig3_overall --smoke prints. Every Fig 4 cell (3 file sizes x 3
 // configurations) is pinned the same way in fig4_smoke.txt, with the write
-// merge ratio fig4_iomerge --smoke prints as its value. Regenerate the
-// lines after an intentional change of behaviour, in one process (each
-// case rewrites its own lines):
+// merge ratio fig4_iomerge --smoke prints as its value. Figs 5-7 follow
+// suit: every Fig 5 cell (2 file sizes x 3 configurations) pins its
+// dispatches, seeks and blocks moved with seeks per MB as its value in
+// fig5_smoke.txt; every Fig 6 workload pins its commit pool's thread and
+// queue maxima and means in fig6_smoke.txt; every Fig 7 cell (3 daemon
+// counts x 3 compound degrees) pins its per-client MB/s in
+// fig7_smoke.txt. Regenerate the lines after an intentional change of
+// behaviour, in one process (each case rewrites its own lines):
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
-//       --gtest_filter='PaperShapes.Fig3*:PaperShapes.Fig4*'
+//       --gtest_filter='PaperShapes.*'
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,9 +110,11 @@ void expect_golden(const std::string& file, const std::string& line) {
 }
 
 // The digest line of one cell: `key` (workload and configuration), then
-// the run's counts, kernel events, latencies and the figure's value.
+// the run's counts, kernel events, latencies and the figure's value, then
+// `extra` (the cell's other printed numbers, if any).
 std::string digest_line(const std::string& key, const workload::WorkloadResult& r,
-                        std::uint64_t events, double value) {
+                        std::uint64_t events, double value,
+                        const std::string& extra = "") {
   char line[512];
   std::snprintf(line, sizeof line,
                 "%s ops=%llu op_errors=%llu verify_failures=%llu "
@@ -120,7 +127,7 @@ std::string digest_line(const std::string& key, const workload::WorkloadResult& 
                 static_cast<long long>(r.measured.ns()),
                 static_cast<long long>(r.mean_latency.ns()),
                 static_cast<long long>(r.p99_latency.ns()), value);
-  return line;
+  return line + extra;
 }
 
 Cell fig3_cell(const std::string& which, Protocol proto) {
@@ -194,14 +201,15 @@ TEST(PaperShapes, Fig3BaselinesWebproxy) {
 TEST(PaperShapes, Fig3BaselinesXcdn1M) { expect_baselines_clean("xcdn-1MB"); }
 TEST(PaperShapes, Fig3BaselinesNpbBt) { expect_baselines_clean("NPB-BT"); }
 
+// The three Redbud configurations Figs 4 and 5 compare, and their keys.
+enum class Fig4Config { kOriginal, kDelayedCommit, kSpaceDelegation };
+constexpr const char* kConfigNames[] = {"Original-Redbud", "Delayed-Commit",
+                                        "Space-Delegation"};
+
 // One Figure 4 cell as fig4_iomerge runs it with --smoke (16 MiB
 // delegation chunks): pins its digest and returns the write merge ratio
 // on the data array over the measured window.
-enum class Fig4Config { kOriginal, kDelayedCommit, kSpaceDelegation };
-
 double fig4_cell(std::uint32_t file_kb, Fig4Config config) {
-  static constexpr const char* kNames[] = {"Original-Redbud", "Delayed-Commit",
-                                           "Space-Delegation"};
   auto params = paper_testbed(config == Fig4Config::kOriginal
                                   ? Protocol::kRedbudSync
                                   : Protocol::kRedbudDelayed);
@@ -218,7 +226,7 @@ double fig4_cell(std::uint32_t file_kb, Fig4Config config) {
   const double merge = cluster->array().write_merge_ratio();
   expect_golden("fig4_smoke.txt",
                 digest_line(std::to_string(file_kb) + "KB " +
-                                kNames[static_cast<int>(config)],
+                                kConfigNames[static_cast<int>(config)],
                             r, bed.events_processed(), merge));
   return merge;
 }
@@ -250,10 +258,12 @@ TEST(PaperShapes, Fig4Cells1M) {
 }
 
 // Disk seeks per MB moved over the measured window, as fig5_seeks
-// measures them from the per-disk blktrace.
-double fig5_seeks_per_mb(std::uint32_t file_kb, bool delegation) {
-  auto params = paper_testbed(Protocol::kRedbudDelayed);
-  params.redbud.client.delegation = delegation;
+// measures them from the per-disk blktrace; pins the cell's digest.
+double fig5_seeks_per_mb(std::uint32_t file_kb, Fig4Config config) {
+  auto params = paper_testbed(config == Fig4Config::kOriginal
+                                  ? Protocol::kRedbudSync
+                                  : Protocol::kRedbudDelayed);
+  params.redbud.client.delegation = config == Fig4Config::kSpaceDelegation;
   core::Testbed bed(params);
   bed.start();
   workload::XcdnWorkload w(xcdn_params(file_kb));
@@ -267,21 +277,33 @@ double fig5_seeks_per_mb(std::uint32_t file_kb, bool delegation) {
   };
   const auto r = run_workload(bed, w, opt);
   EXPECT_EQ(r.verify_failures + r.op_errors, 0u);
+  std::uint64_t dispatches = 0;
   std::uint64_t seeks = 0;
   std::uint64_t blocks_moved = 0;
   for (std::uint32_t d = 0; d < cluster->array().ndisks(); ++d) {
     const auto& tr = cluster->array().disk(d).trace();
+    dispatches += tr.events().size();
     seeks += tr.seek_count();
     for (const auto& ev : tr.events()) blocks_moved += ev.nblocks;
   }
   const double mb =
       double(blocks_moved) * double(storage::kBlockSize) / (1 << 20);
-  return mb > 0 ? double(seeks) / mb : 0.0;
+  const double per_mb = mb > 0 ? double(seeks) / mb : 0.0;
+  expect_golden(
+      "fig5_smoke.txt",
+      digest_line(std::to_string(file_kb) + "KB " +
+                      kConfigNames[static_cast<int>(config)],
+                  r, bed.events_processed(), per_mb,
+                  " dispatches=" + std::to_string(dispatches) +
+                      " seeks=" + std::to_string(seeks) +
+                      " blocks=" + std::to_string(blocks_moved)));
+  return per_mb;
 }
 
 void expect_delegation_cuts_seeks(std::uint32_t file_kb) {
-  const double dc = fig5_seeks_per_mb(file_kb, false);
-  const double delegation = fig5_seeks_per_mb(file_kb, true);
+  const double dc = fig5_seeks_per_mb(file_kb, Fig4Config::kDelayedCommit);
+  const double delegation =
+      fig5_seeks_per_mb(file_kb, Fig4Config::kSpaceDelegation);
   ASSERT_GT(dc, 0.0);
   EXPECT_LE(delegation, dc / 3.0)
       << file_kb << " KB: delegation " << delegation << " vs DC " << dc
@@ -294,9 +316,15 @@ TEST(PaperShapes, Fig5DelegationCutsSeeksXcdn32K) {
 TEST(PaperShapes, Fig5DelegationCutsSeeksXcdn1M) {
   expect_delegation_cuts_seeks(1024);
 }
+// The Fig 5 cells the seek gate does not run; each pins its digest.
+TEST(PaperShapes, Fig5CellsOriginal) {
+  fig5_seeks_per_mb(32, Fig4Config::kOriginal);
+  fig5_seeks_per_mb(1024, Fig4Config::kOriginal);
+}
 
 // Peak commit-thread count of client 0's pool, as fig6_adaptive runs it
-// (9-thread cap, 12 s measured span even at --smoke).
+// (9-thread cap, 12 s measured span even at --smoke); pins the
+// workload's digest with the pool's thread and queue maxima and means.
 double fig6_max_commit_threads(const std::string& which) {
   auto w = fig3_workload(which);
   auto params = paper_testbed(Protocol::kRedbudDelayed);
@@ -309,7 +337,18 @@ double fig6_max_commit_threads(const std::string& which) {
   opt.duration = sim::SimTime::seconds(12);
   const auto r = run_workload(bed, *w, opt);
   EXPECT_EQ(r.verify_failures + r.op_errors, 0u) << which;
-  return pool.thread_series().max_value();
+  const auto& ts = pool.thread_series();
+  const auto& qs = pool.queue_series();
+  char extra[256];
+  std::snprintf(extra, sizeof extra,
+                " threads_max=%.17g threads_mean=%.17g queue_max=%.17g "
+                "queue_mean=%.17g",
+                ts.max_value(), ts.mean_value(), qs.max_value(),
+                qs.mean_value());
+  expect_golden("fig6_smoke.txt",
+                digest_line(which + " Redbud+DC", r, bed.events_processed(),
+                            ts.max_value(), extra));
+  return ts.max_value();
 }
 
 TEST(PaperShapes, Fig6NpbBtStaysAtOneCommitThread) {
@@ -318,8 +357,15 @@ TEST(PaperShapes, Fig6NpbBtStaysAtOneCommitThread) {
 TEST(PaperShapes, Fig6Xcdn32KReachesTheThreadCap) {
   EXPECT_EQ(fig6_max_commit_threads("xcdn-32KB"), 9.0);
 }
+// The Fig 6 workloads no shape gate runs; each pins its digest.
+TEST(PaperShapes, Fig6CellsVarmail) { fig6_max_commit_threads("varmail"); }
+TEST(PaperShapes, Fig6CellsFileserver) {
+  fig6_max_commit_threads("fileserver");
+}
+TEST(PaperShapes, Fig6CellsWebproxy) { fig6_max_commit_threads("webproxy"); }
 
-// Per-client MB/s of the MDS-bound xcdn-8KB run fig7_compound sweeps.
+// Per-client MB/s of the MDS-bound xcdn-8KB run fig7_compound sweeps;
+// pins the cell's digest.
 double fig7_per_client(std::uint32_t ndaemons, std::uint32_t degree) {
   auto params = paper_testbed(Protocol::kRedbudDelayed);
   params.redbud.mds.ndaemons = ndaemons;
@@ -333,7 +379,12 @@ double fig7_per_client(std::uint32_t ndaemons, std::uint32_t degree) {
   const auto r = run_workload(bed, w, paper_run(/*smoke=*/true));
   EXPECT_EQ(r.verify_failures + r.op_errors, 0u)
       << ndaemons << " daemons, degree " << degree;
-  return r.mb_per_sec / double(bed.nclients());
+  const double per_client = r.mb_per_sec / double(bed.nclients());
+  expect_golden("fig7_smoke.txt",
+                digest_line("daemons=" + std::to_string(ndaemons) +
+                                " degree=" + std::to_string(degree),
+                            r, bed.events_processed(), per_client));
+  return per_client;
 }
 
 TEST(PaperShapes, Fig7CompoundingHelpsAtOneDaemon) {
@@ -358,6 +409,8 @@ TEST(PaperShapes, Fig7SixteenDaemonsDoNotBeatEightDegree3) {
 TEST(PaperShapes, Fig7SixteenDaemonsDoNotBeatEightDegree6) {
   expect_sixteen_daemons_not_above_eight(6);
 }
+// The Fig 7 cell no shape gate runs; it pins its digest.
+TEST(PaperShapes, Fig7CellsOneDaemonDegree6) { fig7_per_client(1, 6); }
 
 }  // namespace
 }  // namespace redbud::bench

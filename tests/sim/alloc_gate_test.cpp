@@ -1,18 +1,23 @@
 // Allocation gate for the event path. This file replaces the global
 // operator new and delete of the test binary with ones that count every
-// allocation in one relaxed counter and otherwise behave as malloc and
-// free. Each case runs a loop to a steady state, then asserts that many
-// more iterations of it allocate nothing: a future awaited and fulfilled,
-// a process joined before and after it finishes, an RPC round trip
-// between two partitions of a SimDomain through Network::deliver, page
-// cache hits and evicting inserts, and a FlatMap erase and reinsert at a
-// steady size. One more case bounds the allocations of installing a
-// one-block file with ClientFs::preload.
+// allocation and the live requested bytes (a size header in front of
+// each block), and otherwise behave as malloc and free. Each event-path
+// case runs a loop to a steady state, then asserts that many more
+// iterations of it allocate nothing: a future awaited and fulfilled, a
+// process joined before and after it finishes, an RPC round trip between
+// two partitions of a SimDomain through Network::deliver, page cache hits
+// and evicting inserts, and a FlatMap erase and reinsert at a steady
+// size. Further cases pin the point where a FlatMap grows, show that a
+// file's first rewrite allocates no per-file writeback table, and bound
+// the allocations and heap bytes of installing one-block files with
+// ClientFs::preload.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -31,10 +36,28 @@ constexpr int kWarmup = 100;
 constexpr int kIterations = 10'000;
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Each block carries its requested size in a header that keeps the
+// pointer handed out aligned as malloc's.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_malloc(std::size_t n) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n == 0 ? 1 : n);
+  auto* base = static_cast<unsigned char*>(std::malloc(kHeader + n));
+  if (base == nullptr) return nullptr;
+  std::memcpy(base, &n, sizeof n);
+  g_live_bytes.fetch_add(std::int64_t(n), std::memory_order_relaxed);
+  return base + kHeader;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  unsigned char* base = static_cast<unsigned char*>(p) - kHeader;
+  std::size_t n = 0;
+  std::memcpy(&n, base, sizeof n);
+  g_live_bytes.fetch_sub(std::int64_t(n), std::memory_order_relaxed);
+  std::free(base);
 }
 
 void* counted_new(std::size_t n) {
@@ -44,6 +67,10 @@ void* counted_new(std::size_t n) {
 
 std::uint64_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -56,13 +83,15 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return counted_malloc(n);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace redbud::sim {
@@ -131,6 +160,20 @@ TEST(AllocGate, FlatMapEraseThenReinsertAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
   EXPECT_EQ(map.size(), 1000u);
   EXPECT_EQ(*map.find(next - 1), next - 1);
+}
+
+// A map grows only when an insert would pass 7/8 load: 14 336 keys
+// (7/8 of 16 384) fit in the twelfth array (8, 16, ..., 16 384 slots),
+// and the next key allocates the thirteenth.
+TEST(AllocGate, FlatMapGrowsPastSevenEighthsLoad) {
+  FlatMap<std::uint64_t, std::uint64_t> map;
+  constexpr std::uint64_t kFull = 16'384 / 8 * 7;
+  const std::uint64_t before = allocations();
+  for (std::uint64_t k = 0; k < kFull; ++k) map.try_emplace(k, k);
+  EXPECT_EQ(allocations() - before, 12u);
+  map.try_emplace(kFull, kFull);
+  EXPECT_EQ(allocations() - before, 13u);
+  EXPECT_EQ(map.size(), kFull + 1);
 }
 
 TEST(AllocGate, JoiningProcessesAllocatesNothing) {
@@ -237,11 +280,8 @@ TEST(AllocGate, RpcRoundTripAcrossPartitionsAllocatesNothing) {
 namespace redbud::client {
 namespace {
 
-// The open-loop fleet installs its 10^5 one-block files through
-// ClientFs::preload. A file's extent lists, commit record and block
-// versions are held inline, so what still allocates per file is the
-// install's transient request vectors and amortised table growth.
-TEST(AllocGate, PreloadingOneBlockFilesAllocatesAtMostSixPerFile) {
+// Cluster for the preload gates: one client, two MDS shards.
+core::ClusterParams preload_cluster() {
   core::ClusterParams p;
   p.nclients = 1;
   p.nshards = 2;
@@ -249,11 +289,24 @@ TEST(AllocGate, PreloadingOneBlockFilesAllocatesAtMostSixPerFile) {
   p.array.disk.total_blocks = 1 << 20;
   p.metadata_disk.total_blocks = 1 << 20;
   p.client.cache_pages = 1 << 16;
-  core::Cluster cluster(p);
+  return p;
+}
+
+std::vector<std::string> file_names(int n) {
+  std::vector<std::string> names;
+  for (int i = 0; i < n; ++i) names.push_back("f" + std::to_string(i));
+  return names;
+}
+
+// The open-loop fleet installs its 10^5 one-block files through
+// ClientFs::preload. A file's extent lists, commit record and block
+// versions are held inline, so what still allocates per file is the
+// install's transient request vectors and amortised table growth.
+TEST(AllocGate, PreloadingOneBlockFilesAllocatesAtMostSixPerFile) {
+  core::Cluster cluster(preload_cluster());
   ClientFs& fs = cluster.client(0);
   constexpr int kFiles = 20'000;
-  std::vector<std::string> names;
-  for (int i = 0; i < kFiles; ++i) names.push_back("f" + std::to_string(i));
+  const std::vector<std::string> names = file_names(kFiles);
 
   const std::uint64_t before = allocations();
   for (const auto& name : names) {
@@ -261,6 +314,74 @@ TEST(AllocGate, PreloadingOneBlockFilesAllocatesAtMostSixPerFile) {
   }
   const double per_file = double(allocations() - before) / kFiles;
   EXPECT_LE(per_file, 6.0);
+}
+
+// A fleet host's population: 12 500 files, just past 3/4 of 16 384, on
+// shards of 6 250 (just past 3/4 of 8 192). Every per-file table (the
+// client's file index and page cache, each shard's dirents and inode
+// index) fits in its smaller array at 7/8 load, so the install leaves
+// 496 live heap bytes per file; growing at 3/4 load left 704.
+TEST(AllocGate, PreloadingAFleetHostsFilesHoldsAtMostBytesPerFile) {
+  core::Cluster cluster(preload_cluster());
+  ClientFs& fs = cluster.client(0);
+  constexpr int kFiles = 12'500;
+  const std::vector<std::string> names = file_names(kFiles);
+
+  const std::int64_t before = live_bytes();
+  for (const auto& name : names) {
+    ASSERT_EQ(fs.preload(net::kRootDir, name, 4096).status, net::Status::kOk);
+  }
+  const double per_file = double(live_bytes() - before) / kFiles;
+  EXPECT_LE(per_file, 600.0);
+}
+
+// Each pass writes one block to each of its files in turn, each write
+// awaited (a sync-mode write returns once its commit is acked), then
+// idles; `allocated` gets the allocations each pass took.
+sim::Process rewrite_passes(core::Cluster& c,
+                            std::vector<std::vector<net::FileId>> passes,
+                            std::vector<std::uint64_t>& allocated) {
+  ClientFs& fs = c.client(0);
+  for (const auto& ids : passes) {
+    const std::uint64_t before = allocations();
+    for (const net::FileId id : ids) {
+      auto w = fs.write(id, 0, 4096);
+      EXPECT_EQ(co_await w, net::Status::kOk);
+    }
+    co_await c.client_sim(0).delay(sim::SimTime::seconds(2));
+    allocated.push_back(allocations() - before);
+  }
+}
+
+// In-flight writebacks live in one table per client, so a file's first
+// rewrite allocates nothing its second does not: no per-file table. Two
+// warm-up passes over other files bring the client's tables and the
+// kernel's arenas to their steady size first.
+TEST(AllocGate, FirstRewriteOfAFileAllocatesNoPerFileTable) {
+  core::ClusterParams p = preload_cluster();
+  p.client.mode = CommitMode::kSync;
+  core::Cluster cluster(p);
+  ClientFs& fs = cluster.client(0);
+  constexpr std::size_t kWarmFiles = 64;
+  constexpr int kFiles = 256;
+  std::vector<net::FileId> warm;
+  std::vector<net::FileId> ids;
+  for (const auto& name : file_names(int(kWarmFiles) + kFiles)) {
+    const OpenResult r = fs.preload(net::kRootDir, name, 4096);
+    ASSERT_EQ(r.status, net::Status::kOk);
+    (warm.size() < kWarmFiles ? warm : ids).push_back(r.file);
+  }
+  cluster.start();
+  std::vector<std::uint64_t> allocated;
+  allocated.reserve(4);
+  auto ref = cluster.client_sim(0).spawn(
+      rewrite_passes(cluster, {warm, warm, ids, ids}, allocated));
+  cluster.run_until(cluster.now() + sim::SimTime::seconds(60));
+  cluster.check_failures();
+  ASSERT_TRUE(ref.done());
+  ASSERT_EQ(allocated.size(), 4u);
+  EXPECT_LT(double(allocated[2]) - double(allocated[3]), 0.25 * kFiles)
+      << "first rewrites " << allocated[2] << ", second " << allocated[3];
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for FlatMap and StableMap: a differential fuzz against
-// std::unordered_map, for_each coverage, and StableMap's address
+// std::unordered_map (spread, wrapping, clustered and same-tag hashes,
+// each filled past 3/4 load), for_each coverage, and StableMap's address
 // stability and slot reuse.
 #include <gtest/gtest.h>
 
@@ -15,24 +16,39 @@
 namespace redbud::sim {
 namespace {
 
-// Every key hashes to one value whose Fibonacci product is all ones, so
-// every key's home is the last slot at every capacity: each probe run
-// wraps past the end of the table, and each backward shift crosses it.
+// FlatMap's Fibonacci multiplier, and its inverse: a test hash that
+// returns inverse * p makes the map's product exactly p.
+constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t inverse_mod_2_64(std::uint64_t x) {
   std::uint64_t inv = x;  // correct to 3 bits for odd x
   for (int i = 0; i < 5; ++i) inv *= 2 - x * inv;
   return inv;
 }
+// Every key hashes to one value whose Fibonacci product is all ones, so
+// every key's home is the last slot at every capacity: each probe run
+// wraps past the end of the table, and each backward shift crosses it.
 struct LastSlotHash {
   std::size_t operator()(std::uint64_t) const {
-    return ~std::uint64_t{0} * inverse_mod_2_64(0x9E3779B97F4A7C15ULL);
+    return ~std::uint64_t{0} * inverse_mod_2_64(kFibonacci);
   }
 };
 // Groups of eight consecutive keys share a home: long runs that overlap.
 struct ClusteredHash {
   std::size_t operator()(std::uint64_t k) const { return k >> 3; }
 };
+// The product keeps nine mixed bits on top and zeros below, so from 512
+// slots on every key has the same tag while homes stay spread: each probe
+// past another key's slot falls through to the key compare.
+struct SameTagHash {
+  std::size_t operator()(std::uint64_t k) const {
+    const std::uint64_t top = (k * 0x2545F4914F6CDD1DULL) >> 55;
+    return (top << 55) * inverse_mod_2_64(kFibonacci);
+  }
+};
 
+// Ops alternate between filling and draining phases. The key space is
+// 7/8 of a power of two, so a filling phase holds the map between 3/4
+// and 7/8 load of its final array, which it never outgrows.
 template <typename Hash>
 void differential_fuzz(std::uint64_t seed, std::uint64_t key_space,
                        int ops) {
@@ -40,30 +56,26 @@ void differential_fuzz(std::uint64_t seed, std::uint64_t key_space,
   std::unordered_map<std::uint64_t, std::uint64_t> ref;
   Rng rng(seed);
   std::size_t peak = 0;
+  const int phase = ops / 10;
   for (int i = 0; i < ops; ++i) {
     const std::uint64_t key = rng.next_below(key_space);
-    switch (rng.next_below(4)) {
-      case 0:
-      case 1: {  // insert (or find the existing entry)
-        const std::uint64_t value = rng.next_u64();
-        const auto [v, fresh] = map.try_emplace(key, value);
-        const auto [it, ref_fresh] = ref.try_emplace(key, value);
-        ASSERT_EQ(fresh, ref_fresh) << "op " << i;
+    const bool filling = (i / phase) % 2 == 0;
+    const std::uint64_t op = rng.next_below(16);
+    if (op < (filling ? 12u : 3u)) {  // insert (or find the existing entry)
+      const std::uint64_t value = rng.next_u64();
+      const auto [v, fresh] = map.try_emplace(key, value);
+      const auto [it, ref_fresh] = ref.try_emplace(key, value);
+      ASSERT_EQ(fresh, ref_fresh) << "op " << i;
+      ASSERT_EQ(*v, it->second) << "op " << i;
+    } else if (op < 13) {  // erase
+      ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "op " << i;
+    } else {  // find, and write through the pointer
+      std::uint64_t* v = map.find(key);
+      const auto it = ref.find(key);
+      ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << i;
+      if (v != nullptr) {
         ASSERT_EQ(*v, it->second) << "op " << i;
-        break;
-      }
-      case 2:  // erase
-        ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << "op " << i;
-        break;
-      default: {  // find, and write through the pointer
-        std::uint64_t* v = map.find(key);
-        const auto it = ref.find(key);
-        ASSERT_EQ(v != nullptr, it != ref.end()) << "op " << i;
-        if (v != nullptr) {
-          ASSERT_EQ(*v, it->second) << "op " << i;
-          *v = it->second = rng.next_u64();
-        }
-        break;
+        *v = it->second = rng.next_u64();
       }
     }
     ASSERT_EQ(map.size(), ref.size()) << "op " << i;
@@ -78,25 +90,31 @@ void differential_fuzz(std::uint64_t seed, std::uint64_t key_space,
       EXPECT_EQ(*v, it->second) << "key " << k;
     }
   }
-  // Several doublings from the 8-slot start.
-  EXPECT_GE(peak, key_space / 4);
+  // Past 3/4 load of the final array (key_space is 7/8 of it).
+  EXPECT_GT(peak * 7, key_space * 6);
 }
 
 TEST(FlatMap, MatchesUnorderedMapWithSpreadKeys) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    differential_fuzz<std::hash<std::uint64_t>>(seed, 512, 20'000);
+    differential_fuzz<std::hash<std::uint64_t>>(seed, 448, 20'000);
   }
 }
 
 TEST(FlatMap, MatchesUnorderedMapWhenRunsWrapTheTable) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    differential_fuzz<LastSlotHash>(seed, 48, 5'000);
+    differential_fuzz<LastSlotHash>(seed, 56, 5'000);
   }
 }
 
 TEST(FlatMap, MatchesUnorderedMapWithOverlappingRuns) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    differential_fuzz<ClusteredHash>(seed, 256, 20'000);
+    differential_fuzz<ClusteredHash>(seed, 224, 20'000);
+  }
+}
+
+TEST(FlatMap, MatchesUnorderedMapWhenEveryTagIsTheSame) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    differential_fuzz<SameTagHash>(seed, 448, 20'000);
   }
 }
 
