@@ -31,8 +31,10 @@
 // fig5_smoke.txt; every Fig 6 workload pins its commit pool's thread and
 // queue maxima and means in fig6_smoke.txt; every Fig 7 cell (3 daemon
 // counts x 3 compound degrees) pins its per-client MB/s in
-// fig7_smoke.txt. Regenerate the lines after an intentional change of
-// behaviour, in one process (each case rewrites its own lines):
+// fig7_smoke.txt, and the 8-daemon, degree-3 cell pins the per-op RPC
+// table fig7_compound prints in fig7_rpc.txt. Regenerate the lines after
+// an intentional change of behaviour, in one process (each case rewrites
+// its own lines):
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
 //       --gtest_filter='PaperShapes.*'
 #include <gtest/gtest.h>
@@ -40,13 +42,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
+#include "golden.hpp"
 
 namespace redbud::bench {
 namespace {
@@ -75,39 +76,6 @@ struct Cell {
   double value = 0;         // ops/s, or MB/s for fixed-work jobs
   std::uint64_t errors = 0;  // verification mismatches + op errors
 };
-
-// Compare a cell's digest line with its pinned line in golden file
-// `file`, or, under REDBUD_REGEN_GOLDEN, replace that line (lines stay
-// sorted). A line's key is its first two words: the workload and the
-// configuration.
-void expect_golden(const std::string& file, const std::string& line) {
-  const std::string path =
-      std::string(REDBUD_TEST_SRC_DIR) + "/paper/golden/" + file;
-  const std::string key = line.substr(0, line.find(' ', line.find(' ') + 1));
-  const auto has_key = [&key](const std::string& l) {
-    return l.compare(0, key.size() + 1, key + " ") == 0;
-  };
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string l; std::getline(in, l);) lines.push_back(l);
-  }
-  const auto it = std::find_if(lines.begin(), lines.end(), has_key);
-  if (std::getenv("REDBUD_REGEN_GOLDEN") != nullptr) {
-    if (it != lines.end()) lines.erase(it);
-    lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    std::ofstream out(path, std::ios::trunc);
-    for (const auto& l : lines) out << l << '\n';
-    ASSERT_TRUE(bool(out)) << "failed to regenerate " << path;
-    return;
-  }
-  ASSERT_NE(it, lines.end()) << "no golden line for " << key << " in "
-                             << path;
-  EXPECT_EQ(line, *it) << "digest drifted from " << file
-                       << "; regenerate with REDBUD_REGEN_GOLDEN=1 if the "
-                          "change is intentional.";
-}
 
 // The digest line of one cell: `key` (workload and configuration), then
 // the run's counts, kernel events, latencies and the figure's value, then
@@ -384,6 +352,23 @@ double fig7_per_client(std::uint32_t ndaemons, std::uint32_t degree) {
                 digest_line("daemons=" + std::to_string(ndaemons) +
                                 " degree=" + std::to_string(degree),
                             r, bed.events_processed(), per_client));
+  // fig7_compound also prints the MDS's per-op RPC table at the paper's
+  // operating point; each op's row is pinned in fig7_rpc.txt.
+  if (ndaemons == 8 && degree == 3) {
+    for (const auto& [op, st] : bed.cluster()->mds_endpoint().op_stats()) {
+      char line[256];
+      std::snprintf(line, sizeof line,
+                    "rpc %s sent=%llu served=%llu bytes_sent=%llu "
+                    "rtts=%llu mean_rtt_ns=%lld p99_rtt_ns=%lld",
+                    op.c_str(), static_cast<unsigned long long>(st.sent),
+                    static_cast<unsigned long long>(st.received),
+                    static_cast<unsigned long long>(st.bytes_sent),
+                    static_cast<unsigned long long>(st.rtt.count()),
+                    static_cast<long long>(st.rtt.mean().ns()),
+                    static_cast<long long>(st.rtt.percentile(99).ns()));
+      expect_golden("fig7_rpc.txt", line);
+    }
+  }
   return per_client;
 }
 
