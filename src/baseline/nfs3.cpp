@@ -234,7 +234,7 @@ Nfs3Client::Nfs3Client(redbud::sim::Simulation& sim, net::Network& network,
     : sim_(&sim),
       server_(&server),
       params_(params),
-      node_(network.add_node(sim)),
+      node_(network.add_node()),
       endpoint_(sim, network, node_) {}
 
 SimFuture<net::FileId> Nfs3Client::create(net::DirId dir, std::string name) {

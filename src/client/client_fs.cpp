@@ -5,7 +5,7 @@
 #include <span>
 
 #include "mds/mds_server.hpp"
-#include "sim/parallel.hpp"
+#include "sim/simulation.hpp"
 
 namespace redbud::client {
 
@@ -44,7 +44,7 @@ ClientFs::ClientFs(redbud::sim::Simulation& sim, net::Network& network,
       array_(&array),
       persona_(std::move(personality)),
       client_id_(client_id),
-      node_(network.add_node(sim)),
+      node_(network.add_node()),
       endpoint_(sim, network, node_),
       cache_(persona_->cache_pages),
       pools_(smap.nshards(), DoubleSpacePool(persona_->chunk_blocks)),
@@ -571,7 +571,7 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
       std::vector<ContentToken> slice(tokens.begin() + std::ptrdiff_t(ti),
                                       tokens.begin() +
                                           std::ptrdiff_t(ti + e.nblocks));
-      auto fut = array_->write(*sim_, e.addr, e.nblocks, std::move(slice));
+      auto fut = array_->write(e.addr, e.nblocks, std::move(slice));
       for (std::uint32_t b = 0; b < e.nblocks; ++b) {
         *writeback_.try_emplace(FileBlock{file, e.file_block + b}).first =
             fut;
@@ -695,8 +695,7 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
   }
 
   // Fetch missing runs from the array, grouped per physical extent. The
-  // array lives in another partition: the tokens travel with the
-  // completion.
+  // tokens travel with the completion.
   struct Fetch {
     std::uint32_t index;  // into out.tokens
     std::uint32_t count;
@@ -725,7 +724,7 @@ Process ClientFs::read_proc(net::FileId file, std::uint64_t offset,
       storage::PhysAddr addr{covering->addr.device,
                              covering->addr.block +
                                  (blk - covering->file_block)};
-      fetches.push_back(Fetch{i, run, array_->read_tokens(*sim_, addr, run)});
+      fetches.push_back(Fetch{i, run, array_->read_tokens(addr, run)});
       i += run;
     }
   }

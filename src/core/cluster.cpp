@@ -5,34 +5,12 @@
 
 namespace redbud::core {
 
-namespace {
-// Conservative lookahead of the partitioned kernel: the smallest latency
-// any cross-partition interaction can have. Partitions are joined only by
-// the Ethernet switch (link + switch propagation) and the FC fabric.
-redbud::sim::SimTime cluster_lookahead(const ClusterParams& p) {
-  return std::min(p.network.link_latency + p.network.switch_latency,
-                  p.array.fc_latency);
-}
-}  // namespace
-
 Cluster::Cluster(ClusterParams params)
     : params_(std::move(params)),
       shard_map_(params_.nshards),
-      obs_(params_.obs),
-      domain_(cluster_lookahead(params_)) {
-  // Partition layout: one event loop per MDS shard, one per client host,
-  // one for the disk array behind the FC fabric.
-  for (std::uint32_t s = 0; s < params_.nshards; ++s) {
-    shard_sims_.push_back(&domain_.add_partition());
-  }
-  for (std::uint32_t c = 0; c < params_.nclients; ++c) {
-    client_sims_.push_back(&domain_.add_partition());
-  }
-  array_sim_ = &domain_.add_partition();
-
-  network_ = std::make_unique<net::Network>(domain_, params_.network);
-  array_ = std::make_unique<storage::DiskArray>(domain_, *array_sim_,
-                                                params_.array);
+      obs_(params_.obs) {
+  network_ = std::make_unique<net::Network>(sim_, params_.network);
+  array_ = std::make_unique<storage::DiskArray>(sim_, params_.array);
 
   // Metadata shards. Node ids are handed out in shard order before any
   // client node, so a one-shard cluster reproduces the single-MDS node
@@ -55,18 +33,17 @@ Cluster::Cluster(ClusterParams params)
                     : params_.array.disk.total_blocks / params_.nshards;
   assert(span > 0);
   for (std::uint32_t s = 0; s < params_.nshards; ++s) {
-    redbud::sim::Simulation& ssim = *shard_sims_[s];
     auto sh = std::make_unique<Shard>();
-    const auto node = network_->add_node(ssim);
-    sh->endpoint = std::make_unique<net::RpcEndpoint>(ssim, *network_, node);
+    const auto node = network_->add_node();
+    sh->endpoint = std::make_unique<net::RpcEndpoint>(sim_, *network_, node);
 
     auto disk_params = params_.metadata_disk;
     disk_params.seed += s;
-    sh->meta_disk = std::make_unique<storage::Disk>(ssim, disk_params);
+    sh->meta_disk = std::make_unique<storage::Disk>(sim_, disk_params);
     sh->meta_sched = std::make_unique<storage::IoScheduler>(
-        ssim, *sh->meta_disk, params_.array.scheduler);
+        sim_, *sh->meta_disk, params_.array.scheduler);
     sh->journal =
-        std::make_unique<mds::Journal>(ssim, *sh->meta_sched, params_.journal);
+        std::make_unique<mds::Journal>(sim_, *sh->meta_sched, params_.journal);
 
     auto space_params = params_.space;
     space_params.seed += s;
@@ -80,7 +57,7 @@ Cluster::Cluster(ClusterParams params)
 
     auto mds_params = params_.mds;
     mds_params.shard = s;
-    sh->mds = std::make_unique<mds::MdsServer>(ssim, *sh->endpoint, *sh->space,
+    sh->mds = std::make_unique<mds::MdsServer>(sim_, *sh->endpoint, *sh->space,
                                                *sh->journal, mds_params);
 
     // Observability: name the shard's track rows and register every
@@ -113,7 +90,7 @@ Cluster::Cluster(ClusterParams params)
       std::make_shared<const client::ClientPersonality>(params_.client);
   for (std::uint32_t i = 0; i < params_.nclients; ++i) {
     clients_.push_back(std::make_unique<client::ClientFs>(
-        *client_sims_[i], *network_, shard_map_, endpoints, servers,
+        sim_, *network_, shard_map_, endpoints, servers,
         *array_, personality, i));
     clients_.back()->set_obs(&obs_);
   }
@@ -139,7 +116,7 @@ Cluster::Cluster(ClusterParams params)
   // watchdog.enabled() at every grid instant.
   if (obs_.sampler.enabled()) {
     const redbud::sim::SimTime iv = obs_.sampler.interval();
-    domain_.set_probe(iv, iv, &obs_, &obs::Obs::probe_thunk);
+    sim_.set_probe(iv, iv, &obs_, &obs::Obs::probe_thunk);
   }
 }
 
@@ -170,13 +147,12 @@ void Cluster::crash_shard(std::uint32_t s) {
 
 void Cluster::failover_shard(std::uint32_t s) {
   assert(shards_[s]->crashed && "failover of a healthy shard");
-  shard_sims_[s]->spawn(failover_proc(s));
+  sim_.spawn(failover_proc(s));
 }
 
 redbud::sim::Process Cluster::failover_proc(std::uint32_t s) {
   Shard& sh = *shards_[s];
-  redbud::sim::Simulation& ssim = *shard_sims_[s];
-  const redbud::sim::SimTime t0 = ssim.now();
+  const redbud::sim::SimTime t0 = sim_.now();
   // Lustre-style failover: the cold standby mounts the crashed shard's
   // metadata disk, replays the journal's active window, then serves at
   // the same NID — clients keep their endpoint pointer and simply see the
@@ -190,11 +166,11 @@ redbud::sim::Process Cluster::failover_proc(std::uint32_t s) {
   sh.endpoint->set_down(false);
   sh.crashed = false;
   ++failovers_;
-  failover_time_.record(ssim.now() - t0);
+  failover_time_.record(sim_.now() - t0);
   if (obs_.tracer.enabled()) {
     const obs::TraceContext ctx = obs_.tracer.mint();
     obs_.tracer.record(obs::Stage::kFailover, ctx, 0,
-                       obs::Track{obs::shard_track(s), 1}, t0, ssim.now(), s);
+                       obs::Track{obs::shard_track(s), 1}, t0, sim_.now(), s);
   }
 }
 

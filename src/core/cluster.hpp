@@ -12,14 +12,11 @@
 // singular accessors (mds(), journal(), ...) alias shard 0 so existing
 // tests and benches read naturally.
 //
-// The cluster runs on a partitioned SimDomain: one event-loop partition
-// per MDS shard, per client host, and one for the disk array,
-// synchronized in conservative time windows bounded by the network's
-// minimum cross-node latency (see sim/parallel.hpp), all run by the
-// thread that calls run_until.
+// Every node (each MDS shard, each client host, the disk array) runs on
+// one Simulation, driven by the thread that calls run_until.
 //
-// Declaration order matters: the SimDomain (which owns every Simulation)
-// must outlive every component, so it is the first stateful member.
+// Declaration order matters: the Simulation must outlive every
+// component, so it is declared before them.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +29,6 @@
 #include "net/network.hpp"
 #include "net/rpc.hpp"
 #include "obs/obs.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
 #include "storage/disk_array.hpp"
@@ -56,11 +52,11 @@ enum class SpacePartition : std::uint8_t {
 struct ClusterParams {
   std::uint32_t nclients = 7;  // the paper's eight-node cluster: 7 + MDS
   std::uint32_t nshards = 1;   // metadata shards (1 = the paper's testbed)
-  // Ignored: one thread runs every partition. Still declared because the
+  // Ignored: one thread runs one event queue. Still declared because the
   // benchmark harness assigns it.
   std::uint32_t nthreads = 1;
-  // Ignored: every cluster is partitioned. Still declared so that callers
-  // written when nthreads = 1 meant a serial kernel keep compiling.
+  // Ignored, like nthreads; still declared because the benchmark harness
+  // assigns it.
   bool force_partitioned = false;
   SpacePartition partition = SpacePartition::kSliceDevices;
   net::NetworkParams network;
@@ -83,19 +79,20 @@ class Cluster {
   // pools). Call once before running.
   void start();
 
-  [[nodiscard]] redbud::sim::SimDomain& domain() { return domain_; }
-  // The partition simulating client host `i`: spawn a client's workload
-  // coroutines here.
-  [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t i) {
-    return *client_sims_[i];
+  // The simulation every node runs on.
+  [[nodiscard]] redbud::sim::SimDomain& domain() { return sim_; }
+  // Where client host `i`'s workload coroutines are spawned: the one
+  // simulation, as are shard_sim(s) and array_sim().
+  [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t /*i*/) {
+    return sim_;
   }
-  // Domain-wide driving: advance all partitions to exactly `t`.
-  void run_until(redbud::sim::SimTime t) { domain_.run_until(t); }
-  [[nodiscard]] redbud::sim::SimTime now() const { return domain_.now(); }
+  // Advance the cluster to exactly `t`.
+  void run_until(redbud::sim::SimTime t) { sim_.run_until(t); }
+  [[nodiscard]] redbud::sim::SimTime now() const { return sim_.now(); }
   [[nodiscard]] std::uint64_t events_processed() const {
-    return domain_.events_processed();
+    return sim_.events_processed();
   }
-  void check_failures() const { domain_.check_failures(); }
+  void check_failures() const { sim_.check_failures(); }
   [[nodiscard]] std::size_t nclients() const { return clients_.size(); }
   [[nodiscard]] client::ClientFs& client(std::size_t i) {
     return *clients_[i];
@@ -136,23 +133,20 @@ class Cluster {
     return metadata_scheduler(0);
   }
 
-  // The partition simulating the disk array.
-  [[nodiscard]] redbud::sim::Simulation& array_sim() { return *array_sim_; }
-  // The partition simulating shard `s`.
-  [[nodiscard]] redbud::sim::Simulation& shard_sim(std::size_t s) {
-    return *shard_sims_[s];
+  [[nodiscard]] redbud::sim::Simulation& array_sim() { return sim_; }
+  [[nodiscard]] redbud::sim::Simulation& shard_sim(std::size_t /*s*/) {
+    return sim_;
   }
 
   // --- fault injection / failover -------------------------------------------
   // Crash metadata shard `s` (Lustre failover model: the service keeps
   // its NID; a cold standby mounts the same metadata disk). Everything
   // volatile dies: queued and in-flight requests, unflushed journal
-  // appends, the RPC reply cache. Must run in shard `s`'s partition.
+  // appends, the RPC reply cache.
   void crash_shard(std::uint32_t s);
   // Begin journal-replay failover of shard `s` onto the standby: after
   // the replay I/O completes the service accepts requests again at the
-  // same node id. Must run in shard `s`'s partition (the fault injector
-  // schedules both calls there).
+  // same node id.
   void failover_shard(std::uint32_t s);
   [[nodiscard]] bool shard_crashed(std::uint32_t s) const {
     return shards_[s]->crashed;
@@ -186,11 +180,7 @@ class Cluster {
   // Declared before every component (destroyed after them): components
   // hold non-owning registry views and tracer pointers.
   obs::Obs obs_;
-  redbud::sim::SimDomain domain_;
-  // Partition assignment.
-  std::vector<redbud::sim::Simulation*> shard_sims_;
-  std::vector<redbud::sim::Simulation*> client_sims_;
-  redbud::sim::Simulation* array_sim_ = nullptr;
+  redbud::sim::Simulation sim_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<storage::DiskArray> array_;
   std::vector<std::unique_ptr<Shard>> shards_;

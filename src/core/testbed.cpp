@@ -16,18 +16,15 @@ const char* protocol_name(Protocol p) {
   return "?";
 }
 
-// Holds whichever baseline stack is active, on its own domain with one
-// partition per network node, in node-id order: the NFS3 server (with its
-// disk and scheduler), or the PVFS2 metadata server and then each I/O
-// server (with its disk and scheduler); then each client. Ethernet is the
-// only cross-node edge, so the lookahead is link + switch latency.
-// Declaration order = teardown safety: the domain, which owns every
-// partition, goes last.
+// Holds whichever baseline stack is active, on its own simulation. Network
+// nodes are added in id order: the NFS3 server (with its disk and
+// scheduler), or the PVFS2 metadata server and then each I/O server (with
+// its disk and scheduler); then each client. Declaration order = teardown
+// safety: the simulation goes last.
 struct Testbed::BaselineStack {
-  explicit BaselineStack(const net::NetworkParams& np)
-      : domain(np.link_latency + np.switch_latency), network(domain, np) {}
+  explicit BaselineStack(const net::NetworkParams& np) : network(sim, np) {}
 
-  redbud::sim::SimDomain domain;
+  redbud::sim::Simulation sim;
   net::Network network;
 
   // NFS3 pieces.
@@ -60,9 +57,8 @@ Testbed::Testbed(TestbedParams params) : params_(std::move(params)) {
                            ? client::CommitMode::kSync
                            : client::CommitMode::kDelayed;
       cluster_ = std::make_unique<Cluster>(cp);
-      domain_ = &cluster_->domain();
+      sim_ = &cluster_->domain();
       for (std::size_t i = 0; i < cluster_->nclients(); ++i) {
-        client_sims_.push_back(&cluster_->client_sim(i));
         fs_.push_back(&cluster_->client(i));
       }
       break;
@@ -70,22 +66,19 @@ Testbed::Testbed(TestbedParams params) : params_(std::move(params)) {
     case Protocol::kNfs3: {
       baseline_ = std::make_unique<BaselineStack>(params_.redbud.network);
       auto& b = *baseline_;
-      domain_ = &b.domain;
-      auto& ssim = b.domain.add_partition();
-      const auto server_node = b.network.add_node(ssim);
+      sim_ = &b.sim;
+      const auto server_node = b.network.add_node();
       b.nfs_endpoint =
-          std::make_unique<net::RpcEndpoint>(ssim, b.network, server_node);
+          std::make_unique<net::RpcEndpoint>(b.sim, b.network, server_node);
       b.nfs_disk =
-          std::make_unique<storage::Disk>(ssim, params_.redbud.array.disk);
+          std::make_unique<storage::Disk>(b.sim, params_.redbud.array.disk);
       b.nfs_sched = std::make_unique<storage::IoScheduler>(
-          ssim, *b.nfs_disk, params_.redbud.array.scheduler);
+          b.sim, *b.nfs_disk, params_.redbud.array.scheduler);
       b.nfs_server = std::make_unique<baseline::Nfs3Server>(
-          ssim, *b.nfs_endpoint, *b.nfs_sched, params_.nfs_server);
+          b.sim, *b.nfs_endpoint, *b.nfs_sched, params_.nfs_server);
       for (std::uint32_t i = 0; i < params_.nclients; ++i) {
-        auto& csim = b.domain.add_partition();
-        client_sims_.push_back(&csim);
         b.nfs_clients.push_back(std::make_unique<baseline::Nfs3Client>(
-            csim, b.network, *b.nfs_endpoint, params_.nfs_client));
+            b.sim, b.network, *b.nfs_endpoint, params_.nfs_client));
         fs_.push_back(b.nfs_clients.back().get());
       }
       break;
@@ -93,35 +86,31 @@ Testbed::Testbed(TestbedParams params) : params_(std::move(params)) {
     case Protocol::kPvfs2: {
       baseline_ = std::make_unique<BaselineStack>(params_.redbud.network);
       auto& b = *baseline_;
-      domain_ = &b.domain;
-      auto& msim = b.domain.add_partition();
-      const auto meta_node = b.network.add_node(msim);
+      sim_ = &b.sim;
+      const auto meta_node = b.network.add_node();
       b.pvfs_meta_endpoint =
-          std::make_unique<net::RpcEndpoint>(msim, b.network, meta_node);
+          std::make_unique<net::RpcEndpoint>(b.sim, b.network, meta_node);
       b.pvfs_meta = std::make_unique<baseline::PvfsMetaServer>(
-          msim, *b.pvfs_meta_endpoint, params_.pvfs_server);
+          b.sim, *b.pvfs_meta_endpoint, params_.pvfs_server);
       std::vector<net::RpcEndpoint*> io_eps;
       for (std::uint32_t i = 0; i < params_.pvfs_io_servers; ++i) {
-        auto& isim = b.domain.add_partition();
         BaselineStack::IoServer srv;
         storage::DiskParams dp = params_.redbud.array.disk;
         dp.seed += i;
-        srv.disk = std::make_unique<storage::Disk>(isim, dp);
+        srv.disk = std::make_unique<storage::Disk>(b.sim, dp);
         srv.sched = std::make_unique<storage::IoScheduler>(
-            isim, *srv.disk, params_.redbud.array.scheduler);
-        const auto node = b.network.add_node(isim);
+            b.sim, *srv.disk, params_.redbud.array.scheduler);
+        const auto node = b.network.add_node();
         srv.endpoint =
-            std::make_unique<net::RpcEndpoint>(isim, b.network, node);
+            std::make_unique<net::RpcEndpoint>(b.sim, b.network, node);
         srv.server = std::make_unique<baseline::PvfsIoServer>(
-            isim, *srv.endpoint, *srv.sched, params_.pvfs_server);
+            b.sim, *srv.endpoint, *srv.sched, params_.pvfs_server);
         b.pvfs_io.push_back(std::move(srv));
         io_eps.push_back(b.pvfs_io.back().endpoint.get());
       }
       for (std::uint32_t i = 0; i < params_.nclients; ++i) {
-        auto& csim = b.domain.add_partition();
-        client_sims_.push_back(&csim);
         b.pvfs_clients.push_back(std::make_unique<baseline::PvfsClient>(
-            csim, b.network, *b.pvfs_meta_endpoint, io_eps,
+            b.sim, b.network, *b.pvfs_meta_endpoint, io_eps,
             params_.pvfs_client));
         fs_.push_back(b.pvfs_clients.back().get());
       }

@@ -50,18 +50,18 @@ class Testbed {
   [[nodiscard]] fsapi::FsClient& fs(std::size_t i) { return *fs_[i]; }
   [[nodiscard]] Protocol protocol() const { return params_.protocol; }
 
-  // Kernel dispatchers over the stack's partitioned domain (the Redbud
-  // cluster's, or the baseline stack's). client_sim(i) is client `i`'s own
-  // partition, where its coroutines run.
-  [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t i) {
-    return *client_sims_[i];
+  // Kernel dispatchers over the stack's one simulation (the Redbud
+  // cluster's, or the baseline stack's), where every client's coroutines
+  // run.
+  [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t /*i*/) {
+    return *sim_;
   }
-  void run_until(redbud::sim::SimTime t) { domain_->run_until(t); }
-  [[nodiscard]] redbud::sim::SimTime now() const { return domain_->now(); }
+  void run_until(redbud::sim::SimTime t) { sim_->run_until(t); }
+  [[nodiscard]] redbud::sim::SimTime now() const { return sim_->now(); }
   [[nodiscard]] std::uint64_t events_processed() const {
-    return domain_->events_processed();
+    return sim_->events_processed();
   }
-  void check_failures() const { domain_->check_failures(); }
+  void check_failures() const { sim_->check_failures(); }
 
   // Redbud-only accessor (nullptr for the baselines).
   [[nodiscard]] Cluster* cluster() { return cluster_.get(); }
@@ -72,12 +72,11 @@ class Testbed {
   // Redbud stack.
   std::unique_ptr<Cluster> cluster_;
 
-  // Baseline stacks (own domain + network + disks).
+  // Baseline stacks (own simulation + network + disks).
   struct BaselineStack;
   std::unique_ptr<BaselineStack> baseline_;
 
-  redbud::sim::SimDomain* domain_ = nullptr;
-  std::vector<redbud::sim::Simulation*> client_sims_;
+  redbud::sim::Simulation* sim_ = nullptr;
   std::vector<fsapi::FsClient*> fs_;
 };
 

@@ -20,28 +20,15 @@ void FaultInjector::register_metrics() {
   }
 }
 
-redbud::sim::Simulation& FaultInjector::partition_of(const FaultEvent& e) {
-  switch (e.kind) {
-    case FaultKind::kSlowDisk:
-      return cluster_->array_sim();
-    case FaultKind::kLossyLink:
-    case FaultKind::kLinkPartition:
-      return cluster_->client_sim(e.target);
-    case FaultKind::kShardCrash:
-      return cluster_->shard_sim(e.target);
-  }
-  return cluster_->shard_sim(0);
-}
-
 void FaultInjector::arm() {
   assert(!armed_ && "a FaultInjector replays its schedule once");
   armed_ = true;
+  redbud::sim::Simulation& sim = cluster_->domain();
   for (const FaultEvent& ev : schedule_.events()) {
-    redbud::sim::Simulation& part = partition_of(ev);
-    assert(ev.at > part.now() && "faults must be armed before the run");
+    assert(ev.at > sim.now() && "faults must be armed before the run");
     const FaultEvent e = ev;  // captured by value: the timers outlive arm()
-    part.call_at(e.at, [this, e] { raise(e); });
-    part.call_at(e.at + e.duration, [this, e] { clear(e, e.at); });
+    sim.call_at(e.at, [this, e] { raise(e); });
+    sim.call_at(e.at + e.duration, [this, e] { clear(e, e.at); });
   }
 }
 
@@ -87,7 +74,7 @@ void FaultInjector::clear(const FaultEvent& e, SimTime raised_at) {
   if (tracer.enabled()) {
     const obs::TraceContext ctx = tracer.mint();
     tracer.record(obs::Stage::kFaultEvent, ctx, 0, track, raised_at,
-                  partition_of(e).now(), e.target,
+                  cluster_->now(), e.target,
                   static_cast<std::uint64_t>(e.kind));
   }
 }

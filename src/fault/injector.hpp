@@ -1,12 +1,9 @@
 // Replays a FaultSchedule against a live Cluster.
 //
 // arm() walks the schedule once, before the first run_until, and plants
-// two timers per event — raise and clear — in the partition that owns the
-// faulted component: disk events in the array partition, link events in
-// the owning client's partition, crash/failover in the shard's partition.
-// Partition-local timers keep the partitioned kernel deterministic: a fault
-// transition is just another event in its partition's totally-ordered
-// loop, so the same schedule produces the same run.
+// two timers per event — raise and clear. A fault transition is just
+// another event in the cluster's totally-ordered loop, so the same
+// schedule produces the same run.
 //
 // The injector is strictly one-shot and passive after arm(): it holds no
 // simulation state of its own beyond counters, and a cleared fault always
@@ -56,8 +53,6 @@ class FaultInjector {
  private:
   void raise(const FaultEvent& e);
   void clear(const FaultEvent& e, redbud::sim::SimTime raised_at);
-  // The partition whose event loop owns the faulted component.
-  [[nodiscard]] redbud::sim::Simulation& partition_of(const FaultEvent& e);
 
   core::Cluster* cluster_;
   FaultSchedule schedule_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/parallel.hpp"
+#include "sim/simulation.hpp"
 
 namespace redbud::mds {
 

@@ -6,21 +6,16 @@
 // queue back up, and when NFS3 funnels all data through one server, that
 // server's NIC saturates.
 //
-// In a partitioned SimDomain the switch is the only cross-partition edge:
-// each node's pipes live in the partition that simulates the node. Every
-// frame takes one path. The egress reservation happens synchronously in
-// the sender's partition; one hop at egress-arrival + switch latency then
-// reserves the receiver's ingress and schedules the completion callback in
-// the receiver's partition. Between partitions the hop is a timestamped
-// mailbox push (it lies >= the domain lookahead ahead); within one
-// partition, or on a network over one Simulation, it is a local timer.
+// Every frame takes one path. The egress reservation happens
+// synchronously at the send; one hop at egress-arrival + switch latency
+// then reserves the receiver's ingress and schedules the completion
+// callback for when the last byte arrives.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "sim/parallel.hpp"
 #include "sim/pipe.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
@@ -52,29 +47,20 @@ struct NetworkParams {
 
 class Network {
  public:
-  // Every node lives in `sim` (the net/rpc/mds test rigs and the
-  // benchmark's layer-call timings).
   Network(redbud::sim::Simulation& sim, NetworkParams params);
-  // Nodes live in the domain's partitions: add them with
-  // add_node(Simulation&, ...).
-  Network(redbud::sim::SimDomain& domain, NetworkParams params);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   // Register a node; returns its id. Optional NIC speed override.
   NodeId add_node(double nic_bytes_per_second = 0.0);
-  // Register a node whose pipes live in `owner`'s partition.
-  NodeId add_node(redbud::sim::Simulation& owner,
-                  double nic_bytes_per_second = 0.0);
 
   // Move `bytes` from `from` to `to` (egress queueing + fabric + ingress
-  // queueing) and run `done` in the *receiver's* partition when the last
-  // byte arrives.
+  // queueing) and run `done` when the last byte arrives.
   void deliver(NodeId from, NodeId to, std::size_t bytes,
                redbud::sim::SmallFn done);
 
-  // RPC endpoint directory, so a reply can be routed to the caller's
-  // partition without the server ever touching caller state directly.
+  // RPC endpoint directory, so a reply can be routed to the caller
+  // without the server ever touching caller state directly.
   void register_endpoint(NodeId n, RpcEndpoint* ep);
   [[nodiscard]] RpcEndpoint* endpoint(NodeId n) const {
     return n < endpoints_.size() ? endpoints_[n] : nullptr;
@@ -91,17 +77,16 @@ class Network {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
   // --- fault injection ------------------------------------------------------
-  // All fault state is per *source* node and is read/written only from the
-  // source's own partition: the loss draw and the extra-delay read happen
-  // synchronously at deliver() entry, in per-node RNG streams whose draw
-  // order equals the call order. A dropped frame still occupies its slot
+  // All fault state is per *source* node: the loss draw and the
+  // extra-delay read happen synchronously at deliver() entry, in per-node
+  // RNG streams whose draw order equals the call order. A dropped frame
+  // still occupies its slot
   // on the sender's egress pipe (the NIC transmitted it; the fabric lost
   // it) but never arrives: the completion callback is never run, and
   // recovery is the caller's (RPC retry) problem.
-  // Must be called from the node's owning partition.
   void set_link_loss(NodeId n, double loss_rate);
   // Fixed extra one-way latency added to every frame leaving `n` (a
-  // congested or flapping uplink). Must be called from `n`'s partition.
+  // congested or flapping uplink).
   void set_link_delay(NodeId n, redbud::sim::SimTime extra);
   [[nodiscard]] double link_loss(NodeId n) const {
     return nodes_[n]->loss_rate;
@@ -114,8 +99,7 @@ class Network {
   }
   [[nodiscard]] std::uint64_t messages_dropped() const { return drops_; }
   // Register every node's frame-drop counter as
-  // net.frames_dropped{node=N}, a plain value written only from the
-  // node's owning partition. Call once all nodes have been added.
+  // net.frames_dropped{node=N}. Call once all nodes have been added.
   void register_metrics(redbud::obs::MetricsRegistry& registry) const;
   // Round-trip floor of the fabric: the least time a request + reply pair
   // can take. Retry timeouts below this could never observe a reply.
@@ -128,9 +112,8 @@ class Network {
   struct Node {
     std::unique_ptr<redbud::sim::BitPipe> egress;
     std::unique_ptr<redbud::sim::BitPipe> ingress;
-    redbud::sim::Simulation* sim = nullptr;
-    // Fault state, owned by this node's partition (see the fault section
-    // of the public API for the determinism argument).
+    // Fault state (see the fault section of the public API for the
+    // determinism argument).
     double loss_rate = 0.0;
     redbud::sim::SimTime extra_delay{};
     redbud::sim::Rng fault_rng{0};
@@ -145,7 +128,6 @@ class Network {
   }
 
   redbud::sim::Simulation* sim_;
-  redbud::sim::SimDomain* domain_ = nullptr;
   NetworkParams params_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<RpcEndpoint*> endpoints_;

@@ -6,7 +6,7 @@
 #include <ostream>
 #include <utility>
 
-#include "sim/parallel.hpp"
+#include "sim/simulation.hpp"
 
 namespace redbud::net {
 
@@ -106,8 +106,8 @@ const char* op_name(const RequestBody& body) {
 RpcEndpoint::RpcEndpoint(redbud::sim::Simulation& sim, Network& net,
                          NodeId node)
     : sim_(&sim), net_(&net), node_(node), incoming_(sim) {
-  // Directory entry so a reply can be routed back to this endpoint's
-  // partition without the server touching caller state.
+  // Directory entry so a reply can be routed back to this endpoint
+  // without the server touching caller state.
   net.register_endpoint(node, this);
 }
 
@@ -128,11 +128,11 @@ SimFuture<RpcResult> RpcEndpoint::call_result(
                    "retry policy with zero attempts");
     REDBUD_REQUIRE(retry->backoff >= 1.0,
                    "retry backoff must not shrink the timeout");
-    // A timeout below the fabric's round-trip floor (which also bounds the
-    // parallel domain's lookahead window) would retransmit before any
-    // reply could possibly arrive — every call would burn its whole budget.
+    // A timeout below the fabric's round-trip floor would retransmit
+    // before any reply could possibly arrive — every call would burn its
+    // whole budget.
     REDBUD_REQUIRE(retry->timeout >= net_->min_rtt(),
-                   "retry timeout below the network min-RTT/lookahead floor");
+                   "retry timeout below the network min-RTT floor");
   }
   SimPromise<RpcResult> promise(*sim_);
   auto fut = promise.future();
@@ -173,8 +173,8 @@ void RpcEndpoint::transmit(std::uint64_t xid, Call& c, RpcEndpoint& server,
   ++st.sent;
   st.bytes_sent += bytes;
   c.sent_at = sim_->now();
-  // Arrival bookkeeping runs in the server's partition when the last byte
-  // lands there.
+  // Arrival bookkeeping runs at the server when the last byte lands
+  // there.
   auto arrive = [srv = &server, xid, from = node_, body = std::move(body),
                  rpc_ctx = c.rpc_ctx,
                  retryable = c.retry.has_value()]() mutable {
@@ -276,8 +276,8 @@ void RpcEndpoint::reply(const IncomingRpc& rpc, ResponseBody body) {
 void RpcEndpoint::send_response(NodeId to, std::uint64_t xid,
                                 ResponseBody body) {
   const std::size_t bytes = kRpcHeaderBytes + wire_size(body);
-  // Route the response through the endpoint directory: completion runs in
-  // the caller's partition at wire arrival.
+  // Route the response through the endpoint directory: completion runs at
+  // the caller at wire arrival.
   RpcEndpoint* peer = net_->endpoint(to);
   assert(peer != nullptr && "reply to an unregistered endpoint");
   auto arrive = [peer, xid, body = std::move(body)]() mutable {

@@ -87,8 +87,8 @@ class RpcEndpoint {
   // or the attempt budget is exhausted, and it ALWAYS resolves — with
   // ok = false after the last timeout — so callers never park forever on a
   // lossy or partitioned link. Aborts (REDBUD_REQUIRE) if the policy's
-  // first timeout is below the network's min RTT / lookahead floor: such a
-  // schedule would retransmit before any reply could arrive.
+  // first timeout is below the network's min RTT: such a schedule would
+  // retransmit before any reply could arrive.
   [[nodiscard]] redbud::sim::SimFuture<RpcResult> call_result(
       RpcEndpoint& server, RequestBody body,
       const std::optional<RetryPolicy>& retry, obs::TraceContext ctx = {});
@@ -208,8 +208,8 @@ class RpcEndpoint {
            (xid & 0xffffffffffffull);
   }
 
-  // Server-side arrival bookkeeping + enqueue. Runs in the server's
-  // partition, from the wire-arrival event.
+  // Server-side arrival bookkeeping + enqueue. Runs from the wire-arrival
+  // event.
   void receive_request(std::uint64_t xid, NodeId from, RequestBody body,
                        obs::TraceContext ctx, bool retryable);
   // Register a call under a fresh xid and send its first transmission.

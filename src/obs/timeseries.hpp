@@ -7,13 +7,11 @@
 // into one row (one double per channel) and keeps the newest N rows.
 //
 // The sampling contract is *off-event*: the sampler is driven by the
-// kernel probe hook (SimDomain::set_probe), which fires between
-// synchronization rounds — it never schedules events, never allocates
-// sequence numbers and never suspends anything. Enabling sampling
-// therefore cannot change the event order of a run, and because the
-// firing sequence depends only on the deterministic series of round start
-// times, sampled series replay bit-identically (instants inside a window
-// lag by < lookahead of simulated time — see SimDomain::set_probe).
+// kernel probe hook (Simulation::set_probe), which fires each grid
+// instant exactly, after every event before it and before any event at
+// it. It never schedules events, never allocates sequence numbers and
+// never suspends anything. Enabling sampling therefore cannot change the
+// event order of a run, and sampled series replay bit-identically.
 //
 // The channel set is frozen at the first sample (sorted registry order:
 // values, then gauges); instruments registered later are ignored so every

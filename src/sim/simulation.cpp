@@ -1,10 +1,37 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 namespace redbud::sim {
+
+namespace detail {
+
+void require_failed(const char* what, const char* file, int line) {
+  std::fprintf(stderr, "REDBUD_REQUIRE failed: %s (%s:%d)\n", what, file,
+               line);
+  std::fflush(stderr);
+  std::abort();
+}
+
+}  // namespace detail
+
+namespace {
+
+// Monotonic wall clock for the kernel self-profile. Nanoseconds since an
+// arbitrary epoch; only differences are ever used.
+std::uint64_t wall_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
 
 Simulation::~Simulation() {
   // Destroy any still-suspended frames (perpetual daemons). Locals in those
@@ -64,8 +91,38 @@ void Simulation::run() { drain(SimTime::max(), /*inclusive=*/true); }
 
 void Simulation::run_until(SimTime t) {
   if (t < now_) return;
-  run_window(t, /*inclusive=*/true);
+  const std::uint64_t start = wall_now_ns();
+  while (probe_fn_ != nullptr && probe_next_ <= t) {
+    const SimTime instant = probe_next_;
+    probe_next_ = instant + probe_stride_;
+    // Every event and parked tick before the instant, none at it (ring
+    // events sit at now_, so there is nothing to run when the instant is
+    // not ahead).
+    if (instant > now_) {
+      drain(instant, /*inclusive=*/false);
+      rotate_ticks_through(instant, /*inclusive=*/false);
+    }
+    probe_fn_(probe_ctx_, instant);
+  }
+  drain(t, /*inclusive=*/true);
+  rotate_ticks_through(t, /*inclusive=*/true);
   now_ = t;
+  busy_ns_ += wall_now_ns() - start;
+}
+
+void Simulation::set_probe(SimTime first, SimTime stride, void* ctx,
+                           ProbeFn fn) {
+  REDBUD_REQUIRE(stride > SimTime::zero(), "probe stride must be positive");
+  probe_next_ = first;
+  probe_stride_ = stride;
+  probe_ctx_ = ctx;
+  probe_fn_ = fn;
+}
+
+KernelProfile Simulation::kernel_profile() const {
+  KernelProfile kp;
+  kp.partitions.push_back({events_processed_, ticks_elided_, busy_ns_});
+  return kp;
 }
 
 void Simulation::drain(SimTime end, bool inclusive) {

@@ -2,7 +2,10 @@
 //
 // Single-threaded, deterministic: events are ordered by (time, sequence
 // number), where the sequence number is a monotonically increasing tie
-// breaker, so two runs with the same seed replay identically.
+// breaker, so two runs with the same seed replay identically. A cluster
+// or testbed runs every node on one Simulation, so events scheduled for
+// the same instant run in the order they were scheduled, whichever node
+// scheduled them.
 //
 // Hot-path layout (see event_heap.hpp): future events live in a POD 4-ary
 // min-heap; events scheduled at exactly `now()` — zero-delay yields and
@@ -32,7 +35,53 @@
 
 namespace redbud::sim {
 
-class SimDomain;
+namespace detail {
+[[noreturn]] void require_failed(const char* what, const char* file, int line);
+}  // namespace detail
+
+// Always-on invariant check (not compiled out in release builds), for
+// violations that would silently corrupt the event order or the
+// simulated state instead of crashing.
+#define REDBUD_REQUIRE(cond, what)                                       \
+  do {                                                                   \
+    if (!(cond)) ::redbud::sim::detail::require_failed(what, __FILE__, __LINE__); \
+  } while (0)
+
+// Wall-clock accounting of a Simulation's execution, read between
+// run_until calls. All wall-clock figures are steady_clock nanoseconds;
+// they describe the host's execution of the simulation, never simulated
+// time, and have no effect on the event stream. The shape (rounds,
+// injections, one entry per partition) is kept because the benchmark
+// harness reads it: one queue has no rounds or injections and one
+// partition.
+struct KernelProfile {
+  struct Partition {
+    // Events processed: dispatched ones plus elided parked ticks (see
+    // sim/ticker.hpp).
+    std::uint64_t events = 0;
+    std::uint64_t ticks_elided = 0;  // of which never dispatched
+    // Wall time spent inside run_until.
+    std::uint64_t busy_ns = 0;
+  };
+  std::uint64_t rounds = 0;                // always 0
+  std::uint64_t injections_staged = 0;     // always 0
+  std::uint64_t injections_delivered = 0;  // always 0
+  std::vector<Partition> partitions;       // exactly one
+
+  [[nodiscard]] std::uint64_t events_total() const {
+    std::uint64_t n = 0;
+    for (const auto& p : partitions) n += p.events;
+    return n;
+  }
+  [[nodiscard]] std::uint64_t busy_ns_total() const {
+    std::uint64_t n = 0;
+    for (const auto& p : partitions) n += p.busy_ns;
+    return n;
+  }
+  // Always 0: nothing waits at a barrier.
+  [[nodiscard]] std::uint64_t stall_ns_total() const { return 0; }
+};
+
 class Ticker;
 
 class Simulation {
@@ -67,7 +116,8 @@ class Simulation {
   // where the eager `delay` loop they stand for would have run forever.
   void run();
   // Run every event with time <= t; `now()` is exactly `t` afterwards.
-  // A no-op when `t` is already in the past.
+  // A no-op when `t` is already in the past. Fires the probe's instants
+  // up to `t` on the way (see set_probe).
   void run_until(SimTime t);
 
   // Schedule a raw coroutine handle (used by synchronization primitives).
@@ -118,43 +168,25 @@ class Simulation {
   [[nodiscard]] std::uint64_t ticks_elided() const { return ticks_elided_; }
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
 
-  // ---- Partitioned-kernel interface (see sim/parallel.hpp) --------------
+  // ---- Off-event probe (see obs/timeseries.hpp) -------------------------
   //
-  // A Simulation that is one partition of a SimDomain is driven through
-  // run_window() instead of run_until(); the domain advances all partitions
-  // in conservative time windows bounded by the network lookahead.
+  // A probe is a passive observer of the grid instants first + k * stride.
+  // run_until fires each instant t exactly: after every event before t
+  // has run, and before any event at or after t runs. Instants at or
+  // before now() when the probe is set fire at the next run_until, which
+  // cannot undo what already ran. run() fires none. The probe never
+  // enters the event queue, so the event stream is identical with or
+  // without it. The callback must not schedule events or otherwise
+  // mutate simulation state.
+  using ProbeFn = void (*)(void* ctx, SimTime instant);
+  void set_probe(SimTime first, SimTime stride, void* ctx, ProbeFn fn);
 
-  // Identity of this partition within its domain (0 for a standalone sim).
-  [[nodiscard]] std::uint32_t partition_id() const { return partition_id_; }
-
-  // Earliest pending event time: `now()` if the ready ring is non-empty,
-  // else the heap minimum, else SimTime::max(). Parked ticks do not count:
-  // a partition with nothing else pending is idle.
-  [[nodiscard]] SimTime peek_next_time() const {
-    if (!ring_.empty()) return now_;
-    if (!heap_.empty()) return heap_.top().at;
-    return SimTime::max();
-  }
-
-  // Execute every event with time < end (or <= end when `inclusive`), in
-  // exact (time, seq) order, then rotate the parked ticks the window
-  // covers. Does not advance now() past the last executed event; the
-  // domain calls advance_to() at the end of run_until.
-  void run_window(SimTime end, bool inclusive) {
-    drain(end, inclusive);
-    rotate_ticks_through(end, inclusive);
-  }
-
-  // Move the clock forward to `t`, executing nothing but the rotation of
-  // parked ticks due at or before `t`.
-  void advance_to(SimTime t) {
-    rotate_ticks_through(t, /*inclusive=*/true);
-    if (now_ < t) now_ = t;
-  }
+  // Kernel self-profile: wall-clock accounting accumulated across every
+  // run_until call so far.
+  [[nodiscard]] KernelProfile kernel_profile() const;
 
  private:
   friend struct Process::FinalAwaiter;
-  friend class SimDomain;
   friend class Ticker;
 
   // A parked coroutine's virtual tick: the (due, seq) key its next eager
@@ -172,6 +204,7 @@ class Simulation {
   void dispatch_payload(std::uint64_t payload);
   void drain_retired();
   // Dispatch every event with time < end (<= end when `inclusive`).
+  // Leaves now() at the last dispatched event.
   void drain(SimTime end, bool inclusive);
   // Pop and dispatch the heap's top event, rotating the parked ticks
   // keyed below it first and those due at its time after it.
@@ -197,15 +230,15 @@ class Simulation {
   void insert_tick(const Tick& t);
 
   SimTime now_ = SimTime::zero();
-  std::uint32_t partition_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_
   SmallFnSlab timers_;       // pending call_at callbacks
-  // Parked ticks in (due, seq) order: with one period per partition every
-  // rotation appends, so this is a FIFO. tick_due_ caches the front's due
-  // (SimTime::max() when none) for the per-dispatch check.
+  // Parked ticks in (due, seq) order: while every parked coroutine uses
+  // one period, each rotation appends, so this is a FIFO. tick_due_
+  // caches the front's due (SimTime::max() when none) for the
+  // per-dispatch check.
   std::deque<Tick> ticks_;
   SimTime tick_due_ = SimTime::max();
   std::uint64_t ticks_elided_ = 0;
@@ -215,6 +248,17 @@ class Simulation {
   // Frames that reached final suspension during the current dispatch.
   std::vector<Process::Handle> retired_;
   std::vector<std::exception_ptr> failures_;
+
+  // Probe state.
+  SimTime probe_next_ = SimTime::max();
+  SimTime probe_stride_ = SimTime::zero();
+  void* probe_ctx_ = nullptr;
+  ProbeFn probe_fn_ = nullptr;
+  std::uint64_t busy_ns_ = 0;  // wall time inside run_until
 };
+
+// The simulation a cluster or testbed runs every node on. Kept as a name
+// because the cluster API and the benchmark harness use it.
+using SimDomain = Simulation;
 
 }  // namespace redbud::sim

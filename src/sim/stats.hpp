@@ -14,8 +14,8 @@ namespace redbud::sim {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { value_ += n; }
-  // Fold another counter in — used to combine per-partition instruments
-  // after a partitioned run.
+  // Fold another counter in — used to combine per-client instruments
+  // after a run.
   void merge(const Counter& other) { value_ += other.value_; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
   [[nodiscard]] double rate_per_second(SimTime elapsed) const {

@@ -17,13 +17,12 @@
 // event heap and ready ring. Each tick rotates — counts one processed
 // event, re-arms at due + P under a fresh sequence number — at the latest
 // moment that still precedes every sequence number the eager run would
-// have allocated after its resumption: before the partition dispatches an
-// event keyed above it, and at the end of every window, run_until and
-// advance_to. The last points also cover injections delivered between
-// rounds and events scheduled from outside the run loop between runs.
-// wake() moves each tick, key unchanged, into the event heap, so the
-// coroutine resumes at exactly the (time, seq) of its next eager
-// resumption. wake() may run from a CompletionHook.
+// have allocated after its resumption: before the kernel dispatches an
+// event keyed above it, before a probe instant fires, and at the end of
+// run_until. The last point also covers events scheduled from outside
+// the run loop between runs. wake() moves each tick, key unchanged, into
+// the event heap, so the coroutine resumes at exactly the (time, seq) of
+// its next eager resumption. wake() may run from a CompletionHook.
 #pragma once
 
 #include <coroutine>

@@ -24,9 +24,8 @@ ContentToken make_token(std::uint64_t file_id, std::uint64_t block_in_file,
   return z == kUnwrittenToken ? 1 : z;
 }
 
-DiskArray::DiskArray(redbud::sim::SimDomain& domain,
-                     redbud::sim::Simulation& sim, ArrayParams params)
-    : domain_(&domain), sim_(&sim), params_(params) {
+DiskArray::DiskArray(redbud::sim::Simulation& sim, ArrayParams params)
+    : sim_(&sim), params_(params) {
   assert(params_.ndisks > 0);
   for (std::uint32_t i = 0; i < params_.ndisks; ++i) {
     DiskParams dp = params_.disk;
@@ -43,31 +42,30 @@ void DiskArray::start() {
   for (auto& s : schedulers_) s->start();
 }
 
-SimFuture<Done> DiskArray::write(redbud::sim::Simulation& issuer,
-                                 PhysAddr addr, std::uint32_t nblocks,
+void DiskArray::hop(SimTime at, redbud::sim::SmallFn fn) {
+  REDBUD_REQUIRE(at >= sim_->now(), "FC hop scheduled into the past");
+  sim_->call_at(at, std::move(fn));
+}
+
+SimFuture<Done> DiskArray::write(PhysAddr addr, std::uint32_t nblocks,
                                  std::vector<ContentToken> tokens) {
   assert(addr.device < disks_.size());
   assert(tokens.size() == nblocks);
-  SimPromise<Done> p(issuer);
+  SimPromise<Done> p(*sim_);
   auto fut = p.future();
-  // Command/payload hop to the array: one FC propagation delay, which is
-  // >= the domain lookahead, so the arrival is a legal mailbox injection.
-  // Payload serialization on the shared fabric pipe happens at the array.
-  domain_->post(
-      issuer, sim_->partition_id(), issuer.now() + params_.fc_latency,
-      [this, addr, nblocks, toks = std::move(tokens), p,
-       ipart = issuer.partition_id()]() mutable {
+  // Command/payload hop to the array: one FC propagation delay. Payload
+  // serialization on the shared fabric pipe happens at the array.
+  hop(sim_->now() + params_.fc_latency,
+      [this, addr, nblocks, toks = std::move(tokens), p]() mutable {
         sim_->spawn(
-            write_arrival_proc(addr, nblocks, std::move(toks), std::move(p),
-                               ipart));
+            write_arrival_proc(addr, nblocks, std::move(toks), std::move(p)));
       });
   return fut;
 }
 
 Process DiskArray::write_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
                                       std::vector<ContentToken> tokens,
-                                      SimPromise<Done> p,
-                                      std::uint32_t issuer_partition) {
+                                      SimPromise<Done> p) {
   // Serialize the payload on the shared fabric pipe. enqueue() reports the
   // far-end arrival; propagation was already paid on the request hop, so
   // strip the latency term to get the transmit-complete instant.
@@ -77,36 +75,31 @@ Process DiskArray::write_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
   auto io = schedulers_[addr.device]->submit(IoKind::kWrite, addr.block,
                                              nblocks, std::move(tokens));
   co_await io;
-  // Durable-ack hop back to the issuer's partition.
-  domain_->post(*sim_, issuer_partition, sim_->now() + params_.fc_latency,
-                [p]() mutable { p.set_value(Done{}); });
+  // Durable-ack hop back to the issuer.
+  hop(sim_->now() + params_.fc_latency,
+      [p]() mutable { p.set_value(Done{}); });
 }
 
 SimFuture<std::vector<ContentToken>> DiskArray::read_tokens(
-    redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks) {
+    PhysAddr addr, std::uint32_t nblocks) {
   assert(addr.device < disks_.size());
-  SimPromise<std::vector<ContentToken>> p(issuer);
+  SimPromise<std::vector<ContentToken>> p(*sim_);
   auto fut = p.future();
-  domain_->post(
-      issuer, sim_->partition_id(), issuer.now() + params_.fc_latency,
-      [this, addr, nblocks, p, ipart = issuer.partition_id()]() mutable {
-        sim_->spawn(read_arrival_proc(addr, nblocks, std::move(p), ipart));
-      });
+  hop(sim_->now() + params_.fc_latency, [this, addr, nblocks, p]() mutable {
+    sim_->spawn(read_arrival_proc(addr, nblocks, std::move(p)));
+  });
   return fut;
 }
 
 Process DiskArray::read_arrival_proc(PhysAddr addr, std::uint32_t nblocks,
-                                     SimPromise<std::vector<ContentToken>> p,
-                                     std::uint32_t issuer_partition) {
+                                     SimPromise<std::vector<ContentToken>> p) {
   auto io = schedulers_[addr.device]->submit(IoKind::kRead, addr.block, nblocks);
   co_await io;
   auto tokens = disks_[addr.device]->load(addr.block, nblocks);
   const SimTime tx_done =
       fc_->enqueue(std::size_t(nblocks) * kBlockSize) - fc_->latency();
-  domain_->post(*sim_, issuer_partition, tx_done + params_.fc_latency,
-                [p, toks = std::move(tokens)]() mutable {
-                  p.set_value(std::move(toks));
-                });
+  hop(tx_done + params_.fc_latency,
+      [p, toks = std::move(tokens)]() mutable { p.set_value(std::move(toks)); });
 }
 
 std::vector<ContentToken> DiskArray::peek(PhysAddr addr,

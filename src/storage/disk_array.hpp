@@ -7,10 +7,8 @@
 // which is why Redbud still beats NFS3 on large files (NFS3 pushes data
 // through the single server's 1 Gb Ethernet NIC instead).
 //
-// The array, its schedulers and the fabric pipe live in one partition of
-// a SimDomain; issuers in other partitions reach it through timestamped
-// FC-latency mailbox hops (command/payload out, durable ack or read data
-// back), so fc_latency must be at least the domain lookahead.
+// Issuers reach the array through FC-latency hops: command and payload
+// out, then the durable ack or the read data back.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "sim/future.hpp"
-#include "sim/parallel.hpp"
 #include "sim/pipe.hpp"
 #include "sim/simulation.hpp"
 #include "storage/disk.hpp"
@@ -38,31 +35,26 @@ struct ArrayParams {
 
 class DiskArray {
  public:
-  // `sim` is the domain partition that simulates the array.
-  DiskArray(redbud::sim::SimDomain& domain, redbud::sim::Simulation& sim,
-            ArrayParams params);
+  DiskArray(redbud::sim::Simulation& sim, ArrayParams params);
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
   // Spawn per-device dispatch daemons. Call once before any I/O.
   void start();
 
-  // Data-path write from `issuer`'s partition: FC transfer of the payload,
-  // then the device write. Resolves in `issuer`'s partition once the
-  // blocks are durable on the platter and the ack has crossed the fabric.
+  // Data-path write: FC transfer of the payload, then the device write.
+  // Resolves once the blocks are durable on the platter and the ack has
+  // crossed the fabric.
   [[nodiscard]] redbud::sim::SimFuture<redbud::sim::Done> write(
-      redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks,
-      std::vector<ContentToken> tokens);
+      PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens);
 
-  // Data-path read from `issuer`'s partition: device read, then FC
-  // transfer back. Resolves in `issuer`'s partition with the block tokens
-  // captured at read completion (the issuer cannot peek() at a device in
-  // another partition).
+  // Data-path read: device read, then FC transfer back. Resolves with the
+  // block tokens captured at read completion.
   [[nodiscard]] redbud::sim::SimFuture<std::vector<ContentToken>> read_tokens(
-      redbud::sim::Simulation& issuer, PhysAddr addr, std::uint32_t nblocks);
+      PhysAddr addr, std::uint32_t nblocks);
 
   // Durable content inspection (used by the crash-consistency checker and
-  // by tests, while the domain is quiescent).
+  // by tests, between runs).
   [[nodiscard]] std::vector<ContentToken> peek(PhysAddr addr,
                                                std::uint32_t nblocks) const;
 
@@ -73,8 +65,7 @@ class DiskArray {
   [[nodiscard]] const Disk& disk(std::uint32_t device) const {
     return *disks_[device];
   }
-  // Fail-slow injection on one spindle (see Disk::set_slow_factor). Must
-  // be called from the array's partition.
+  // Fail-slow injection on one spindle (see Disk::set_slow_factor).
   void set_disk_slow_factor(std::uint32_t device, double f) {
     disks_[device]->set_slow_factor(f);
   }
@@ -92,16 +83,15 @@ class DiskArray {
   void reset_stats();
 
  private:
+  // Schedule one FC hop at `at`; a hop never lies in the past.
+  void hop(redbud::sim::SimTime at, redbud::sim::SmallFn fn);
   redbud::sim::Process write_arrival_proc(
       PhysAddr addr, std::uint32_t nblocks, std::vector<ContentToken> tokens,
-      redbud::sim::SimPromise<redbud::sim::Done> p,
-      std::uint32_t issuer_partition);
+      redbud::sim::SimPromise<redbud::sim::Done> p);
   redbud::sim::Process read_arrival_proc(
       PhysAddr addr, std::uint32_t nblocks,
-      redbud::sim::SimPromise<std::vector<ContentToken>> p,
-      std::uint32_t issuer_partition);
+      redbud::sim::SimPromise<std::vector<ContentToken>> p);
 
-  redbud::sim::SimDomain* domain_;
   redbud::sim::Simulation* sim_;
   ArrayParams params_;
   std::vector<std::unique_ptr<Disk>> disks_;

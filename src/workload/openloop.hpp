@@ -16,9 +16,9 @@
 // drains; the shed count is part of the reported result, not hidden.
 //
 // Determinism: the dispatcher owns one Rng stream (derive via
-// Rng::split), spawns everything on the host partition's Simulation, and
-// never reads other partitions' state — so sweeps replay identically,
-// same as the closed-loop workloads.
+// Rng::split), spawns everything on the host's Simulation, and never
+// reads other hosts' state — so sweeps replay identically, same as the
+// closed-loop workloads.
 #pragma once
 
 #include <array>

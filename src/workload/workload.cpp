@@ -47,8 +47,8 @@ void fill_result(core::Testbed& bed, Workload& w, SimTime measured,
 }  // namespace
 
 // Every client gets its own WorkloadContext slot (independent RNG stream,
-// private stats) and its coroutines are spawned onto that client host's
-// partition. All driving goes through the testbed (bed.run_until), and the
+// private stats) and its coroutines are spawned onto the testbed's
+// simulation. All driving goes through the testbed (bed.run_until), and the
 // driver only touches contexts / ProcRefs while the kernel is quiescent
 // between run_until calls. Slot stats merge into one result at the end.
 WorkloadResult run_workload(core::Testbed& bed, Workload& w,
@@ -57,7 +57,7 @@ WorkloadResult run_workload(core::Testbed& bed, Workload& w,
   w.presize(static_cast<std::uint32_t>(n));
 
   // Context slots: streams split from the master seed in client order, so
-  // the draw sequences are independent of partition scheduling.
+  // the draw sequences are independent of event interleaving.
   redbud::sim::Rng master(opt.seed);
   std::vector<std::unique_ptr<WorkloadContext>> ctxs;
   ctxs.reserve(n);
@@ -83,7 +83,7 @@ WorkloadResult run_workload(core::Testbed& bed, Workload& w,
   }
   bed.check_failures();
 
-  // Spawn the workload threads on their client partitions.
+  // Spawn the workload threads.
   std::vector<ProcRef> threads;
   for (std::size_t c = 0; c < n; ++c) {
     auto& csim = bed.client_sim(c);

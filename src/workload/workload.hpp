@@ -19,7 +19,7 @@ namespace redbud::workload {
 // Mutable state for one client of a workload run. The driver gives each
 // client host its own slot (with an independent RNG stream split from the
 // master seed) so workload threads never share mutable state across
-// partitions, then merges the slots into one result.
+// clients, then merges the slots into one result.
 struct WorkloadContext {
   explicit WorkloadContext(std::uint64_t seed) : master_rng(seed) {}
   explicit WorkloadContext(redbud::sim::Rng rng) : master_rng(rng) {}
@@ -99,10 +99,9 @@ class Workload {
   [[nodiscard]] virtual bool fixed_work() const { return false; }
 
   // Pre-grow any lazily-sized shared containers to their full `nclients`
-  // extent. The driver calls this before spawning anything so client
-  // threads running on different partitions never reallocate a shared
-  // vector under another client's references; per-element state stays
-  // owned by one client.
+  // extent. The driver calls this before spawning anything so threads of
+  // different clients never reallocate a shared vector under another
+  // client's references; per-element state stays owned by one client.
   // Default: nothing shared, no-op.
   virtual void presize(std::uint32_t nclients) { (void)nclients; }
 

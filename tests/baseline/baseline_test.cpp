@@ -7,7 +7,7 @@
 
 #include "baseline/nfs3.hpp"
 #include "core/testbed.hpp"
-#include "sim/parallel.hpp"
+#include "sim/simulation.hpp"
 #include "storage/io_scheduler.hpp"
 
 namespace redbud::baseline {
@@ -69,14 +69,11 @@ Process write_read_roundtrip(Testbed& bed, std::size_t client,
 class BaselineRoundTrip
     : public ::testing::TestWithParam<std::pair<Protocol, std::uint32_t>> {};
 
-// Both clients of the 2-client bed run the round trip at once, each on
-// its own kernel partition (every stack, the baselines included, gives
-// each client one).
+// Both clients of the 2-client bed run the round trip at once.
 TEST_P(BaselineRoundTrip, WriteFsyncReadVerifies) {
   const auto [proto, nbytes] = GetParam();
   Testbed bed(small_bed(proto));
   bed.start();
-  EXPECT_NE(&bed.client_sim(0), &bed.client_sim(1));
   bool ok[2] = {false, false};
   std::vector<redbud::sim::ProcRef> refs;
   for (std::size_t c = 0; c < 2; ++c) {
@@ -149,11 +146,10 @@ TEST(Nfs3, RemoveAndReopenFails) {
 // them, in ascending file-block order: blocks written out of order still
 // land in file order, on consecutive disk blocks of the file's region.
 TEST(Nfs3, DirtyBlocksWrittenOutOfOrderLandInFileOrder) {
-  const net::NetworkParams np;
-  redbud::sim::SimDomain domain(np.link_latency + np.switch_latency);
-  net::Network network(domain, np);
-  Simulation& ssim = domain.add_partition();
-  net::RpcEndpoint endpoint(ssim, network, network.add_node(ssim));
+  redbud::sim::SimDomain domain;
+  net::Network network(domain, net::NetworkParams{});
+  Simulation& ssim = domain;
+  net::RpcEndpoint endpoint(ssim, network, network.add_node());
   storage::DiskParams dp;
   dp.total_blocks = 1 << 16;
   storage::Disk disk(ssim, dp);
@@ -161,7 +157,7 @@ TEST(Nfs3, DirtyBlocksWrittenOutOfOrderLandInFileOrder) {
   Nfs3Server server(ssim, endpoint, sched, Nfs3ServerParams{});
   sched.start();
   server.start();
-  Simulation& csim = domain.add_partition();
+  Simulation& csim = domain;
   Nfs3Client client(csim, network, endpoint, Nfs3ClientParams{});
 
   constexpr std::uint64_t kOrder[] = {5, 2, 7, 0, 3, 6, 1, 4};

@@ -264,7 +264,7 @@ TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
     redbud::sim::SimDomain domain;
     storage::ArrayParams ap;
     ap.ndisks = kDevices;
-    storage::DiskArray array(domain, domain.add_partition(), ap);
+    storage::DiskArray array(domain, ap);
     for (std::uint32_t d = 0; d < kDevices; ++d) {
       for (storage::BlockNo b = 0; b < kBlocks; ++b) {
         const storage::ContentToken t = rng.next_below(5);

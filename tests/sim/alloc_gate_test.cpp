@@ -27,7 +27,6 @@
 #include "net/rpc.hpp"
 #include "sim/flat_map.hpp"
 #include "sim/future.hpp"
-#include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
 
 namespace {
@@ -240,15 +239,14 @@ using sim::Process;
 using sim::SimTime;
 using sim::Simulation;
 
+// An RPC round trip between two nodes of a cluster's simulation. (Test
+// name kept stable so its history stays comparable.)
 TEST(AllocGate, RpcRoundTripAcrossPartitionsAllocatesNothing) {
-  const NetworkParams np;
-  sim::SimDomain domain(np.link_latency + np.switch_latency);
-  Simulation& client_part = domain.add_partition();
-  Simulation& server_part = domain.add_partition();
-  Network net(domain, np);
-  RpcEndpoint client(client_part, net, net.add_node(client_part));
-  RpcEndpoint server(server_part, net, net.add_node(server_part));
-  server_part.spawn([](RpcEndpoint& srv) -> Process {
+  sim::SimDomain domain;
+  Network net(domain, NetworkParams{});
+  RpcEndpoint client(domain, net, net.add_node());
+  RpcEndpoint server(domain, net, net.add_node());
+  domain.spawn([](RpcEndpoint& srv) -> Process {
     for (;;) {
       IncomingRpc rpc = co_await srv.incoming().recv();
       StatResp resp;
@@ -257,7 +255,7 @@ TEST(AllocGate, RpcRoundTripAcrossPartitionsAllocatesNothing) {
     }
   }(server));
   std::uint64_t round_trips = 0;
-  client_part.spawn(
+  domain.spawn(
       [](RpcEndpoint& cl, RpcEndpoint& srv, std::uint64_t& n) -> Process {
         for (;;) {
           ResponseBody resp = co_await cl.call(srv, StatReq{7});

@@ -1,6 +1,8 @@
-// Partitioned-kernel tests: the SmallFn timer callable, conservative
-// window execution, cross-partition mailbox ordering, and — the property
-// everything else leans on — bit-identical same-seed replay.
+// Kernel tests: the SmallFn timer callable, one event order for every
+// node (equal-instant ties run in scheduling order, and no hop lands in
+// the past), and — the property everything else leans on — bit-identical
+// same-seed replay. The suite names are kept from the partitioned kernel
+// this one replaced, so their history stays comparable.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,14 +11,15 @@
 #include <string>
 #include <vector>
 
-#include "sim/parallel.hpp"
+#include "net/network.hpp"
 #include "sim/simulation.hpp"
 #include "sim/small_fn.hpp"
 
 namespace redbud::sim {
 namespace {
 
-constexpr SimTime kLookahead = SimTime::micros(40);
+// One network hop between nodes.
+constexpr SimTime kHop = SimTime::micros(40);
 
 // ---- SmallFn ---------------------------------------------------------------
 
@@ -80,28 +83,12 @@ TEST(ParallelSmallFn, TimerSlabGrowthUnderLoad) {
   EXPECT_EQ(sum, std::uint64_t(kTimers) * (kTimers + 1) / 2);
 }
 
-// ---- SimDomain: partitions and staging ------------------------------------
-
-TEST(ParallelDomain, OneWorkerDomainStillPartitions) {
-  // A fresh partition per add_partition(), and cross-partition posts
-  // staged until the next round, then delivered at their timestamps.
-  SimDomain d(kLookahead);
-  Simulation& a = d.add_partition();
-  Simulation& b = d.add_partition();
-  EXPECT_NE(&a, &b);
-  EXPECT_EQ(d.nparts(), 2u);
-  EXPECT_EQ(b.partition_id(), 1u);
-  SimTime fired = SimTime::zero();
-  d.post(a, 1, SimTime::micros(100), [&b, &fired] { fired = b.now(); });
-  d.run_until(SimTime::millis(1));
-  EXPECT_EQ(fired, SimTime::micros(100));
-  EXPECT_EQ(a.now(), SimTime::millis(1));
-  EXPECT_EQ(d.kernel_profile().injections_delivered, 1u);
-}
+// ---- One queue for every node ---------------------------------------------
 
 TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
-  // The same timer program, once on a bare Simulation and once through a
-  // one-partition domain: identical execution order and event count.
+  // The same timer program, once on a bare Simulation and once through
+  // the SimDomain name the clusters use: identical execution order and
+  // event count.
   const auto program = [](Simulation& s, std::vector<int>& order) {
     for (int i = 0; i < 50; ++i) {
       s.call_at(SimTime::micros(5 * (i % 7)), [&order, i] {
@@ -114,10 +101,9 @@ TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
   program(plain, plain_order);
   plain.run_until(SimTime::millis(1));
 
-  SimDomain d(kLookahead);
-  Simulation& s = d.add_partition();
+  SimDomain d;
   std::vector<int> domain_order;
-  program(s, domain_order);
+  program(d, domain_order);
   d.run_until(SimTime::millis(1));
 
   EXPECT_EQ(plain_order, domain_order);
@@ -126,151 +112,132 @@ TEST(ParallelDomain, SerialDomainMatchesPlainSimulation) {
 }
 
 TEST(ParallelDomain, SerialPostDeliversAtItsTimestamp) {
-  // A post into the poster's own partition is staged like any other.
-  SimDomain d(kLookahead);
-  Simulation& s = d.add_partition();
+  SimDomain d;
   SimTime fired = SimTime::zero();
-  d.post(s, 0, SimTime::micros(100), [&s, &fired] { fired = s.now(); });
+  d.call_at(SimTime::micros(100), [&d, &fired] { fired = d.now(); });
   d.run_until(SimTime::millis(1));
   EXPECT_EQ(fired, SimTime::micros(100));
 }
 
-// ---- SimDomain: cross-partition windows ------------------------------------
-
 TEST(ParallelDomain, CrossPartitionPingPong) {
-  // Two partitions bounce a message with exactly the lookahead latency;
-  // each delivery must run at its injected timestamp on the right clock.
-  SimDomain d(kLookahead);
-  Simulation& a = d.add_partition();
-  Simulation& b = d.add_partition();
-
+  // Two nodes bounce a message with a fixed hop latency; each delivery
+  // runs at its scheduled instant.
+  SimDomain d;
   std::vector<std::int64_t> a_arrivals;
   std::vector<std::int64_t> b_arrivals;
-  // Defined before use below; std::function-free recursion via a struct.
   struct Bouncer {
     SimDomain* d;
-    Simulation* a;
-    Simulation* b;
     std::vector<std::int64_t>* a_arrivals;
     std::vector<std::int64_t>* b_arrivals;
     SimTime limit;
     void to_b() const {
-      d->post(*a, 1, a->now() + kLookahead, [self = *this] {
-        self.b_arrivals->push_back(self.b->now().ns());
-        if (self.b->now() < self.limit) self.to_a();
+      d->call_in(kHop, [self = *this] {
+        self.b_arrivals->push_back(self.d->now().ns());
+        if (self.d->now() < self.limit) self.to_a();
       });
     }
     void to_a() const {
-      d->post(*b, 0, b->now() + kLookahead, [self = *this] {
-        self.a_arrivals->push_back(self.a->now().ns());
-        if (self.a->now() < self.limit) self.to_b();
+      d->call_in(kHop, [self = *this] {
+        self.a_arrivals->push_back(self.d->now().ns());
+        if (self.d->now() < self.limit) self.to_b();
       });
     }
   };
-  const Bouncer bounce{&d, &a, &b, &a_arrivals, &b_arrivals,
-                       SimTime::millis(2)};
+  const Bouncer bounce{&d, &a_arrivals, &b_arrivals, SimTime::millis(2)};
   bounce.to_b();
   d.run_until(SimTime::millis(3));
 
   ASSERT_GT(b_arrivals.size(), 10u);
-  // Arrival k on either side is at (k-th hop) * lookahead.
+  // Arrival k on either side is at (k-th hop) * hop latency.
   for (std::size_t k = 0; k < b_arrivals.size(); ++k) {
-    EXPECT_EQ(b_arrivals[k], std::int64_t(2 * k + 1) * kLookahead.ns());
+    EXPECT_EQ(b_arrivals[k], std::int64_t(2 * k + 1) * kHop.ns());
   }
   for (std::size_t k = 0; k < a_arrivals.size(); ++k) {
-    EXPECT_EQ(a_arrivals[k], std::int64_t(2 * k + 2) * kLookahead.ns());
+    EXPECT_EQ(a_arrivals[k], std::int64_t(2 * k + 2) * kHop.ns());
   }
   EXPECT_EQ(d.now(), SimTime::millis(3));
 }
 
-TEST(ParallelDomain, MailboxTiesOrderedBySourceThenSeq) {
-  // Three sources inject into partition 0 at the same timestamp; the
-  // total order must be (send time, sender partition, sender seq) no
-  // matter the staging order.
-  SimDomain d(kLookahead);
-  Simulation& p0 = d.add_partition();
-  Simulation& p1 = d.add_partition();
-  Simulation& p2 = d.add_partition();
-  Simulation& p3 = d.add_partition();
-  const SimTime at = SimTime::micros(100);
+TEST(ParallelDomain, EqualInstantEventsRunInSchedulingOrder) {
+  // Frames from three client nodes to one server node, sent so that they
+  // reach the server at the same instant: their completions run in the
+  // order the sends were made, whichever node made them, and after an
+  // event that an earlier call scheduled for that instant.
+  SimDomain d;
+  const net::NetworkParams np;
+  net::Network net(d, np);
+  const net::NodeId server = net.add_node();
+  const net::NodeId clients[] = {net.add_node(), net.add_node(),
+                                 net.add_node()};
   std::vector<std::string> order;
   const auto tag = [&order](std::string t) {
     return [&order, t] { order.push_back(t); };
   };
-  // Stage deliberately out of source order, two per source.
-  d.post(p3, 0, at, tag("s3/0"));
-  d.post(p2, 0, at, tag("s2/0"));
-  d.post(p1, 0, at, tag("s1/0"));
-  d.post(p1, 0, at, tag("s1/1"));
-  d.post(p3, 0, at, tag("s3/1"));
-  d.post(p2, 0, at, tag("s2/1"));
-  // An earlier timestamp staged last still runs first.
-  d.post(p2, 0, SimTime::micros(50), tag("early"));
+  // An empty frame crosses two links and the switch.
+  const SimTime arrive =
+      np.link_latency + np.switch_latency + np.link_latency;
+  d.call_at(arrive, tag("timer"));
+  d.call_at(SimTime::zero(), [&] {
+    net.deliver(clients[2], server, 0, tag("c2"));
+    net.deliver(clients[0], server, 0, tag("c0"));
+    net.deliver(clients[1], server, 0, tag("c1"));
+  });
   d.run_until(SimTime::millis(1));
-  (void)p0;
-  const std::vector<std::string> want{"early", "s1/0", "s1/1",
-                                      "s2/0", "s2/1", "s3/0", "s3/1"};
+  const std::vector<std::string> want{"timer", "c2", "c0", "c1"};
   EXPECT_EQ(order, want);
 }
 
-TEST(ParallelDomainDeath, InjectionInsideLookaheadAborts) {
+TEST(ParallelDomainDeath, HopIntoThePastAborts) {
+  // A hop must never land behind the clock: a link delay that would
+  // deliver a frame before it was sent aborts instead of reordering time.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  SimDomain d(kLookahead);
-  Simulation& a = d.add_partition();
-  (void)d.add_partition();
-  EXPECT_DEATH(d.post(a, 1, a.now() + SimTime::micros(10), [] {}),
-               "lookahead");
+  SimDomain d;
+  net::Network net(d, net::NetworkParams{});
+  const net::NodeId a = net.add_node();
+  const net::NodeId b = net.add_node();
+  net.set_link_delay(a, SimTime::millis(-1));
+  EXPECT_DEATH(net.deliver(a, b, 64, [] {}), "scheduled into the past");
 }
 
 // ---- Same-seed replay ------------------------------------------------------
 
-// A 4-partition topology that mixes local timer chains (different periods
-// per partition, so windows interleave) with cross-partition messages that
-// deliberately collide on the same timestamps. Every executed event
-// appends (partition, time, tag) to its partition's private log.
+// Four nodes on one queue mix local timer chains (different periods per
+// node) with one-hop messages that deliberately collide on the same
+// timestamps. Every executed event appends (time, tag) to its node's log.
 struct DigestHarness {
-  static constexpr std::uint32_t kParts = 4;
-
-  DigestHarness() : domain(kLookahead) {
-    for (std::uint32_t p = 0; p < kParts; ++p) {
-      sims[p] = &domain.add_partition();
-    }
-  }
+  static constexpr std::uint32_t kNodes = 4;
 
   void start() {
-    for (std::uint32_t p = 0; p < kParts; ++p) {
+    for (std::uint32_t p = 0; p < kNodes; ++p) {
       local_chain(p, 0);
       send_next(p, 0);
     }
   }
 
   void local_chain(std::uint32_t p, std::uint64_t k) {
-    Simulation& s = *sims[p];
-    s.call_in(SimTime::micros(7 + p), [this, p, k] {
+    sim.call_in(SimTime::micros(7 + p), [this, p, k] {
       log(p, 1000 + k);
       if (k < 400) local_chain(p, k + 1);
     });
   }
 
   void send_next(std::uint32_t p, std::uint64_t k) {
-    Simulation& s = *sims[p];
-    const std::uint32_t dst = (p + 1) % kParts;
-    // Quantized send times: partitions collide on identical timestamps,
-    // exercising the (time, src, seq) tie-break.
-    const SimTime at = s.now() + kLookahead + SimTime::micros(10);
-    domain.post(s, dst, at, [this, dst, p, k] {
+    const std::uint32_t dst = (p + 1) % kNodes;
+    // Quantized send times: nodes collide on identical timestamps,
+    // exercising the (time, seq) tie-break.
+    sim.call_in(kHop + SimTime::micros(10), [this, dst, p, k] {
       log(dst, 2000 + p * 100 + (k % 10));
       if (k < 200) send_next(dst, k + 1);
     });
   }
 
   void log(std::uint32_t p, std::uint64_t tag) {
-    logs[p].push_back((std::uint64_t(sims[p]->now().ns()) << 16) ^ tag);
+    logs[p].push_back((std::uint64_t(sim.now().ns()) << 16) ^ tag);
   }
 
   [[nodiscard]] std::uint64_t digest() const {
     std::uint64_t h = 1469598103934665603ull;  // FNV-1a over all logs
-    for (std::uint32_t p = 0; p < kParts; ++p) {
+    for (std::uint32_t p = 0; p < kNodes; ++p) {
       for (const std::uint64_t v : logs[p]) {
         h = (h ^ v) * 1099511628211ull;
       }
@@ -279,16 +246,15 @@ struct DigestHarness {
     return h;
   }
 
-  SimDomain domain;
-  std::array<Simulation*, kParts> sims{};
-  std::array<std::vector<std::uint64_t>, kParts> logs;
+  SimDomain sim;
+  std::array<std::vector<std::uint64_t>, kNodes> logs;
 };
 
 std::uint64_t run_digest() {
   DigestHarness h;
   h.start();
-  h.domain.run_until(SimTime::millis(20));
-  for (std::uint32_t p = 0; p < DigestHarness::kParts; ++p) {
+  h.sim.run_until(SimTime::millis(20));
+  for (std::uint32_t p = 0; p < DigestHarness::kNodes; ++p) {
     EXPECT_FALSE(h.logs[p].empty());
   }
   return h.digest();
