@@ -562,6 +562,17 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
     }
     for (auto& f : waits) co_await f;
   }
+  // A later write of a page may have stamped it while this one allocated
+  // or waited. The array write and the commit carry each page's newest
+  // version either way, and the array keeps writes of one block in
+  // arrival order (see IoScheduler), so the page cache, the platter and
+  // the commit log agree on the version that lands last.
+  if (const FileState* st = files_.find(file)) {
+    for (std::uint32_t i = 0; i < range.count; ++i) {
+      const std::uint64_t blk = range.first + i;
+      tokens[i] = storage::make_token(file, blk, st->versions[blk]);
+    }
+  }
 
   // Issue writepage: one array write per extent.
   std::vector<SimFuture<Done>> data_futures;

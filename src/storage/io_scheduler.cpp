@@ -1,5 +1,6 @@
 #include "storage/io_scheduler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -45,7 +46,13 @@ SimFuture<Done> IoScheduler::submit(IoKind kind, BlockNo block,
               sim_->now()};
 
   auto& map = kind == IoKind::kRead ? reads_ : writes_;
-  if (!params_.merging || !try_merge(map, block, nblocks, std::move(seg))) {
+  if (inserting_write_ && join_overlapping_write(block, nblocks, seg)) {
+    if (params_.merging) {
+      ++merged_;
+      ++merged_writes_;
+    }
+  } else if (!params_.merging ||
+             !try_merge(map, block, nblocks, std::move(seg))) {
     if (auto it = map.find(block); it != map.end()) {
       // A pending request already starts at this block (rewrite of the
       // same extent): absorb the new request into it.
@@ -67,6 +74,37 @@ SimFuture<Done> IoScheduler::submit(IoKind kind, BlockNo block,
   }
   work_.notify_all();
   return fut;
+}
+
+bool IoScheduler::join_overlapping_write(BlockNo block, std::uint32_t nblocks,
+                                         Segment& seg) {
+  // The first pending write that overlaps [block, end), if any.
+  const BlockNo end = block + nblocks;
+  auto it = writes_.upper_bound(block);
+  if (it != writes_.begin()) {
+    if (const auto prev = std::prev(it);
+        prev->first + prev->second.nblocks > block) {
+      it = prev;
+    }
+  }
+  if (it == writes_.end() || it->first >= end) return false;
+  // Fold it and every later pending write that starts before `end` into
+  // one request, then append the new write: pending writes never
+  // overlap, so only the new segment's order matters, and it goes last.
+  Pending joined = std::move(it->second);
+  it = writes_.erase(it);
+  BlockNo joined_end = std::max(joined.block + joined.nblocks, end);
+  joined.block = std::min(joined.block, block);
+  for (; it != writes_.end() && it->first < end; it = writes_.erase(it)) {
+    Pending& p = it->second;
+    joined_end = std::max(joined_end, p.block + p.nblocks);
+    joined.arrival_seq = std::min(joined.arrival_seq, p.arrival_seq);
+    for (auto& s : p.segments) joined.segments.push_back(std::move(s));
+  }
+  joined.nblocks = static_cast<std::uint32_t>(joined_end - joined.block);
+  joined.segments.push_back(std::move(seg));
+  writes_.emplace(joined.block, std::move(joined));
+  return true;
 }
 
 bool IoScheduler::try_merge(PendingMap& map, BlockNo block,
@@ -172,7 +210,17 @@ IoScheduler::Pending IoScheduler::take_next() {
 
   assert(map);
   Pending out = std::move(pick->second);
-  map->erase(pick);
+  const auto next = map->erase(pick);
+  // Writes of one block reach the platter in arrival order only while no
+  // two pending writes overlap (join_overlapping_write keeps it so).
+  REDBUD_REQUIRE(out.kind != IoKind::kWrite ||
+                     ((next == writes_.end() ||
+                       next->first >= out.block + out.nblocks) &&
+                      (next == writes_.begin() ||
+                       std::prev(next)->first +
+                               std::prev(next)->second.nblocks <=
+                           out.block)),
+                 "write dispatched while an overlapping write is pending");
   return out;
 }
 

@@ -4,6 +4,8 @@
 // that arrive while the disk is busy sit in a sorted queue where adjacent
 // same-kind requests are merged (front, back, and bridge coalescing), and
 // dispatch follows C-LOOK elevator order from the current head position.
+// A write that overlaps a pending write joins it, so writes of one block
+// reach the platter in the order they arrived.
 //
 // Merge statistics feed Figure 4 (I/O merge ratio): synchronous commit
 // keeps at most one outstanding request per application thread, so merges
@@ -114,6 +116,10 @@ class IoScheduler {
 
   redbud::sim::Process dispatch_loop();
   [[nodiscard]] Pending take_next();
+  // A new write that overlaps pending writes joins them in one request,
+  // after them; returns true when it did.
+  bool join_overlapping_write(BlockNo block, std::uint32_t nblocks,
+                              Segment& seg);
   // Try to merge a new request into `map`; returns true when absorbed.
   bool try_merge(PendingMap& map, BlockNo block, std::uint32_t nblocks,
                  Segment&& seg);

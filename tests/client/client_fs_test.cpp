@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/recovery.hpp"
 
 namespace redbud::client {
 namespace {
@@ -221,6 +222,57 @@ TEST(ClientFs, OrderedWritesInvariantHeldUnderDelayedCommit) {
     ok = invariant;
   });
   EXPECT_TRUE(ok);
+}
+
+// Three writes to one page while the first sits on a slow disk. The
+// second also covers a hole, so it waits on a central allocation RPC; the
+// third starts later, finds only the first write in its way and reaches
+// the array first. Whatever order the writes issue in, the platter, the
+// page cache and the commit log must end on one version of the page.
+TEST(ClientFs, RewritesOfABusyPageLandInOneOrder) {
+  Cluster c(small_cluster(CommitMode::kDelayed, /*delegation=*/false));
+  c.start();
+  for (std::uint32_t d = 0; d < c.array().ndisks(); ++d) {
+    c.array().set_disk_slow_factor(d, 50.0);
+  }
+  net::FileId id = net::kInvalidFile;
+  run_in_cluster(c, [&id](Cluster& cl) -> Process {
+    auto& fs = cl.client(0);
+    auto cfut = fs.create(net::kRootDir, "busy");
+    id = co_await cfut;
+    // Delayed commit returns once the data write is issued: the first
+    // write is still on the slow disk when the next two arrive.
+    auto first = fs.write(id, 0, 4096);
+    EXPECT_EQ(co_await first, Status::kOk);
+    auto second = fs.write(id, 0, 8192);
+    co_await cl.client_sim(0).delay(SimTime::micros(20));
+    auto third = fs.write(id, 0, 4096);
+    EXPECT_EQ(co_await second, Status::kOk);
+    EXPECT_EQ(co_await third, Status::kOk);
+    auto sfut = fs.fsync(id);
+    EXPECT_EQ(co_await sfut, Status::kOk);
+  });
+  const storage::ContentToken cached = c.client(0).expected_token(id, 0);
+  EXPECT_EQ(cached, storage::make_token(id, 0, 3));
+  // The newest durable commit record of block 0, and the platter under it.
+  storage::ContentToken committed = storage::kUnwrittenToken;
+  storage::ContentToken platter = storage::kUnwrittenToken;
+  for (const auto& rec : c.mds().durable_commits()) {
+    std::size_t bi = 0;
+    for (const auto& e : rec.extents) {
+      for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
+        if (rec.file == id && e.file_block + k == 0) {
+          committed = rec.block_tokens[bi];
+          platter = c.array().peek(storage::PhysAddr{e.addr.device,
+                                                     e.addr.block + k},
+                                   1)[0];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(committed, cached) << "the commit log kept an older version";
+  EXPECT_EQ(platter, cached) << "the platter kept an older version";
+  EXPECT_TRUE(core::check_consistency(c).consistent());
 }
 
 // A block's writeback entry goes when its commit is acked, so a drained

@@ -206,10 +206,13 @@ std::uint64_t fleet_digest() {
 }
 
 // Captured before the readiness poll was memoised and invalidate_file was
-// indexed by file, and re-pinned (from 12599302654805581508) when the
+// indexed by file, re-pinned (from 12599302654805581508) when the
 // engines' population moved from a simulated prepare to the t = 0
-// install. A mismatch means a client-engine change moved events.
-constexpr std::uint64_t kGoldenFleet = 3505702176155163010ull;
+// install, and again (from 3505702176155163010) when a write that
+// overlaps a pending write of the same blocks began joining its request
+// in the I/O scheduler. A mismatch means a client-engine change moved
+// events.
+constexpr std::uint64_t kGoldenFleet = 17509833470823089240ull;
 
 TEST(FleetGolden, OverloadedOpenLoopFleetMatchesGolden) {
   EXPECT_EQ(fleet_digest(), kGoldenFleet);

@@ -253,6 +253,24 @@ TEST(IoScheduler, RewriteOfSamePendingBlocksIsAbsorbed) {
   EXPECT_EQ(rig.sched.dispatched(), 2u);
 }
 
+// Two writes of one block, the first back-merged into a request that
+// starts below the head: the elevator would serve the second (ahead of
+// the head) first and land the older data last. Overlapping writes join
+// one request instead, so they reach the platter in arrival order.
+TEST(IoScheduler, OverlappingWritesLandInArrivalOrder) {
+  Rig rig;
+  // A read keeps the disk busy and leaves the head just past block 101.
+  (void)rig.sched.submit(IoKind::kRead, 101, 1);
+  rig.sim.call_at(SimTime::micros(1), [&] {
+    (void)rig.sched.submit(IoKind::kWrite, 98, 5, rig.tokens(5, 10));
+    (void)rig.sched.submit(IoKind::kWrite, 103, 1, rig.tokens(1, 2));  // older
+    (void)rig.sched.submit(IoKind::kWrite, 103, 1, rig.tokens(1, 3));  // newer
+  });
+  rig.drain();
+  EXPECT_EQ(rig.disk.load(103, 1)[0], 3u) << "the older write landed last";
+  EXPECT_EQ(rig.disk.load(98, 1)[0], 10u);
+}
+
 TEST(IoScheduler, OverlappingReadStreamsAllResolve) {
   // Regression: two interleaved readers of the same block range used to
   // strand promises when a front merge landed on an occupied start key.
