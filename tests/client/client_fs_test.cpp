@@ -38,7 +38,7 @@ ClusterParams small_cluster(CommitMode mode, bool delegation = true) {
 }
 
 // Runs `body(cluster)` (a Process factory — usually a capturing lambda
-// coroutine) to completion on client `host`'s partition; the body drives
+// coroutine) to completion, spawned for client `host`; the body drives
 // that client. The closure outlives the coroutine because it is held here
 // until the simulation has drained.
 template <typename F>

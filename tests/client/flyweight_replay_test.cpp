@@ -191,7 +191,7 @@ std::uint64_t flyweight_digest(CommitMode mode, std::uint32_t nshards) {
   return h;
 }
 
-// Golden digests of the partitioned-kernel client path. If one of these
+// Golden digests of the cluster client path. If one of these
 // fails after a client-layer change, the change moved events in a
 // configuration that is promised to stay byte-identical.
 constexpr std::uint64_t kGoldenDelayed1 = 11299498858121100918ull;

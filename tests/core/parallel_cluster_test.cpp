@@ -1,9 +1,8 @@
-// Partitioned-cluster tests: the full Redbud stack driven through the
-// SimDomain. The determinism contract under test: a metadata-only
-// workload with per-client RNG streams and staggered starts completes
-// every operation at the same simulated instant when replayed. Data-path
-// workloads additionally smoke-test the cross-partition disk-array and
-// workload-driver plumbing.
+// Cluster tests: the full Redbud stack driven through its SimDomain. The
+// determinism contract under test: a metadata-only workload with
+// per-client RNG streams and staggered starts completes every operation
+// at the same simulated instant when replayed. Data-path workloads
+// additionally smoke-test the disk-array and workload-driver plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,7 +40,7 @@ ClusterParams small_cluster() {
 
 // One client's metadata churn: create / remove under a private RNG
 // stream, think-time jitter, staggered start. Completion instants land in
-// `log` (client-private, written only by this client's partition).
+// `log` (client-private, written only by this client's coroutine).
 Process meta_churn(Simulation& sim, client::ClientFs& fs,
                    std::uint32_t client_id,
                    std::vector<std::int64_t>* log) {
@@ -92,9 +91,8 @@ TEST(ParallelCluster, MetadataTimingIdenticalForAnyWorkerCount) {
 }
 
 TEST(ParallelCluster, DataPathRoundTripsUnderPartitionedKernel) {
-  // Write / fsync / read-verify through the cross-partition disk-array
-  // path: content tokens must round-trip even though reads cannot peek
-  // the array's state across partitions.
+  // Write / fsync / read-verify through the disk-array path: content
+  // tokens must round-trip through the FC hops.
   Cluster c(small_cluster());
   c.start();
   bool done = false;

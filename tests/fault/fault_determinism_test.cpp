@@ -2,8 +2,8 @@
 // metadata-only churn and a write/fsync data churn, each under a full
 // mixed fault schedule (slow disks, lossy links, a shard crash with
 // failover), replay exactly — op instants, event totals, drop counts.
-// Faults are partition-local timers and per-node RNG draws at send entry,
-// so no part of the fault path may depend on the order partitions run in.
+// Faults are timers and per-node RNG draws at send entry, so the fault
+// path depends only on the event order.
 //
 // FaultGolden pins both runs to a file, so a rework of the retry ladder,
 // the reply cache or failover cannot move an event unnoticed. Regenerate

@@ -1,7 +1,7 @@
 // Tests for the observability layer: span propagation across an RPC
 // round-trip, dedup-merge span linking in the commit queue, registry
-// label cardinality, chain reconstruction, per-partition tracer lanes on
-// a partitioned cluster, and a golden-file check of the Perfetto export.
+// label cardinality, chain reconstruction, the tracer on a cluster, and
+// a golden-file check of the Perfetto export.
 //
 // Regenerate the golden file after an intentional export-format change:
 //   REDBUD_REGEN_GOLDEN=1 ./build/tests/redbud_tests
@@ -53,7 +53,7 @@ TEST(Tracer, ChildSharesTraceWithFreshSpan) {
   EXPECT_NE(kid.span, root.span);
 }
 
-// --- Tracer on a partitioned cluster -------------------------------------
+// --- Tracer on a cluster --------------------------------------------------
 
 core::ClusterParams traced_cluster() {
   core::ClusterParams p;

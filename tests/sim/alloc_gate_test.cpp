@@ -5,7 +5,7 @@
 // case runs a loop to a steady state, then asserts that many more
 // iterations of it allocate nothing: a future awaited and fulfilled, a
 // process joined before and after it finishes, an RPC round trip between
-// two partitions of a SimDomain through Network::deliver, page cache hits
+// two nodes of a SimDomain through Network::deliver, page cache hits
 // and evicting inserts, and a FlatMap erase and reinsert at a steady
 // size. Further cases pin the point where a FlatMap grows, show that a
 // file's first rewrite allocates no per-file writeback table, and bound

@@ -3,7 +3,7 @@
 // The filebench personalities pick, retire and count fileset entries on
 // every op, and drive the delayed-commit client through creates, appends,
 // fsyncs and deletes. Host-side reworks of those paths (the fileset's
-// bookkeeping, the commit daemons' readiness poll, the kernel's round
+// bookkeeping, the commit daemons' readiness poll, the kernel's run
 // loop) must not move a single simulated event. This suite runs
 // fileserver, varmail and webproxy on a small 2-shard Redbud testbed and
 // pins, per personality, the measured op count, the op errors and
