@@ -7,8 +7,8 @@
 # The sanitizer pass builds Debug so asserts are live — the coroutine-frame
 # arena and the kernel's monotonic-time/live-index invariants are exactly
 # the kind of change this pass is meant to gate. It also runs
-# load_sweep --smoke, the overloaded fleet where commit daemons park on
-# virtual ticks and are woken from completion hooks most often.
+# load_sweep --smoke, the overloaded fleet where idle commit daemons park
+# on the queue's ticker and are woken from completion hooks most often.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -137,7 +137,7 @@ ResponseBody Nfs3Server::execute(const net::IncomingRpc& rpc) {
   if (const auto* r = std::get_if<net::NfsWriteReq>(&rpc.body)) {
     FileMeta& m = meta_[r->file];
     const std::uint64_t first = r->offset_bytes / kBlockSize;
-    const bool was_clean = cache_.dirty_pages_of(r->file).empty();
+    const bool was_clean = cache_.dirty_count_of(r->file) == 0;
     for (std::size_t i = 0; i < r->tokens.size(); ++i) {
       cache_.put_dirty(r->file, first + i, r->tokens[i]);
     }

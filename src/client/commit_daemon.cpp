@@ -91,17 +91,15 @@ Process CommitDaemonPool::daemon() {
     if (!ready_shard) {
       // Entries exist but their data writes are still in flight: poll
       // every poll_interval. The poll parks rather than re-arming a
-      // delay, and the queue (or the controller) wakes it whenever its
-      // next tick could find something to do, so it resumes exactly
-      // where the periodic poll would first have acted.
+      // delay, and the queue (or the controller) wakes it whenever a
+      // poll could find something to do; it resumes at the first poll
+      // instant from then on.
       co_await queue_->ticker().park(params_.poll_interval);
       continue;
     }
+    // checkout() takes the ready head first_ready_shard() just reported.
     auto batch = queue_->checkout(compound_->degree(*ready_shard));
-    if (batch.empty()) {
-      co_await queue_->ticker().park(params_.poll_interval);
-      continue;
-    }
+    REDBUD_REQUIRE(!batch.empty(), "checkout missed the ready head");
     const std::uint32_t shard = batch.front().shard;
     const SimTime checkout_at = sim_->now();
 

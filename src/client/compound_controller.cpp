@@ -8,7 +8,7 @@ namespace redbud::client {
 CompoundController::CompoundController(CompoundParams params,
                                        std::uint32_t nshards)
     : params_(params) {
-  assert(params_.min_degree >= 1);
+  assert(params_.min_degree >= 1 && params_.fixed_degree >= 1);
   assert(params_.max_degree >= params_.min_degree);
   assert(nshards >= 1);
   shards_.resize(nshards);

@@ -41,14 +41,15 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
     auto& f = pool_.at(*idx);
     f.token = token;
     if (f.dirty != dirty) {
+      FileRecord& rec = *files_.find(file);
       if (dirty) {
         lru_unlink(*idx);
         ++dirty_;
-        dirty_index_[file].insert(block);
+        ++rec.dirty;
       } else {
         lru_push_front(*idx);
         --dirty_;
-        drop_dirty_index(file, block);
+        --rec.dirty;
       }
       f.dirty = dirty;
     } else if (!dirty) {
@@ -72,7 +73,7 @@ void PageCache::insert(net::FileId file, std::uint64_t block,
   f.next = kNil;
   if (dirty) {
     ++dirty_;
-    dirty_index_[file].insert(block);
+    ++rec.dirty;
   } else {
     lru_push_front(idx);
   }
@@ -109,15 +110,8 @@ void PageCache::mark_clean(net::FileId file, std::uint64_t block) {
   if (idx == nullptr || !pool_.at(*idx).dirty) return;
   pool_.at(*idx).dirty = false;
   --dirty_;
-  drop_dirty_index(file, block);
+  --files_.find(file)->dirty;
   lru_push_front(*idx);
-}
-
-void PageCache::drop_dirty_index(net::FileId file, std::uint64_t block) {
-  auto it = dirty_index_.find(file);
-  if (it == dirty_index_.end()) return;
-  it->second.erase(block);
-  if (it->second.empty()) dirty_index_.erase(it);
 }
 
 std::optional<storage::ContentToken> PageCache::get(net::FileId file,
@@ -143,24 +137,37 @@ bool PageCache::is_dirty(net::FileId file, std::uint64_t block) const {
 std::vector<std::pair<std::uint64_t, storage::ContentToken>>
 PageCache::dirty_pages_of(net::FileId file) const {
   std::vector<std::pair<std::uint64_t, storage::ContentToken>> out;
-  auto it = dirty_index_.find(file);
-  if (it == dirty_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto block : it->second) {
-    out.emplace_back(block,
-                     pool_.at(*pages_.find(FileBlock{file, block})).token);
+  const FileRecord* rec = files_.find(file);
+  if (rec == nullptr || rec->dirty == 0) return out;
+  out.reserve(rec->dirty);
+  const auto visit = [&](std::uint64_t block, std::uint32_t idx) {
+    const auto& f = pool_.at(idx);
+    if (f.dirty) out.emplace_back(block, f.token);
+  };
+  // The same choice as invalidate_file: probe the block range while it is
+  // shorter than the cache, else one pass over the cache and a sort.
+  if (rec->end < pages_.size()) {
+    for (std::uint64_t block = 0; out.size() < rec->dirty && block < rec->end;
+         ++block) {
+      if (const std::uint32_t* idx = pages_.find(FileBlock{file, block})) {
+        visit(block, *idx);
+      }
+    }
+  } else {
+    pages_.for_each([&](const FileBlock& key, std::uint32_t idx) {
+      if (key.file == file) visit(key.block, idx);
+    });
+    std::sort(out.begin(), out.end());
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 void PageCache::invalidate_file(net::FileId file) {
   const FileRecord* rec = files_.find(file);
-  if (rec == nullptr) return;  // no pages, so no dirty index either
+  if (rec == nullptr) return;  // no pages
   std::uint64_t left = rec->pages;
   const std::uint64_t end = rec->end;
   files_.erase(file);
-  dirty_index_.erase(file);
   const auto drop = [&](const FileBlock& key, std::uint32_t idx) {
     auto& f = pool_.at(idx);
     if (f.dirty) {

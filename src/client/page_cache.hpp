@@ -15,8 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -68,9 +66,16 @@ class PageCache {
   void invalidate_file(net::FileId file);
 
   // The dirty pages of one file (block, token), in ascending block order
-  // (NFS3's flush places new blocks on disk in this order).
+  // (NFS3's flush places new blocks on disk in this order). Probes the
+  // file's block range like invalidate_file, stopping at its last dirty
+  // page.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, storage::ContentToken>>
   dirty_pages_of(net::FileId file) const;
+  // How many pages of `file` are dirty. One lookup.
+  [[nodiscard]] std::size_t dirty_count_of(net::FileId file) const {
+    const FileRecord* rec = files_.find(file);
+    return rec == nullptr ? 0 : rec->dirty;
+  }
 
   [[nodiscard]] std::size_t size() const { return pages_.size(); }
   [[nodiscard]] std::size_t dirty_count() const { return dirty_; }
@@ -94,7 +99,6 @@ class PageCache {
   void insert(net::FileId file, std::uint64_t block,
               storage::ContentToken token, bool dirty);
   void evict_if_needed();
-  void drop_dirty_index(net::FileId file, std::uint64_t block);
   void lru_unlink(std::uint32_t idx);
   void lru_push_front(std::uint32_t idx);
 
@@ -102,19 +106,16 @@ class PageCache {
   PageFramePool pool_;
   redbud::sim::FlatMap<FileBlock, std::uint32_t, FileBlockHash>
       pages_;  // key -> frame
-  // Per-file dirty-block index so flushes never scan the whole cache.
-  // dirty_pages_of sorts what it returns, so the index's own enumeration
-  // order is never seen.
-  std::unordered_map<net::FileId, std::unordered_set<std::uint64_t>>
-      dirty_index_;
-  // Per-file page count and block high-water mark (one past the highest
-  // block cached since the file last had no pages, saturated at
-  // kEndSaturated), so invalidate_file probes only the file's own block
-  // range. 32-bit fields keep a host's ~10^4 records small; frame indices
-  // are 32-bit, so a cache never holds kEndSaturated pages.
+  // Per-file page and dirty-page counts and block high-water mark (one
+  // past the highest block cached since the file last had no pages,
+  // saturated at kEndSaturated), so invalidate_file and dirty_pages_of
+  // probe only the file's own block range. 32-bit fields keep a host's
+  // ~10^4 records small; frame indices are 32-bit, so a cache never holds
+  // kEndSaturated pages.
   static constexpr std::uint32_t kEndSaturated = 0xffffffffu;
   struct FileRecord {
     std::uint32_t pages = 0;
+    std::uint32_t dirty = 0;
     std::uint32_t end = 0;
   };
   redbud::sim::FlatMap<net::FileId, FileRecord> files_;

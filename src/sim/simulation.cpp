@@ -1,6 +1,5 @@
 #include "sim/simulation.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -95,17 +94,12 @@ void Simulation::run_until(SimTime t) {
   while (probe_fn_ != nullptr && probe_next_ <= t) {
     const SimTime instant = probe_next_;
     probe_next_ = instant + probe_stride_;
-    // Every event and parked tick before the instant, none at it (ring
-    // events sit at now_, so there is nothing to run when the instant is
-    // not ahead).
-    if (instant > now_) {
-      drain(instant, /*inclusive=*/false);
-      rotate_ticks_through(instant, /*inclusive=*/false);
-    }
+    // Every event before the instant, none at it (ring events sit at
+    // now_, so there is nothing to run when the instant is not ahead).
+    if (instant > now_) drain(instant, /*inclusive=*/false);
     probe_fn_(probe_ctx_, instant);
   }
   drain(t, /*inclusive=*/true);
-  rotate_ticks_through(t, /*inclusive=*/true);
   now_ = t;
   busy_ns_ += wall_now_ns() - start;
 }
@@ -121,19 +115,11 @@ void Simulation::set_probe(SimTime first, SimTime stride, void* ctx,
 
 KernelProfile Simulation::kernel_profile() const {
   KernelProfile kp;
-  kp.partitions.push_back({events_processed_, ticks_elided_, busy_ns_});
+  kp.partitions.push_back({events_processed_, busy_ns_});
   return kp;
 }
 
 void Simulation::drain(SimTime end, bool inclusive) {
-  // Parked ticks keyed below an event rotate before it is dispatched: the
-  // eager run would have dispatched them first, so their re-arm sequence
-  // numbers precede everything the event allocates. Only heap events need
-  // the check. A tick due at now_ got its sequence number before the
-  // clock reached now_, so it precedes every ring event (all queued at
-  // now_); rotating the ticks due now_ after each heap event, up to the
-  // next heap event at now_, leaves the ring path without a check.
-  if (!ring_.empty()) rotate_ticks_before(now_, ring_.front().seq);
   for (;;) {
     // Ring events are timestamped now_, which is always inside the window
     // (now_ only advances via heap events admitted below), so the ring
@@ -158,63 +144,8 @@ void Simulation::drain(SimTime end, bool inclusive) {
 void Simulation::dispatch_heap_event() {
   const detail::HeapEvent ev = heap_.pop();
   assert(ev.at >= now_ && "event queue went backwards in time");
-  rotate_ticks_before(ev.at, ev.seq);
   now_ = ev.at;
   dispatch_payload(ev.payload);
-  if (tick_due_ == now_) {
-    rotate_ticks_slow(now_, !heap_.empty() && heap_.top().at == now_
-                                ? heap_.top().seq
-                                : kLastSeq);
-  }
-}
-
-void Simulation::park(std::coroutine_handle<> h, SimTime period) {
-  assert(period > SimTime::zero() && "a parked tick needs a positive period");
-  insert_tick({now_ + period, next_seq_++, detail::coro_payload(h), period});
-}
-
-void Simulation::unpark(std::coroutine_handle<> h) {
-  const std::uint64_t payload = detail::coro_payload(h);
-  auto it = std::find_if(ticks_.begin(), ticks_.end(), [&](const Tick& t) {
-    return t.payload == payload;
-  });
-  assert(it != ticks_.end() && "waking a coroutine that is not parked");
-  // Every tick keyed below the running event has rotated, so the key is
-  // not in the past; at now_ the run loop merges it with the ring by seq.
-  assert(it->due >= now_);
-  heap_.push({it->due, it->seq, payload});
-  ticks_.erase(it);
-  tick_due_ = ticks_.empty() ? SimTime::max() : ticks_.front().due;
-}
-
-void Simulation::rotate_ticks_slow(SimTime at, std::uint64_t seq) {
-  while (!ticks_.empty()) {
-    Tick t = ticks_.front();
-    if (t.due != at ? t.due > at : t.seq >= seq) break;
-    assert(at < SimTime::max() && "rotating parked ticks without a bound");
-    ticks_.pop_front();
-    ++events_processed_;
-    ++ticks_elided_;
-    t.due = t.due + t.period;
-    t.seq = next_seq_++;
-    insert_tick(t);
-  }
-  tick_due_ = ticks_.empty() ? SimTime::max() : ticks_.front().due;
-}
-
-void Simulation::insert_tick(const Tick& t) {
-  // Keys only grow, so with one period every insertion appends; mixed
-  // periods fall back to a sorted insert.
-  const auto before = [](const Tick& a, const Tick& b) {
-    return a.due != b.due ? a.due < b.due : a.seq < b.seq;
-  };
-  if (ticks_.empty() || before(ticks_.back(), t)) {
-    ticks_.push_back(t);
-  } else {
-    ticks_.insert(std::upper_bound(ticks_.begin(), ticks_.end(), t, before),
-                  t);
-  }
-  tick_due_ = ticks_.front().due;
 }
 
 void Simulation::on_process_done(Process::Handle h) {

@@ -13,18 +13,11 @@
 // bypasses the heap. Both structures carry the global sequence number, and
 // the run loop merges them back into the exact (time, seq) total order, so
 // the split is invisible to replay determinism.
-//
-// A third, virtual store holds parked ticks (see sim/ticker.hpp): the
-// periodic wake-ups of a coroutine that would find nothing to do. They
-// take sequence numbers and count as processed events exactly where an
-// eager `delay` loop would, but are never dispatched.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -56,10 +49,7 @@ namespace detail {
 // partition.
 struct KernelProfile {
   struct Partition {
-    // Events processed: dispatched ones plus elided parked ticks (see
-    // sim/ticker.hpp).
-    std::uint64_t events = 0;
-    std::uint64_t ticks_elided = 0;  // of which never dispatched
+    std::uint64_t events = 0;  // events dispatched
     // Wall time spent inside run_until.
     std::uint64_t busy_ns = 0;
   };
@@ -81,8 +71,6 @@ struct KernelProfile {
   // Always 0: nothing waits at a barrier.
   [[nodiscard]] std::uint64_t stall_ns_total() const { return 0; }
 };
-
-class Ticker;
 
 class Simulation {
  public:
@@ -112,8 +100,6 @@ class Simulation {
 
   // Run until the event queue drains (beware: perpetual daemons never
   // drain; prefer run_until for systems with background processes).
-  // Parked ticks do not keep it running: with only those left it returns,
-  // where the eager `delay` loop they stand for would have run forever.
   void run();
   // Run every event with time <= t; `now()` is exactly `t` afterwards.
   // A no-op when `t` is already in the past. Fires the probe's instants
@@ -159,13 +145,10 @@ class Simulation {
   // Throws the first recorded unjoined failure (no-op when clean).
   void check_failures() const;
 
-  // Dispatched events plus elided parked ticks: between runs, exactly the
-  // count an eager `delay` loop in place of each park would have reached.
+  // Events dispatched so far.
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
-  // Parked ticks rotated without a dispatch (included in the count above).
-  [[nodiscard]] std::uint64_t ticks_elided() const { return ticks_elided_; }
   [[nodiscard]] std::size_t live_processes() const { return live_.size(); }
 
   // ---- Off-event probe (see obs/timeseries.hpp) -------------------------
@@ -187,18 +170,6 @@ class Simulation {
 
  private:
   friend struct Process::FinalAwaiter;
-  friend class Ticker;
-
-  // A parked coroutine's virtual tick: the (due, seq) key its next eager
-  // `delay(period)` resumption would have. Kept out of heap and ring.
-  struct Tick {
-    SimTime due;
-    std::uint64_t seq;
-    std::uint64_t payload;  // coro_payload() of the parked coroutine
-    SimTime period;
-  };
-  static constexpr std::uint64_t kLastSeq =
-      std::numeric_limits<std::uint64_t>::max();
 
   void on_process_done(Process::Handle h);
   void dispatch_payload(std::uint64_t payload);
@@ -206,28 +177,8 @@ class Simulation {
   // Dispatch every event with time < end (<= end when `inclusive`).
   // Leaves now() at the last dispatched event.
   void drain(SimTime end, bool inclusive);
-  // Pop and dispatch the heap's top event, rotating the parked ticks
-  // keyed below it first and those due at its time after it.
+  // Pop and dispatch the heap's top event.
   void dispatch_heap_event();
-
-  // Park `h` for `period`: its tick takes the sequence number a delay()
-  // would allocate now.
-  void park(std::coroutine_handle<> h, SimTime period);
-  // Move `h`'s tick, keeping its key, into the event heap.
-  void unpark(std::coroutine_handle<> h);
-  // Rotate every tick whose key is below (at, seq): each counts as one
-  // processed event and re-arms one period later under a fresh sequence
-  // number, as the eager resumption that re-parks would have.
-  void rotate_ticks_before(SimTime at, std::uint64_t seq) {
-    if (tick_due_ <= at) rotate_ticks_slow(at, seq);
-  }
-  void rotate_ticks_slow(SimTime at, std::uint64_t seq);
-  // Rotate the ticks an eager run would have dispatched in a window
-  // ending at `end`.
-  void rotate_ticks_through(SimTime end, bool inclusive) {
-    rotate_ticks_before(end, inclusive ? kLastSeq : 0);
-  }
-  void insert_tick(const Tick& t);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
@@ -235,13 +186,6 @@ class Simulation {
   detail::EventHeap heap_;    // events strictly in the future
   detail::ReadyRing ring_;    // events at exactly now_
   SmallFnSlab timers_;       // pending call_at callbacks
-  // Parked ticks in (due, seq) order: while every parked coroutine uses
-  // one period, each rotation appends, so this is a FIFO. tick_due_
-  // caches the front's due (SimTime::max() when none) for the
-  // per-dispatch check.
-  std::deque<Tick> ticks_;
-  SimTime tick_due_ = SimTime::max();
-  std::uint64_t ticks_elided_ = 0;
   // Frames of spawned processes still alive (owned by the kernel); each
   // frame's promise records its index here for O(1) swap-pop retirement.
   std::vector<Process::Handle> live_;

@@ -7,25 +7,21 @@
 //   co_await ticker.park(P);   // in place of co_await sim.delay(P)
 //   ticker.wake();             // by whoever may have made work() true
 //
-// Contract: park(P) is observably identical to delay(P) as long as the
-// owner calls wake() whenever a parked coroutine's next resumption might
-// do anything other than park again. Waking more often only costs
-// dispatches: a woken coroutine that finds nothing parks again.
-//
-// How: park() allocates the sequence number delay() would, and the
-// kernel keeps the coroutine as a virtual tick (due, seq) outside its
-// event heap and ready ring. Each tick rotates — counts one processed
-// event, re-arms at due + P under a fresh sequence number — at the latest
-// moment that still precedes every sequence number the eager run would
-// have allocated after its resumption: before the kernel dispatches an
-// event keyed above it, before a probe instant fires, and at the end of
-// run_until. The last point also covers events scheduled from outside
-// the run loop between runs. wake() moves each tick, key unchanged, into
-// the event heap, so the coroutine resumes at exactly the (time, seq) of
-// its next eager resumption. wake() may run from a CompletionHook.
+// A parked coroutine is off the event queue until wake() schedules it at
+// its next poll-grid instant: parked_at + k * P for the smallest k >= 1
+// not before now(), the first instant at which the delay loop would poll
+// again. The owner wakes whenever a parked poll could stop finding
+// nothing; waking more often costs a dispatch (the poll parks again).
+// Same-instant ties may differ from the delay loop: a poll woken exactly
+// on a grid instant resumes then, after the waking event, where the delay
+// loop's poll of that instant may have run first and found nothing.
+// wake() may run from a CompletionHook.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <coroutine>
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -43,17 +39,24 @@ class Ticker {
     SimTime period;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      t->sim_->park(h, period);
-      t->parked_.push_back(h);
+      t->parked_.push_back({h, t->sim_->now(), period});
     }
     void await_resume() const noexcept {}
   };
-  [[nodiscard]] Park park(SimTime period) { return Park{this, period}; }
+  [[nodiscard]] Park park(SimTime period) {
+    assert(period > SimTime::zero() && "a parked poll needs a positive period");
+    return Park{this, period};
+  }
 
-  // Materialise every coroutine parked here at its next tick.
+  // Schedule every coroutine parked here at its next poll-grid instant.
   void wake() {
-    if (parked_.empty()) return;
-    for (auto h : parked_) sim_->unpark(h);
+    const SimTime now = sim_->now();
+    for (const Parked& p : parked_) {
+      const std::int64_t period = p.period.ns();
+      const std::int64_t k =
+          std::max<std::int64_t>(1, ((now - p.at).ns() + period - 1) / period);
+      sim_->schedule_at(p.at + p.period * k, p.handle);
+    }
     parked_.clear();
   }
 
@@ -61,8 +64,13 @@ class Ticker {
   [[nodiscard]] std::size_t parked() const { return parked_.size(); }
 
  private:
+  struct Parked {
+    std::coroutine_handle<> handle;
+    SimTime at;  // parking instant: the grid's origin
+    SimTime period;
+  };
   Simulation* sim_;
-  std::vector<std::coroutine_handle<>> parked_;
+  std::vector<Parked> parked_;
 };
 
 }  // namespace redbud::sim

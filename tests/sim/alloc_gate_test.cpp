@@ -5,9 +5,9 @@
 // case runs a loop to a steady state, then asserts that many more
 // iterations of it allocate nothing: a future awaited and fulfilled, a
 // process joined before and after it finishes, an RPC round trip between
-// two nodes of a SimDomain through Network::deliver, page cache hits
-// and evicting inserts, and a FlatMap erase and reinsert at a steady
-// size. Further cases pin the point where a FlatMap grows, show that a
+// two nodes of a SimDomain through Network::deliver, page cache hits,
+// evicting inserts and a clean page dirtied and cleaned again, and a
+// FlatMap erase and reinsert at a steady size. Further cases pin the point where a FlatMap grows, show that a
 // file's first rewrite allocates no per-file writeback table, and bound
 // the allocations and heap bytes of installing one-block files with
 // ClientFs::preload.
@@ -211,6 +211,28 @@ TEST(AllocGate, PageCacheHitsOnResidentPagesAllocateNothing) {
   const std::uint64_t before = allocations();
   EXPECT_TRUE(touch(kIterations));
   EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.size(), kPages);
+}
+
+// A rewrite of a cached page and its commit ack: clean -> dirty -> clean
+// touches only the frame and its file's record.
+TEST(AllocGate, PageCacheDirtyingACleanPageAllocatesNothing) {
+  PageCache cache(2 * kPages);
+  for (std::uint64_t b = 0; b < kPages; ++b) cache.put_clean(b % 4, b, b + 1);
+  const auto rewrite = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t b = std::uint64_t(i) * 7 % kPages;
+      cache.put_dirty(b % 4, b, b + 1);
+      if (!cache.is_dirty(b % 4, b) || cache.dirty_count() != 1) return false;
+      cache.mark_clean(b % 4, b);
+    }
+    return true;
+  };
+  EXPECT_TRUE(rewrite(kWarmup));
+  const std::uint64_t before = allocations();
+  EXPECT_TRUE(rewrite(kIterations));
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_EQ(cache.dirty_count(), 0u);
   EXPECT_EQ(cache.size(), kPages);
 }
 
