@@ -9,8 +9,8 @@
 //
 // A parked coroutine is off the event queue until wake() schedules it at
 // its next poll-grid instant: parked_at + k * P for the smallest k >= 1
-// not before now(), the first instant at which the delay loop would poll
-// again. The owner wakes whenever a parked poll could stop finding
+// not before now(), the first instant at or after the wake at which the
+// delay loop would poll. The owner wakes whenever a parked poll could stop finding
 // nothing; waking more often costs a dispatch (the poll parks again).
 // Same-instant ties may differ from the delay loop: a poll woken exactly
 // on a grid instant resumes then, after the waking event, where the delay
