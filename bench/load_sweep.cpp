@@ -27,6 +27,10 @@
 // the sampled series per point into bench_out/timeseries.json
 // (schemas/timeseries.schema.json).
 //
+// --trace writes each point's blame to
+// bench_out/load_sweep_offered<N>.blame.json (schemas/blame.schema.json)
+// and fails the point unless every write root is completed or open.
+//
 // --smoke shrinks the fleet to 10^4 clients and two load points for CI.
 #include <cstdint>
 #include <cstdio>
@@ -305,6 +309,10 @@ PointResult run_point(const LoadPoint& pt, std::uint32_t clients_per_host,
                  "    blame: %llu/%llu chains complete -> %s\n",
                  static_cast<unsigned long long>(blame.completed()),
                  static_cast<unsigned long long>(blame.roots()), path.c_str());
+    if (blame.roots() != blame.completed() + blame.open_total()) {
+      res.ok = false;
+      std::fprintf(stderr, "    FAIL: blame roots != completed + open\n");
+    }
   }
   return res;
 }

@@ -142,7 +142,7 @@ Process PvfsMetaServer::daemon() {
         auto& sz = sizes_[e.file];
         sz = std::max(sz, e.new_size_bytes);
       }
-      resp = net::CommitResp{Status::kOk, 0};
+      resp = net::CommitResp{};
     } else {
       resp = net::StatResp{Status::kNoEnt, 0};
     }

@@ -628,7 +628,7 @@ Process ClientFs::write_proc(net::FileId file, std::uint64_t offset,
       }
       // Hand order-keeping to the file system and return immediately.
       queue_.add(file, std::move(extents), std::move(tokens), new_size,
-                 std::move(data_futures), octx);
+                 std::move(data_futures), octx, op_start);
       p.set_value(Status::kOk);
       break;
     }

@@ -145,13 +145,15 @@ Process CommitDaemonPool::daemon() {
     entries_committed_ += batch.size();
     compound_->on_reply(shard, cr.mds_queue_len, sim_->now() - sent_at);
 
+    const obs::BatchStamps stamps{bctx.span, checkout_at, sent_at,
+                                  cr.mds_span, cr.journal_span};
     for (auto& task : batch) {
       for (const auto& e : task.extents) {
         for (std::uint32_t b = 0; b < e.nblocks; ++b) {
           committed_(task.file, e.file_block + b);
         }
       }
-      queue_->ack(task, bctx.span);
+      queue_->ack(task, stamps);
     }
   }
   --live_threads_;

@@ -95,7 +95,7 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
                       std::vector<storage::ContentToken> block_tokens,
                       std::uint64_t new_size_bytes,
                       std::vector<SimFuture<Done>> data_futures,
-                      obs::TraceContext ctx) {
+                      obs::TraceContext ctx, redbud::sim::SimTime op_start) {
   ++enqueued_;
   if (auto it = queued_.find(file); it == queued_.end()) {
     Entry& e = queued_.try_emplace(file, this, next_back_key_++,
@@ -109,7 +109,7 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
     task.new_size_bytes = new_size_bytes;
     task.enqueued_at = sim_->now();
     task.data_futures = std::move(data_futures);
-    if (ctx.active()) task.traces.push_back({ctx, sim_->now()});
+    if (ctx.active()) task.traces.push_back({ctx, op_start, sim_->now()});
     order_.emplace_back(e.key, file);
     watch_writes(e, 0);
     if (e.pending == 0) mark_ready(e);
@@ -126,7 +126,7 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
     for (auto& f : data_futures) task.data_futures.push_back(std::move(f));
     // The merged update keeps its own context: its chain shares the
     // task's checkout/RPC spans but retains per-update queue-wait/e2e.
-    if (ctx.active()) task.traces.push_back({ctx, sim_->now()});
+    if (ctx.active()) task.traces.push_back({ctx, op_start, sim_->now()});
     // An unready write merged into a ready task hides it again.
     const bool was_ready = e.pending == 0;
     watch_writes(e, from);
@@ -190,11 +190,12 @@ std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
     if (out.empty()) batch_shard = e.task.shard;
     // Queue-wait stage ends here for every update riding this task.
     if (obs_ != nullptr) {
-      for (const obs::TraceLink& link : e.task.traces) {
+      for (obs::TraceLink& link : e.task.traces) {
         obs_->tracer.record(obs::Stage::kQueueWait,
                             obs_->tracer.child(link.ctx), link.ctx.span,
                             track_, link.enqueued_at, sim_->now(),
                             e.task.file);
+        obs_->tracer.note_checkout(link);
       }
     }
     order_.erase(find_key(order_, e.key));
@@ -211,17 +212,20 @@ std::vector<CommitTask> CommitQueue::checkout(std::size_t max) {
   return out;
 }
 
-void CommitQueue::ack(CommitTask& task, std::uint64_t batch_span) {
+void CommitQueue::ack(CommitTask& task, const obs::BatchStamps& batch) {
   ++committed_;
   commit_latency_.record(sim_->now() - task.enqueued_at);
   // Commit end-to-end: enqueue -> RPC acknowledged, one span per traced
   // update. arg1 links to the checkout-batch span whose compound RPC
   // carried this task, bridging the per-update and per-batch chains.
+  // Each update's blame is folded here, once: a requeued task reaches
+  // this point only with the reply that landed.
   if (obs_ != nullptr) {
     for (const obs::TraceLink& link : task.traces) {
       obs_->tracer.record(obs::Stage::kCommitE2e, obs_->tracer.child(link.ctx),
                           link.ctx.span, track_, link.enqueued_at, sim_->now(),
-                          task.file, batch_span);
+                          task.file, batch.batch_span);
+      obs_->tracer.fold_commit(link, batch, sim_->now());
     }
   }
   for (auto& w : task.waiters) w.set_value(Done{});

@@ -113,12 +113,13 @@ class CommitQueue {
   CommitQueue& operator=(const CommitQueue&) = delete;
 
   // Merge an update into the file's queued commit (or enqueue a new one).
-  // An active `ctx` attaches the update's trace to the task.
+  // An active `ctx` attaches the update's trace to the task; `op_start` is
+  // that op's entry instant.
   void add(net::FileId file, std::vector<net::Extent> extents,
            std::vector<storage::ContentToken> block_tokens,
            std::uint64_t new_size_bytes,
            std::vector<redbud::sim::SimFuture<redbud::sim::Done>> data_futures,
-           obs::TraceContext ctx = {});
+           obs::TraceContext ctx = {}, redbud::sim::SimTime op_start = {});
 
   // Attach the cluster's observability bundle; spans land on the client's
   // track group. Also registers this queue's counters under {client=id}.
@@ -150,10 +151,11 @@ class CommitQueue {
     }
     return ready_.front().second->task.shard;
   }
-  // Acknowledge an in-flight task: resolves waiters, updates stats.
-  // `batch_span` is the checkout-batch span the task's commit RPC rode —
-  // recorded on each commit-e2e span so chains cross the batch boundary.
-  void ack(CommitTask& task, std::uint64_t batch_span = 0);
+  // Acknowledge an in-flight task: resolves waiters, updates stats, and
+  // folds each traced update's blame stages from `batch`, the compound
+  // RPC that carried the task. Its batch span is recorded on each
+  // commit-e2e span so chains cross the batch boundary.
+  void ack(CommitTask& task, const obs::BatchStamps& batch = {});
   // Re-queue an in-flight task after a failed RPC.
   void requeue(CommitTask task);
 

@@ -82,7 +82,7 @@ class Cluster {
   // The simulation every node runs on.
   [[nodiscard]] redbud::sim::SimDomain& domain() { return sim_; }
   // Where client host `i`'s workload coroutines are spawned: the one
-  // simulation, as are shard_sim(s) and array_sim().
+  // simulation.
   [[nodiscard]] redbud::sim::Simulation& client_sim(std::size_t /*i*/) {
     return sim_;
   }
@@ -133,16 +133,13 @@ class Cluster {
     return metadata_scheduler(0);
   }
 
-  [[nodiscard]] redbud::sim::Simulation& array_sim() { return sim_; }
-  [[nodiscard]] redbud::sim::Simulation& shard_sim(std::size_t /*s*/) {
-    return sim_;
-  }
-
   // --- fault injection / failover -------------------------------------------
   // Crash metadata shard `s` (Lustre failover model: the service keeps
-  // its NID; a cold standby mounts the same metadata disk). Everything
-  // volatile dies: queued and in-flight requests, unflushed journal
-  // appends, the RPC reply cache.
+  // its NID; a cold standby mounts the same metadata disk). Queued and
+  // in-flight requests, unflushed journal appends and the RPC reply cache
+  // die. The shard's in-memory Namespace, SpaceManager, provisional
+  // extents and grants survive into failover_shard(), so no executed
+  // mutation is lost (ROADMAP item 1 rebuilds them from the journal).
   void crash_shard(std::uint32_t s);
   // Begin journal-replay failover of shard `s` onto the standby: after
   // the replay I/O completes the service accepts requests again at the

@@ -109,6 +109,7 @@ Process MdsServer::daemon() {
     }
 
     const bool journal = needs_journal(rpc.body);
+    SimTime journal_span = SimTime::zero();
     // execute() runs without suspension, so stamping seq right after it
     // returns orders the records exactly as the mutations were applied —
     // even with several daemons interleaving at their co_await points.
@@ -129,7 +130,9 @@ Process MdsServer::daemon() {
                                                    1, c->entries.size());
       }
       const std::uint64_t jgen = journal_->crash_generation();
+      const SimTime appended_at = sim_->now();
       co_await journal_->append(bytes, mctx);
+      journal_span = sim_->now() - appended_at;
       if (jgen != journal_->crash_generation()) {
         // Crashed before the flush: the executed mutations never became
         // durable and no reply goes out. The in-memory image keeps them
@@ -143,10 +146,13 @@ Process MdsServer::daemon() {
       log_commits(pending, seq);
     }
 
-    // Piggyback the current load on commit replies.
+    // Piggyback the current load, and the handling and journal spans the
+    // client's blame needs, on commit replies.
     if (auto* cr = std::get_if<net::CommitResp>(&resp)) {
       cr->mds_queue_len =
           static_cast<std::uint32_t>(endpoint_->incoming_depth());
+      cr->mds_span = sim_->now() - recv_at;
+      cr->journal_span = journal_span;
     }
     if (mctx.active()) {
       obs_->tracer.record(obs::Stage::kMdsHandle, mctx, rpc.ctx.span, track_,
@@ -327,7 +333,7 @@ ResponseBody MdsServer::do_commit(const net::CommitReq& r,
         entry.file, net::ExtentList(entry.extents),
         TokenList(entry.block_tokens), entry.new_size_bytes, {}, 0});
   }
-  return net::CommitResp{Status::kOk, 0};
+  return net::CommitResp{};
 }
 
 ResponseBody MdsServer::do_delegate(const net::DelegateReq& r,

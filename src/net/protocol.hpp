@@ -117,6 +117,11 @@ struct CommitResp {
   Status status = Status::kOk;
   // MDS load signal piggybacked for the adaptive compound controller.
   std::uint32_t mds_queue_len = 0;
+  // Tracing-only, like IncomingRpc::ctx: they add nothing to wire_size().
+  // The MDS handling span (dequeue -> reply) and its journal append ->
+  // durable span, which the client folds into the blame stages.
+  redbud::sim::SimTime mds_span;
+  redbud::sim::SimTime journal_span;
 };
 
 // Space delegation: grant this client a contiguous chunk to allocate from
@@ -205,6 +210,8 @@ using ResponseBody =
     std::variant<CreateResp, LookupResp, LayoutGetResp, CommitResp,
                  DelegateResp, RemoveResp, StatResp, NfsWriteResp,
                  NfsCommitResp, NfsReadResp, PvfsIoResp>;
+static_assert(sizeof(CommitResp) <= sizeof(LayoutGetResp),
+              "CommitResp's tracing stamps must not grow ResponseBody");
 
 // Wire sizes (bytes) as they occupy network pipes. RPC framing overhead is
 // added by the transport.

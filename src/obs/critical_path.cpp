@@ -48,137 +48,18 @@ const char* open_stage_name(OpenStage s) {
   return "?";
 }
 
-namespace {
-
-const SpanRecord* lookup(
-    const std::map<std::uint64_t, const SpanRecord*>& map, std::uint64_t key) {
-  const auto it = map.find(key);
-  return it == map.end() ? nullptr : it->second;
-}
-
-SimTime clamp0(SimTime t) {
-  return t < SimTime::zero() ? SimTime::zero() : t;
-}
-
-}  // namespace
-
 void CriticalPath::analyze(const Tracer& tracer) {
-  tracer_ = &tracer;
-  chains_.clear();
-  batch_by_span_.clear();
-  wire_by_parent_.clear();
-  mds_by_parent_.clear();
-  journal_by_parent_.clear();
-  for (auto& agg : stages_) {
-    agg.hist.reset();
-    agg.total_ns = 0;
-  }
-  total_.hist.reset();
-  total_.total_ns = 0;
-  roots_ = 0;
-  completed_ = 0;
-  open_ = {};
-
-  // Pass 1: index the merged span log. Span records stay put until the
-  // tracer records again, so raw pointers are safe for the analyzer's
-  // lifetime.
-  for (const SpanRecord& s : tracer.spans()) {
-    switch (s.stage) {
-      case Stage::kClientWrite:
-        if (s.parent == 0 && s.trace != 0) chains_[s.trace].root = &s;
-        break;
-      case Stage::kQueueWait:
-        chains_[s.trace].has_qwait = true;
-        break;
-      case Stage::kCommitE2e:
-        // Requeue re-records per checkout; merged order is
-        // deterministic, so last-wins is too (the acked attempt).
-        chains_[s.trace].e2e = &s;
-        break;
-      case Stage::kCheckoutBatch:
-        batch_by_span_[s.span] = &s;
-        break;
-      case Stage::kRpcWire:
-        wire_by_parent_[s.parent] = &s;
-        break;
-      case Stage::kMdsHandle:
-        mds_by_parent_[s.parent] = &s;
-        break;
-      case Stage::kJournalFsync:
-        journal_by_parent_[s.parent] = &s;
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Pass 2: decompose every write root. chains_ is an ordered map, so
-  // aggregation order — and with it every histogram and exact sum — is
-  // independent of span-log layout details.
-  for (const auto& [trace, ci] : chains_) {
-    if (ci.root == nullptr) continue;  // qwait/e2e without a write root
-    ++roots_;
-    const BlameBreakdown b = decompose(trace);
-    if (!b.completed) {
-      ++open_[std::size_t(b.open)];
-      continue;
-    }
-    ++completed_;
-    for (std::size_t i = 0; i < kBlameStageCount; ++i) {
-      stages_[i].hist.record(b.stage[i]);
-      stages_[i].total_ns += redbud::sim::WideNanos(b.stage[i].ns());
-    }
-    total_.hist.record(b.total);
-    total_.total_ns += redbud::sim::WideNanos(b.total.ns());
-  }
-}
-
-BlameBreakdown CriticalPath::decompose(std::uint64_t trace_id) const {
-  BlameBreakdown b;
-  const auto it = chains_.find(trace_id);
-  if (it == chains_.end() || it->second.root == nullptr) return b;
-  const ChainIndex& ci = it->second;
-  if (ci.e2e == nullptr) {
-    b.open = ci.has_qwait ? OpenStage::kInFlight : OpenStage::kQueued;
-    return b;
-  }
-  // Batch linkage: the e2e span's arg1 names the checkout-batch span that
-  // carried this update (dedup merges and batch riders included); the
-  // wire, MDS and journal spans hang off that batch's chain.
-  const SpanRecord* batch = lookup(batch_by_span_, ci.e2e->arg1);
-  const SpanRecord* wire =
-      batch ? lookup(wire_by_parent_, batch->span) : nullptr;
-  const SpanRecord* mds = wire ? lookup(mds_by_parent_, wire->span) : nullptr;
-  const SpanRecord* jrn = mds ? lookup(journal_by_parent_, mds->span) : nullptr;
-  if (jrn == nullptr) {
-    b.open = OpenStage::kUnlinked;
-    return b;
-  }
-
-  // Boundary instants the pipeline records directly. The seven components
-  // partition [t0, t5] exactly: t2 (final checkout) closes the queue wait
-  // and opens the batch span, and the MDS/journal spans nest inside the
-  // wire span (the MDS replies only after its journal append is durable).
-  const SimTime t0 = ci.root->start;  // op entry
-  const SimTime t1 = ci.e2e->start;   // this update's enqueue
-  const SimTime t2 = batch->start;    // final daemon checkout
-  const SimTime t3 = batch->end;      // compound RPC handed to the wire
-  const SimTime t4 = wire->end;       // reply received at the client
-  const SimTime t5 = ci.e2e->end;     // commit acknowledged
-  const SimTime mds_span = clamp0(mds->end - mds->start);
-  const SimTime jrn_span = clamp0(jrn->end - jrn->start);
-
-  b.stage[std::size_t(BlameStage::kClientSubmit)] = clamp0(t1 - t0);
-  b.stage[std::size_t(BlameStage::kQueueWait)] = clamp0(t2 - t1);
-  b.stage[std::size_t(BlameStage::kDaemonCheckout)] = clamp0(t3 - t2);
-  b.stage[std::size_t(BlameStage::kRpcNetwork)] =
-      clamp0((t4 - t3) - mds_span);
-  b.stage[std::size_t(BlameStage::kMdsService)] = clamp0(mds_span - jrn_span);
-  b.stage[std::size_t(BlameStage::kJournalFsync)] = jrn_span;
-  b.stage[std::size_t(BlameStage::kAckReturn)] = clamp0(t5 - t4);
-  b.total = clamp0(t5 - t0);
-  b.completed = true;
-  return b;
+  tally_ = tracer.blame();
+  // Saturating, so an update counted twice breaks roots == completed +
+  // open instead of wrapping around to it.
+  const auto minus = [](std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : 0;
+  };
+  open_[std::size_t(OpenStage::kQueued)] =
+      minus(tally_.roots, tally_.checked_out);
+  open_[std::size_t(OpenStage::kInFlight)] =
+      minus(tally_.checked_out, tally_.completed);
+  open_[std::size_t(OpenStage::kUnlinked)] = 0;
 }
 
 void CriticalPath::register_metrics(MetricsRegistry* registry) const {
@@ -220,7 +101,7 @@ std::string blame_json(const CriticalPath& cp, SimTime now,
   out += "}},\n";
 
   // Shares are exact-integer ratios (WideNanos sums), so they replay
-  // bit-identically whenever the span log does.
+  // bit-identically whenever the run does.
   const double total_ns = double(cp.total().total_ns);
   out += "  \"stages\": [\n";
   for (std::size_t i = 0; i < kBlameStageCount; ++i) {

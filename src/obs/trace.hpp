@@ -8,6 +8,11 @@
 // were dedup-merged into an existing queued commit and updates batched
 // into a multi-file compound RPC.
 //
+// Alongside the span log the tracer keeps the blame tallies (DESIGN.md
+// §6c): the commit queue folds each traced update's seven stages into
+// them when its commit is acknowledged, so blame needs neither the span
+// log nor its cap. The log itself only feeds the Perfetto export.
+//
 // Determinism: the tracer is strictly passive. It never schedules events,
 // never spawns processes and never suspends anything; it only reads
 // Simulation::now() at points the pipeline already visits. Enabling or
@@ -19,6 +24,7 @@
 // `tracer.enabled()`, which is an inline load-and-test.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -73,11 +79,54 @@ struct TraceContext {
 };
 
 // One update's handle inside a queued commit task: the minting op's
-// context plus the enqueue instant (start of the queue-wait stage). A
-// dedup-merged task carries one link per merged update.
+// context, its entry and enqueue instants, and whether a daemon has
+// checked it out yet. A dedup-merged task carries one link per merged
+// update.
 struct TraceLink {
   TraceContext ctx;
-  redbud::sim::SimTime enqueued_at;
+  redbud::sim::SimTime op_start;     // op entry: client_submit starts
+  redbud::sim::SimTime enqueued_at;  // enqueue: queue_wait starts
+  bool checked_out = false;          // first checkout already counted
+};
+
+// What a commit ack knows of the compound RPC that carried its task. The
+// daemon holds the batch span and its checkout and send instants; the MDS
+// stamps its handling and journal spans into the reply. The reply lands
+// at the ack's own instant.
+struct BatchStamps {
+  std::uint64_t batch_span = 0;  // checkout-batch span, for Perfetto links
+  redbud::sim::SimTime checkout_at;
+  redbud::sim::SimTime sent_at;
+  redbud::sim::SimTime mds_span;      // MDS dequeue -> reply issued
+  redbud::sim::SimTime journal_span;  // journal append -> durable
+};
+
+// The blame stages of one commit chain (DESIGN.md §6c). They partition
+// op entry -> commit acknowledged exactly.
+enum class BlameStage : std::uint8_t {
+  kClientSubmit,
+  kQueueWait,
+  kDaemonCheckout,
+  kRpcNetwork,
+  kMdsService,
+  kJournalFsync,
+  kAckReturn,
+};
+inline constexpr std::size_t kBlameStageCount = 7;
+
+struct StageAgg {
+  redbud::sim::LatencyHistogram hist;
+  redbud::sim::WideNanos total_ns = 0;
+};
+
+// Blame folded so far. Every write root is acknowledged (`completed`),
+// checked out at least once but not acknowledged, or never checked out.
+struct BlameTally {
+  std::array<StageAgg, kBlameStageCount> stages{};
+  StageAgg total{};               // op entry -> commit acknowledged
+  std::uint64_t roots = 0;        // root client_write spans recorded
+  std::uint64_t checked_out = 0;  // links past their first checkout
+  std::uint64_t completed = 0;    // links folded at their ack
 };
 
 // A completed stage traversal. arg0/arg1 are stage-specific annotations
@@ -128,6 +177,19 @@ class Tracer {
               redbud::sim::SimTime start, redbud::sim::SimTime end,
               std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
+  // A daemon checked out `link`'s task; the first checkout moves the
+  // update from queued to in flight.
+  void note_checkout(TraceLink& link) {
+    if (!enabled() || link.checked_out) return;
+    link.checked_out = true;
+    ++blame_.checked_out;
+  }
+  // Fold one acknowledged update's blame stages, `acked_at` being the
+  // instant its batch's reply arrived.
+  void fold_commit(const TraceLink& link, const BatchStamps& batch,
+                   redbud::sim::SimTime acked_at);
+  [[nodiscard]] const BlameTally& blame() const { return blame_; }
+
   // Name a Perfetto track row (idempotent; later names win).
   void name_track(Track track, std::string process, std::string thread);
 
@@ -153,6 +215,7 @@ class Tracer {
   std::uint64_t next_span_ = 0;
   std::uint64_t dropped_ = 0;  // spans past max_spans
   std::vector<SpanRecord> spans_;
+  BlameTally blame_;
   std::map<std::pair<std::uint32_t, Stage>, redbud::sim::LatencyHistogram>
       stage_lat_;
   std::map<std::pair<std::uint32_t, std::uint32_t>,

@@ -233,7 +233,9 @@ TEST(QueueTracing, DedupMergedUpdatesEachKeepTheirChain) {
   EXPECT_EQ(w2.parent, c2.span);
 
   // Ack with a batch span: both end-to-end spans link to it via arg1.
-  rig.q.ack(batch[0], /*batch_span=*/777);
+  BatchStamps stamps;
+  stamps.batch_span = 777;
+  rig.q.ack(batch[0], stamps);
   ASSERT_EQ(rig.obs.tracer.spans().size(), 4u);
   const auto& e1 = rig.obs.tracer.spans()[2];
   const auto& e2 = rig.obs.tracer.spans()[3];
