@@ -66,7 +66,7 @@ Process demo(Simulation& sim, Cluster& cluster, client::ClientFs& fs) {
     std::printf(
         "  shard %u: durable commits %zu, journal flushes %llu, "
         "delegated chunks %zu\n",
-        s, cluster.mds(s).durable_commits().size(),
+        s, cluster.mds(s).durable_log().commit_count(),
         static_cast<unsigned long long>(cluster.journal(s).flushes()),
         cluster.mds(s).grants().size());
   }

@@ -97,6 +97,8 @@ void CommitQueue::add(net::FileId file, std::vector<net::Extent> extents,
                       std::vector<SimFuture<Done>> data_futures,
                       obs::TraceContext ctx, redbud::sim::SimTime op_start) {
   ++enqueued_;
+  // A traced write's blame chain starts here, merged or not.
+  if (ctx.active() && obs_ != nullptr) obs_->tracer.note_root();
   if (auto it = queued_.find(file); it == queued_.end()) {
     Entry& e = queued_.try_emplace(file, this, next_back_key_++,
                                    slab_.acquire())

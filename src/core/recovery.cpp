@@ -1,7 +1,6 @@
 #include "core/recovery.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <vector>
 
@@ -14,22 +13,61 @@ struct BlockRecord {
   storage::BlockNo block;
   std::uint64_t seq;            // the mutation's execution stamp
   storage::ContentToken token;  // committed content (commits only)
-  // Position of the block in the commit log, counted across records in
-  // log order (kRemoved for a remove), so records of one commit keep
-  // their order and a later duplicate block wins.
-  std::uint32_t pos;
+  // The commit record's ordinal among the log's commits (kRemoved for a
+  // remove) in the high half, the block's position in the commit in the
+  // low half: the blocks of one execution keep their log order, and a
+  // later duplicate block wins.
+  std::uint64_t order;
+
+  [[nodiscard]] std::uint32_t commit() const {
+    return std::uint32_t(order >> 32);
+  }
 };
 static_assert(sizeof(BlockRecord) <= 32);
 constexpr std::uint32_t kRemoved = std::numeric_limits<std::uint32_t>::max();
 
+// Append device `dev`'s block records to `out`, in log order. The replay
+// of a commit covers the blocks it carries tokens for; a commit with
+// fewer tokens than blocks leaves its tail unchecked. Kept out of line:
+// inlined into its caller, it made the fleet benchmark's whole check
+// about 10 % slower.
+[[gnu::noinline]] void collect(const mds::DurableLog& log, std::uint32_t dev,
+                               std::vector<BlockRecord>& out) {
+  std::uint32_t commit = 0;
+  for (const mds::DurableRecord rec : log) {
+    const bool remove = rec.kind() == mds::DurableRecordKind::kRemove;
+    if (!remove && rec.kind() != mds::DurableRecordKind::kCommit) continue;
+    const auto tokens = rec.tokens();
+    std::uint32_t pos = 0;
+    for (const net::Extent e : rec.extents()) {
+      const auto n = remove ? e.nblocks
+                            : std::uint32_t(std::min<std::size_t>(
+                                  e.nblocks, tokens.size() - pos));
+      if (e.addr.device == dev) {
+        for (std::uint32_t k = 0; k < n; ++k) {
+          out.push_back(
+              remove ? BlockRecord{e.addr.block + k, rec.seq(),
+                                   storage::kUnwrittenToken,
+                                   std::uint64_t(kRemoved) << 32}
+                     : BlockRecord{e.addr.block + k, rec.seq(),
+                                   tokens[pos + k],
+                                   std::uint64_t(commit) << 32 | (pos + k)});
+        }
+      }
+      if (!remove) pos += n;
+    }
+    if (!remove) ++commit;
+  }
+}
+
 }  // namespace
 
-ConsistencyReport check_consistency(
-    const std::vector<mds::DurableCommitRecord>& commits,
-    const std::vector<mds::DurableRemoveRecord>& removes,
-    const storage::DiskArray& array) {
+ConsistencyReport check_consistency(const mds::DurableLog& log,
+                                    const storage::DiskArray& array) {
   ConsistencyReport report;
-  report.commits_checked = commits.size();
+  report.commits_checked = log.commit_count();
+  REDBUD_REQUIRE(log.commit_count() < kRemoved,
+                 "commit log too long for the replay ordinals");
 
   // Replay the durable mutation history: the expected durable content of
   // each physical block is whatever the *latest* commit wrote there — and
@@ -37,57 +75,23 @@ ConsistencyReport check_consistency(
   // its freed blocks may be legally reallocated and rewritten with
   // not-yet-committed data. Commits and removes share one seq counter
   // stamped in execution order, so sorting every block's records by
-  // (seq, pos) reconstructs the shard's namespace history at that block.
-  const auto replay = [&](auto&& visit) {
-    std::uint32_t pos = 0;
-    for (const auto& rec : commits) {
-      std::size_t bi = 0;
-      for (const auto& e : rec.extents) {
-        for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi, ++pos) {
-          if (bi < rec.block_tokens.size()) {
-            visit(e.addr.device, BlockRecord{e.addr.block + k, rec.seq,
-                                             rec.block_tokens[bi], pos});
-          }
-        }
-      }
-    }
-    assert(pos < kRemoved && "commit log too long for the replay positions");
-    for (const auto& rec : removes) {
-      for (const auto& e : rec.extents) {
-        for (std::uint32_t k = 0; k < e.nblocks; ++k) {
-          visit(e.addr.device, BlockRecord{e.addr.block + k, rec.seq,
-                                           storage::kUnwrittenToken, kRemoved});
-        }
-      }
-    }
-  };
-  // first_pos[i] = pos of commit i's first block (maps a pos back to its
-  // commit when a block turns out bad).
-  std::vector<std::uint32_t> first_pos;
-  first_pos.reserve(commits.size());
-  std::uint32_t npos = 0;
-  for (const auto& rec : commits) {
-    first_pos.push_back(npos);
-    for (const auto& e : rec.extents) npos += e.nblocks;
-  }
-  // One device at a time, so the record buffer holds only the busiest
-  // device's share of the history.
-  std::vector<std::size_t> per_device(array.ndisks());
-  replay([&](std::uint32_t dev, const BlockRecord&) { ++per_device[dev]; });
+  // (seq, order) reconstructs the shard's namespace history at that
+  // block. One device at a time, so the record buffer holds only the
+  // busiest device's share of the history.
+  const auto per_device = log.device_blocks();
+  if (per_device.empty()) return report;
   std::vector<BlockRecord> recs;
   recs.reserve(*std::max_element(per_device.begin(), per_device.end()));
-  std::vector<std::size_t> bad_commits;
+  std::vector<std::uint32_t> bad_commits;
   for (std::uint32_t dev = 0; dev < per_device.size(); ++dev) {
     if (per_device[dev] == 0) continue;
     recs.clear();
-    replay([&](std::uint32_t d, const BlockRecord& r) {
-      if (d == dev) recs.push_back(r);
-    });
+    collect(log, dev, recs);
     std::sort(recs.begin(), recs.end(),
               [](const BlockRecord& a, const BlockRecord& b) {
                 if (a.block != b.block) return a.block < b.block;
                 if (a.seq != b.seq) return a.seq < b.seq;
-                return a.pos < b.pos;
+                return a.order < b.order;
               });
     // The last record of each block decides: a remove leaves nothing to
     // expect, a commit its token. Compact the expectations in place (still
@@ -96,7 +100,7 @@ ConsistencyReport check_consistency(
     for (std::size_t i = 0; i < recs.size(); ++i) {
       const bool last =
           i + 1 == recs.size() || recs[i + 1].block != recs[i].block;
-      if (last && recs[i].pos != kRemoved) recs[n++] = recs[i];
+      if (last && recs[i].commit() != kRemoved) recs[n++] = recs[i];
     }
     report.blocks_checked += n;
     for (std::size_t i = 0; i < n;) {
@@ -107,10 +111,7 @@ ConsistencyReport check_consistency(
       for (std::size_t k = i; k < j; ++k) {
         if (durable[k - i] == recs[k].token) continue;
         ++report.inconsistent_blocks;
-        bad_commits.push_back(static_cast<std::size_t>(
-            std::upper_bound(first_pos.begin(), first_pos.end(),
-                             recs[k].pos) -
-            first_pos.begin() - 1));
+        bad_commits.push_back(recs[k].commit());
       }
       i = j;
     }
@@ -124,8 +125,7 @@ ConsistencyReport check_consistency(
 
 ConsistencyReport check_consistency(mds::MdsServer& mds,
                                     storage::DiskArray& array) {
-  return check_consistency(mds.durable_commits(), mds.durable_removes(),
-                           array);
+  return check_consistency(mds.durable_log(), array);
 }
 
 ConsistencyReport check_consistency(Cluster& cluster) {

@@ -2,7 +2,7 @@
 //
 // A "crash" in the simulation is simply stopping the run at time T and
 // inspecting what is durable: the disks' content stores (writes apply at
-// I/O completion) and the MDS's journal-flushed commit log. The
+// I/O completion) and each MDS shard's durable record stream. The
 // ordered-writes property the whole paper rests on is:
 //
 //   every durably committed extent refers to data that was durable at
@@ -39,14 +39,13 @@ struct ConsistencyReport {
 [[nodiscard]] ConsistencyReport check_consistency(mds::MdsServer& mds,
                                                   storage::DiskArray& array);
 
-// The same check over one shard's durable logs, as MdsServer keeps them:
-// a flat per-block replay sorted by (device, block, seq, position).
+// The same check over one shard's durable record stream: a flat
+// per-block replay, one device at a time, sorted by (block, seq, commit,
+// position in the commit).
 [[nodiscard]] ConsistencyReport check_consistency(
-    const std::vector<mds::DurableCommitRecord>& commits,
-    const std::vector<mds::DurableRemoveRecord>& removes,
-    const storage::DiskArray& array);
+    const mds::DurableLog& log, const storage::DiskArray& array);
 
-// Whole-cluster check: every shard's durable commit log against the
+// Whole-cluster check: every shard's durable record stream against the
 // shared array. Shard partitions are disjoint, so per-shard reports sum
 // without double counting.
 [[nodiscard]] ConsistencyReport check_consistency(Cluster& cluster);

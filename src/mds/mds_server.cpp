@@ -110,18 +110,12 @@ Process MdsServer::daemon() {
 
     const bool journal = needs_journal(rpc.body);
     SimTime journal_span = SimTime::zero();
-    // execute() runs without suspension, so stamping seq right after it
-    // returns orders the records exactly as the mutations were applied —
-    // even with several daemons interleaving at their co_await points.
+    // execute() runs without suspension, so the stamp taken with it
+    // orders the records exactly as the mutations were applied — even
+    // with several daemons interleaving at their co_await points.
     PendingDurable pending;
-    ResponseBody resp = execute(rpc, pending);
     const std::uint64_t seq = durable_seq_++;
-
-    // A remove frees its blocks inside execute(), so the checker must see
-    // it from that instant — not from journal flush. Otherwise a crash in
-    // the execute→flush window keeps expectations for blocks that were
-    // already reallocated and legally rewritten.
-    log_removes(pending, seq);
+    ResponseBody resp = execute(rpc, seq, pending);
 
     if (journal) {
       std::size_t bytes = params_.journal_record_bytes;
@@ -162,19 +156,19 @@ Process MdsServer::daemon() {
   }
 }
 
-void MdsServer::log_removes(PendingDurable& pending, std::uint64_t seq) {
-  for (auto& rec : pending.removes) {
-    rec.removed_at = sim_->now();
-    rec.seq = seq;
-    durable_removes_.push_back(std::move(rec));
-  }
-}
-
-void MdsServer::log_commits(PendingDurable& pending, std::uint64_t seq) {
-  for (auto& rec : pending.commits) {
-    rec.committed_at = sim_->now();
-    rec.seq = seq;
-    durable_commits_.push_back(std::move(rec));
+void MdsServer::log_commits(const PendingDurable& pending,
+                            std::uint64_t seq) {
+  if (pending.commit == nullptr) return;
+  const auto& entries = pending.commit->entries;
+  const std::uint32_t* skip = pending.skipped.begin();
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    if (skip != pending.skipped.end() && *skip == i) {
+      ++skip;
+      continue;
+    }
+    const net::CommitEntry& e = entries[i];
+    durable_.append(DurableRecordKind::kCommit, seq, e.file, e.extents,
+                    e.block_tokens);
   }
 }
 
@@ -186,19 +180,19 @@ ResponseBody MdsServer::install(net::NodeId from, net::RequestBody body) {
   rpc.from = from;
   rpc.body = std::move(body);
   PendingDurable pending;
-  ResponseBody resp = execute(rpc, pending);
   const std::uint64_t seq = durable_seq_++;
-  log_removes(pending, seq);
+  ResponseBody resp = execute(rpc, seq, pending);
   log_commits(pending, seq);
   return resp;
 }
 
-ResponseBody MdsServer::execute(const net::IncomingRpc& rpc,
+ResponseBody MdsServer::execute(const net::IncomingRpc& rpc, std::uint64_t seq,
                                 PendingDurable& pending) {
   ++ops_;
   struct Exec {
     MdsServer& s;
     net::NodeId from;
+    std::uint64_t seq;
     PendingDurable& pending;
     ResponseBody operator()(const net::CreateReq& r) { return s.do_create(r); }
     ResponseBody operator()(const net::LookupReq& r) { return s.do_lookup(r); }
@@ -215,7 +209,7 @@ ResponseBody MdsServer::execute(const net::IncomingRpc& rpc,
       return s.do_delegate_return(r);
     }
     ResponseBody operator()(const net::RemoveReq& r) {
-      return s.do_remove(r, pending);
+      return s.do_remove(r, seq);
     }
     ResponseBody operator()(const net::StatReq& r) { return s.do_stat(r); }
     ResponseBody operator()(const net::NfsWriteReq&) {
@@ -231,7 +225,7 @@ ResponseBody MdsServer::execute(const net::IncomingRpc& rpc,
       return net::PvfsIoResp{Status::kNoEnt, {}};
     }
   };
-  return std::visit(Exec{*this, rpc.from, pending}, rpc.body);
+  return std::visit(Exec{*this, rpc.from, seq, pending}, rpc.body);
 }
 
 ResponseBody MdsServer::do_create(const net::CreateReq& r) {
@@ -317,10 +311,16 @@ ResponseBody MdsServer::do_layout_get(const net::LayoutGetReq& r) {
 
 ResponseBody MdsServer::do_commit(const net::CommitReq& r,
                                   PendingDurable& pending) {
-  for (const auto& entry : r.entries) {
+  pending.commit = &r;
+  for (std::uint32_t i = 0; i < r.entries.size(); ++i) {
+    const net::CommitEntry& entry = r.entries[i];
     ++commit_entries_;
     Inode* ino = ns_.inode(entry.file);
-    if (!ino) continue;  // file was removed while the commit was in flight
+    if (!ino) {
+      // The file was removed while the commit was in flight.
+      pending.skipped.push_back(i);
+      continue;
+    }
     ino->apply_commit(entry.extents, entry.new_size_bytes);
     // Committed extents are no longer provisional.
     if (auto it = provisional_.find(entry.file); it != provisional_.end()) {
@@ -329,9 +329,6 @@ ResponseBody MdsServer::do_commit(const net::CommitReq& r,
       }
       if (it->second.empty()) provisional_.erase(it);
     }
-    pending.commits.push_back(DurableCommitRecord{
-        entry.file, net::ExtentList(entry.extents),
-        TokenList(entry.block_tokens), entry.new_size_bytes, {}, 0});
   }
   return net::CommitResp{};
 }
@@ -377,7 +374,7 @@ bool MdsServer::in_active_grant(const net::Extent& e) const {
 }
 
 ResponseBody MdsServer::do_remove(const net::RemoveReq& r,
-                                  PendingDurable& pending) {
+                                  std::uint64_t seq) {
   auto id = ns_.lookup(r.dir, r.name);
   auto extents = ns_.remove(r.dir, r.name);
   if (!extents) return net::RemoveResp{Status::kNoEnt};
@@ -388,8 +385,12 @@ ResponseBody MdsServer::do_remove(const net::RemoveReq& r,
     if (in_active_grant(e)) continue;
     space_->free(PhysExtent{e.addr, e.nblocks});
   }
-  pending.removes.push_back(DurableRemoveRecord{
-      id ? *id : net::kInvalidFile, std::move(*extents), {}, 0});
+  // The blocks are free from this instant, so the checker must see the
+  // remove from here — not from the journal flush. Otherwise a crash in
+  // the execute→flush window keeps expectations for blocks that were
+  // already reallocated and legally rewritten.
+  durable_.append(DurableRecordKind::kRemove, seq,
+                  id ? *id : net::kInvalidFile, *extents, {});
   return net::RemoveResp{Status::kOk};
 }
 

@@ -6,6 +6,13 @@
 // Ethernet RPC; metadata durability goes to the MDS's own metadata disk;
 // file data never touches the MDS. The number of server daemon threads is
 // the Figure 7 sweep variable.
+//
+// What the journal made durable is kept, for the recovery checker, as one
+// append-only record stream per shard (mds/durable_log.hpp): a commit
+// record is 24 B of head plus 24 B per extent and 8 B per token, in the
+// stream itself, where the two record vectors it replaced held 88 B and
+// 64 B objects plus a heap array for every record of more than one
+// extent or token.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mds/durable_log.hpp"
 #include "mds/inode.hpp"
 #include "mds/journal.hpp"
 #include "net/extent_list.hpp"
@@ -47,33 +55,6 @@ struct MdsParams {
   std::size_t journal_record_bytes = 160;
 };
 
-// A commit that reached stable storage (journal flushed). The recovery
-// checker validates these against durable disk contents. `seq` totally
-// orders durable mutations on one shard (shared with remove records):
-// it is assigned in execution order, so replaying commits and removes by
-// ascending seq reconstructs the namespace history exactly. Nearly every
-// record carries one extent and one token, so one of each is kept inline
-// (DESIGN.md, "What a file costs").
-using TokenList = redbud::sim::InlineVec<storage::ContentToken, 1>;
-struct DurableCommitRecord {
-  net::FileId file = net::kInvalidFile;
-  net::ExtentList extents;
-  TokenList block_tokens;
-  std::uint64_t new_size_bytes = 0;
-  redbud::sim::SimTime committed_at;
-  std::uint64_t seq = 0;
-};
-
-// A remove that reached stable storage. Its extents were freed for reuse,
-// so the recovery checker must stop expecting the removed file's committed
-// tokens at those addresses — any later content there is legal.
-struct DurableRemoveRecord {
-  net::FileId file = net::kInvalidFile;
-  net::ExtentList extents;
-  redbud::sim::SimTime removed_at;
-  std::uint64_t seq = 0;
-};
-
 // An active space-delegation grant.
 struct DelegationGrant {
   net::NodeId client = 0;
@@ -94,7 +75,7 @@ class MdsServer {
   // `body` as if node `from` had sent it and its journal append had
   // flushed at once. It is the same execute() a daemon runs, stamped as
   // the daemon stamps it, with no network, CPU, queueing or journal time;
-  // the durable logs then hold the journal-checkpointed image.
+  // the durable log then holds the journal-checkpointed image.
   [[nodiscard]] net::ResponseBody install(net::NodeId from,
                                           net::RequestBody body);
 
@@ -107,15 +88,10 @@ class MdsServer {
   [[nodiscard]] SpaceManager& space() { return *space_; }
   [[nodiscard]] const MdsParams& params() const { return params_; }
 
-  // Durable commit log (journal-flushed), for recovery/consistency checks.
-  [[nodiscard]] const std::vector<DurableCommitRecord>& durable_commits()
-      const {
-    return durable_commits_;
-  }
-  [[nodiscard]] const std::vector<DurableRemoveRecord>& durable_removes()
-      const {
-    return durable_removes_;
-  }
+  // The shard's durable record stream (journal-flushed commits, and
+  // removes from their execute instant), for recovery and consistency
+  // checks.
+  [[nodiscard]] const DurableLog& durable_log() const { return durable_; }
   // Extents handed out by layout-get but not yet committed — the "orphan"
   // candidates ordered writes exist to keep unreachable.
   [[nodiscard]] std::size_t provisional_extent_count() const;
@@ -161,24 +137,26 @@ class MdsServer {
   [[nodiscard]] redbud::sim::Gauge& queue_gauge() { return queue_gauge_; }
 
  private:
-  // Durable records staged by execute(): pushed to the durable logs only
-  // after the covering journal append flushes. Commit entries whose file
-  // was already removed are never staged — do_commit skipped them, so
+  // Commit records staged by execute(): appended to the durable log only
+  // after the covering journal append flushes. They are read from the
+  // request itself, which outlives the flush. Commit entries whose file
+  // was already removed are skipped — do_commit did not apply them, so
   // they must not create expectations for freed (reusable) blocks.
   struct PendingDurable {
-    std::vector<DurableCommitRecord> commits;
-    std::vector<DurableRemoveRecord> removes;
+    const net::CommitReq* commit = nullptr;
+    redbud::sim::InlineVec<std::uint32_t, 1> skipped;  // entry indices
   };
 
   redbud::sim::Process daemon();
   [[nodiscard]] redbud::sim::SimTime cpu_cost(const net::RequestBody& body) const;
   [[nodiscard]] bool needs_journal(const net::RequestBody& body) const;
+  // Apply one request; `seq` is its execution stamp (DurableLog).
   [[nodiscard]] net::ResponseBody execute(const net::IncomingRpc& rpc,
+                                          std::uint64_t seq,
                                           PendingDurable& pending);
   [[nodiscard]] bool in_active_grant(const net::Extent& e) const;
-  // Move staged records into their durable log, stamped (now(), seq).
-  void log_removes(PendingDurable& pending, std::uint64_t seq);
-  void log_commits(PendingDurable& pending, std::uint64_t seq);
+  // Append the staged commit records to the durable log.
+  void log_commits(const PendingDurable& pending, std::uint64_t seq);
 
   net::ResponseBody do_create(const net::CreateReq& r);
   net::ResponseBody do_lookup(const net::LookupReq& r);
@@ -186,7 +164,7 @@ class MdsServer {
   net::ResponseBody do_commit(const net::CommitReq& r, PendingDurable& pending);
   net::ResponseBody do_delegate(const net::DelegateReq& r, net::NodeId from);
   net::ResponseBody do_delegate_return(const net::DelegateReturnReq& r);
-  net::ResponseBody do_remove(const net::RemoveReq& r, PendingDurable& pending);
+  net::ResponseBody do_remove(const net::RemoveReq& r, std::uint64_t seq);
   net::ResponseBody do_stat(const net::StatReq& r);
 
   redbud::sim::Simulation* sim_;
@@ -203,10 +181,9 @@ class MdsServer {
   // Provisionally allocated (uncommitted) extents, per file by file block.
   std::unordered_map<net::FileId, net::ExtentList> provisional_;
   std::vector<DelegationGrant> grants_;
-  std::vector<DurableCommitRecord> durable_commits_;
-  std::vector<DurableRemoveRecord> durable_removes_;
-  // Execution-order stamp shared by both durable logs (see
-  // DurableCommitRecord::seq). Incremented once per executed RPC.
+  DurableLog durable_;
+  // Execution-order stamp of the durable records (see DurableLog).
+  // Incremented once per executed RPC.
   std::uint64_t durable_seq_ = 0;
 
   std::uint64_t ops_ = 0;

@@ -18,12 +18,13 @@
 // latency. Dedup-merged updates and batch riders share the batch-side
 // stages of the RPC that carried them and keep their own queue waits.
 //
-// CriticalPath snapshots those tallies. Every write root is completed or
-// open: queued (never checked out) or in flight (checked out, not yet
-// acknowledged, requeued batches included). `unlinked` stays in the
-// schema and reads 0: an update reaches its ack only with its batch's
-// reply. Nothing here reads the span log, so blame is whole however many
-// spans the log's cap drops.
+// CriticalPath snapshots those tallies. A root is a traced write that
+// entered the commit queue (a sync or unordered write never does), and
+// every root is completed or open: queued (never checked out) or in
+// flight (checked out, not yet acknowledged, requeued batches included).
+// `unlinked` stays in the schema and reads 0: an update reaches its ack
+// only with its batch's reply. Nothing here reads the span log, so blame
+// is whole however many spans the log's cap drops.
 #pragma once
 
 #include <array>
@@ -46,7 +47,7 @@ class MetricsRegistry;
 
 // Where an uncompleted chain stopped.
 enum class OpenStage : std::uint8_t {
-  kQueued,    // enqueued (or only submitted), never checked out
+  kQueued,    // enqueued, never checked out
   kInFlight,  // checked out, commit RPC not yet acknowledged
   kUnlinked,  // always 0; kept for schema redbud.blame.v1
 };

@@ -38,7 +38,6 @@ void Tracer::record(Stage stage, TraceContext ctx, std::uint64_t parent,
                     Track track, SimTime start, SimTime end,
                     std::uint64_t arg0, std::uint64_t arg1) {
   if (!enabled() || !ctx.active()) return;
-  if (stage == Stage::kClientWrite && parent == 0) ++blame_.roots;
   stage_lat_[{track.pid, stage}].record(end - start);
   if (spans_.size() >= params_.max_spans) {
     ++dropped_;

@@ -124,7 +124,7 @@ struct StageAgg {
 struct BlameTally {
   std::array<StageAgg, kBlameStageCount> stages{};
   StageAgg total{};               // op entry -> commit acknowledged
-  std::uint64_t roots = 0;        // root client_write spans recorded
+  std::uint64_t roots = 0;        // traced writes that entered the queue
   std::uint64_t checked_out = 0;  // links past their first checkout
   std::uint64_t completed = 0;    // links folded at their ack
 };
@@ -177,6 +177,12 @@ class Tracer {
               redbud::sim::SimTime start, redbud::sim::SimTime end,
               std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
+  // A traced write entered the commit queue: one more chain that must end
+  // completed or open. A write that never enters it (sync or unordered
+  // mode) commits on its own path and starts no chain.
+  void note_root() {
+    if (enabled()) ++blame_.roots;
+  }
   // A daemon checked out `link`'s task; the first checkout moves the
   // update from queued to in flight.
   void note_checkout(TraceLink& link) {

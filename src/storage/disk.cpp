@@ -1,5 +1,6 @@
 #include "storage/disk.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -56,30 +57,36 @@ SimTime Disk::service(IoKind kind, BlockNo block, std::uint32_t nblocks) {
 }
 
 void Disk::store(BlockNo block, std::span<const ContentToken> tokens) {
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
+  for (std::size_t i = 0; i < tokens.size();) {
     const BlockNo b = block + i;
-    const std::size_t p = b >> kPageShift;
-    if (p >= pages_.size()) pages_.resize(p + 1);
-    if (!pages_[p]) pages_[p] = std::make_unique<Page>();
-    Page& page = *pages_[p];
     const std::size_t off = b & (kPageBlocks - 1);
-    page.tokens[off] = tokens[i];
-    if (!page.stored[off]) {
-      page.stored[off] = true;
-      ++stored_blocks_;
+    const std::size_t run = std::min(tokens.size() - i, kPageBlocks - off);
+    std::unique_ptr<Page>& slot = *pages_.try_emplace(b >> kPageShift).first;
+    if (!slot) slot = std::make_unique<Page>();
+    Page& page = *slot;
+    for (std::size_t k = 0; k < run; ++k) {
+      page.tokens[off + k] = tokens[i + k];
+      if (!page.stored[off + k]) {
+        page.stored[off + k] = true;
+        ++stored_blocks_;
+      }
     }
+    i += run;
   }
 }
 
 std::vector<ContentToken> Disk::load(BlockNo block,
                                      std::uint32_t nblocks) const {
   std::vector<ContentToken> out(nblocks, kUnwrittenToken);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
+  for (std::size_t i = 0; i < nblocks;) {
     const BlockNo b = block + i;
-    const std::size_t p = b >> kPageShift;
-    if (p < pages_.size() && pages_[p]) {
-      out[i] = pages_[p]->tokens[b & (kPageBlocks - 1)];
+    const std::size_t off = b & (kPageBlocks - 1);
+    const std::size_t run = std::min<std::size_t>(nblocks - i,
+                                                  kPageBlocks - off);
+    if (const auto* page = pages_.find(b >> kPageShift)) {
+      std::copy_n((*page)->tokens.begin() + off, run, out.begin() + i);
     }
+    i += run;
   }
   return out;
 }

@@ -9,10 +9,15 @@
 //
 // The disk also stores per-block content tokens so reads, verification and
 // crash-consistency checks observe real durable state: a write's tokens
-// become visible only when its service completes. The store is a paged
-// array: pages of kPageBlocks tokens, allocated on first store and filled
-// with kUnwrittenToken, so a store or load is two indexings, not a hash
-// probe, and a written block costs 8 bytes instead of a hash node.
+// become visible only when its service completes. The store holds pages
+// of kPageBlocks tokens (8 KiB, plus a 128 B bitset of the blocks ever
+// stored), allocated on first store and filled with kUnwrittenToken. A
+// sparse index (a FlatMap keyed by page number, 24 B a slot) finds the
+// pages, so a volume costs the pages it holds and nothing per page it
+// never touched: a 64 GiB volume has 16 384 pages, and a table of
+// pointers to all of them was 128 KiB per disk however little it held.
+// store() and load() look a page up once per run of blocks in it, and a
+// block in a page never stored reads as kUnwrittenToken.
 #pragma once
 
 #include <array>
@@ -22,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats.hpp"
@@ -99,7 +105,8 @@ class Disk {
   BlockNo head_ = 0;
   redbud::sim::SimTime last_io_end_ = redbud::sim::SimTime::zero();
   BlkTrace trace_;
-  std::vector<std::unique_ptr<Page>> pages_;  // by block >> kPageShift
+  // By page number, block >> kPageShift; only pages stored to.
+  redbud::sim::FlatMap<std::uint64_t, std::unique_ptr<Page>> pages_;
   std::uint64_t stored_blocks_ = 0;
   std::uint64_t ios_serviced_ = 0;
   std::uint64_t blocks_written_ = 0;

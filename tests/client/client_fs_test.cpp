@@ -24,6 +24,15 @@ using redbud::sim::Process;
 using redbud::sim::SimTime;
 using redbud::sim::Simulation;
 
+// The shard's durable commit records, in log order.
+std::vector<mds::DurableRecord> commit_records(const mds::MdsServer& mds) {
+  std::vector<mds::DurableRecord> out;
+  for (const mds::DurableRecord rec : mds.durable_log()) {
+    if (rec.kind() == mds::DurableRecordKind::kCommit) out.push_back(rec);
+  }
+  return out;
+}
+
 ClusterParams small_cluster(CommitMode mode, bool delegation = true) {
   ClusterParams p;
   p.nclients = 2;
@@ -169,19 +178,20 @@ TEST(ClientFs, FsyncMakesDataDurableAndCommitted) {
     const auto id = co_await cfut;
     auto wfut = fs.write(id, 0, 8192);
     (void)co_await wfut;
-    EXPECT_EQ(cl.mds().durable_commits().size(), 0u);
+    EXPECT_EQ(cl.mds().durable_log().commit_count(), 0u);
     auto sfut = fs.fsync(id);
     (void)co_await sfut;
-    EXPECT_GE(cl.mds().durable_commits().size(), 1u);
-    if (cl.mds().durable_commits().empty()) co_return;
-    const auto& rec = cl.mds().durable_commits().back();
-    EXPECT_EQ(rec.file, id);
+    const auto recs = commit_records(cl.mds());
+    EXPECT_GE(recs.size(), 1u);
+    if (recs.empty()) co_return;
+    const mds::DurableRecord rec = recs.back();
+    EXPECT_EQ(rec.file(), id);
     bool durable = true;
     std::size_t bi = 0;
-    for (const auto& e : rec.extents) {
+    for (const net::Extent e : rec.extents()) {
       auto disk_tokens = cl.array().peek(e.addr, e.nblocks);
       for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
-        durable = durable && disk_tokens[k] == rec.block_tokens[bi];
+        durable = durable && disk_tokens[k] == rec.tokens()[bi];
       }
     }
     EXPECT_TRUE(durable) << "committed data not on the platter";
@@ -207,14 +217,14 @@ TEST(ClientFs, OrderedWritesInvariantHeldUnderDelayedCommit) {
       auto sfut = fs.fsync(id);
       (void)co_await sfut;
     }
-    EXPECT_EQ(cl.mds().durable_commits().size(), 20u);
+    EXPECT_EQ(cl.mds().durable_log().commit_count(), 20u);
     bool invariant = true;
-    for (const auto& rec : cl.mds().durable_commits()) {
+    for (const mds::DurableRecord rec : commit_records(cl.mds())) {
       std::size_t bi = 0;
-      for (const auto& e : rec.extents) {
+      for (const net::Extent e : rec.extents()) {
         auto disk_tokens = cl.array().peek(e.addr, e.nblocks);
         for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
-          invariant = invariant && disk_tokens[k] == rec.block_tokens[bi];
+          invariant = invariant && disk_tokens[k] == rec.tokens()[bi];
         }
       }
     }
@@ -257,12 +267,12 @@ TEST(ClientFs, RewritesOfABusyPageLandInOneOrder) {
   // The newest durable commit record of block 0, and the platter under it.
   storage::ContentToken committed = storage::kUnwrittenToken;
   storage::ContentToken platter = storage::kUnwrittenToken;
-  for (const auto& rec : c.mds().durable_commits()) {
+  for (const mds::DurableRecord rec : commit_records(c.mds())) {
     std::size_t bi = 0;
-    for (const auto& e : rec.extents) {
+    for (const net::Extent e : rec.extents()) {
       for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
-        if (rec.file == id && e.file_block + k == 0) {
-          committed = rec.block_tokens[bi];
+        if (rec.file() == id && e.file_block + k == 0) {
+          committed = rec.tokens()[bi];
           platter = c.array().peek(storage::PhysAddr{e.addr.device,
                                                      e.addr.block + k},
                                    1)[0];
@@ -342,13 +352,13 @@ TEST(ClientFs, DelegatedWritesAreContiguousOnDisk) {
       auto sfut = fs.fsync(id);
       (void)co_await sfut;
     }
-    const auto& recs = cl.mds().durable_commits();
+    const auto recs = commit_records(cl.mds());
     EXPECT_GE(recs.size(), 4u);
     bool contiguous = true;
     storage::BlockNo prev_end = 0;
     bool first = true;
-    for (const auto& rec : recs) {
-      for (const auto& e : rec.extents) {
+    for (const mds::DurableRecord rec : recs) {
+      for (const net::Extent e : rec.extents()) {
         if (!first) contiguous = contiguous && e.addr.block == prev_end;
         first = false;
         prev_end = e.addr.block + e.nblocks;

@@ -184,11 +184,19 @@ TEST(CrashConsistency, GcOnCleanShutdownReclaimsDelegationsOnly) {
   EXPECT_GT(check.blocks_checked, 0u);
 }
 
-// The checker's previous form, kept as the reference: replay the merged
-// logs by seq into a std::map of expectations, then peek block by block.
+// One durable record in flat form, as the checker's reference replays it.
+struct FlatRecord {
+  mds::DurableRecordKind kind = mds::DurableRecordKind::kCommit;
+  std::uint64_t seq = 0;
+  net::FileId file = net::kInvalidFile;
+  std::vector<net::Extent> extents;
+  std::vector<storage::ContentToken> tokens;  // commits only
+};
+
+// The checker's earlier form, kept as the reference: replay the records
+// by seq into a std::map of expectations, then peek block by block.
 // `recommits` counts commits that re-expect a block a remove retracted.
-ConsistencyReport map_replay(const std::vector<mds::DurableCommitRecord>& log,
-                             const std::vector<mds::DurableRemoveRecord>& removes,
+ConsistencyReport map_replay(const std::vector<FlatRecord>& log,
                              const storage::DiskArray& array,
                              std::size_t& recommits) {
   ConsistencyReport report;
@@ -200,21 +208,21 @@ ConsistencyReport map_replay(const std::vector<mds::DurableCommitRecord>& log,
   std::set<std::pair<std::uint32_t, storage::BlockNo>> retracted;
   struct Event {
     std::uint64_t seq;
-    bool is_remove;
-    std::size_t index;
+    std::size_t index;         // into `log`
+    std::size_t commit_index;  // ordinal among the commits
   };
   std::vector<Event> events;
   for (std::size_t i = 0; i < log.size(); ++i) {
-    events.push_back({log[i].seq, false, i});
+    const bool commit = log[i].kind == mds::DurableRecordKind::kCommit;
+    events.push_back({log[i].seq, i, report.commits_checked});
+    report.commits_checked += commit ? 1 : 0;
   }
-  for (std::size_t i = 0; i < removes.size(); ++i) {
-    events.push_back({removes[i].seq, true, i});
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) { return a.seq < b.seq; });
   for (const Event& ev : events) {
-    if (ev.is_remove) {
-      for (const auto& e : removes[ev.index].extents) {
+    const FlatRecord& rec = log[ev.index];
+    if (rec.kind == mds::DurableRecordKind::kRemove) {
+      for (const auto& e : rec.extents) {
         for (std::uint32_t k = 0; k < e.nblocks; ++k) {
           if (expected.erase({e.addr.device, e.addr.block + k}) > 0) {
             retracted.insert({e.addr.device, e.addr.block + k});
@@ -223,19 +231,17 @@ ConsistencyReport map_replay(const std::vector<mds::DurableCommitRecord>& log,
       }
       continue;
     }
-    const auto& rec = log[ev.index];
     std::size_t bi = 0;
     for (const auto& e : rec.extents) {
       for (std::uint32_t k = 0; k < e.nblocks; ++k, ++bi) {
-        if (bi < rec.block_tokens.size()) {
+        if (bi < rec.tokens.size()) {
           recommits += retracted.erase({e.addr.device, e.addr.block + k});
           expected[{e.addr.device, e.addr.block + k}] =
-              Expected{rec.block_tokens[bi], ev.index};
+              Expected{rec.tokens[bi], ev.commit_index};
         }
       }
     }
   }
-  report.commits_checked = log.size();
   std::set<std::size_t> bad_commits;
   for (const auto& [addr, exp] : expected) {
     ++report.blocks_checked;
@@ -250,16 +256,22 @@ ConsistencyReport map_replay(const std::vector<mds::DurableCommitRecord>& log,
 
 TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
   // Randomised durable histories on three devices of 48 blocks: commits
-  // whose extents overlap (one record may name a block twice, the later
-  // position winning), short token vectors, removes interleaved by seq
-  // with re-commits of the blocks they retract, and disk contents drawn
-  // from the same few tokens, so matches and mismatches both occur.
+  // of several extents and tokens whose extents overlap (one record may
+  // name a block twice, the later position winning), short token
+  // vectors, removes interleaved by seq with re-commits of the blocks
+  // they retract, and disk contents drawn from the same few tokens, so
+  // matches and mismatches both occur. Every tenth history is long
+  // enough to fill several chunks of the record stream. Each history is
+  // appended to a DurableLog, read back through the record view, and
+  // checked from the stream against the reference's replay of the flat
+  // records.
   constexpr std::uint32_t kDevices = 3;
   constexpr std::uint32_t kBlocks = 48;
   redbud::sim::Rng rng(20121120);
   std::size_t recommits = 0;
   std::size_t duplicate_blocks = 0;
   std::size_t inconsistent_histories = 0;
+  std::size_t multi_chunk_histories = 0;
   for (int history = 0; history < 300; ++history) {
     redbud::sim::SimDomain domain;
     storage::ArrayParams ap;
@@ -271,21 +283,24 @@ TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
         if (t != storage::kUnwrittenToken) array.disk(d).store(b, {&t, 1});
       }
     }
-    const std::size_t nrecords = 1 + rng.next_below(40);
+    const std::size_t nrecords =
+        1 + rng.next_below(history % 10 == 0 ? 600 : 40);
     std::vector<std::uint64_t> seqs(nrecords);
     std::iota(seqs.begin(), seqs.end(), std::uint64_t{0});
     for (std::size_t i = nrecords; i > 1; --i) {
       std::swap(seqs[i - 1], seqs[rng.next_below(i)]);
     }
-    std::vector<mds::DurableCommitRecord> commits;
-    std::vector<mds::DurableRemoveRecord> removes;
+    std::vector<FlatRecord> flat;
     for (std::size_t r = 0; r < nrecords; ++r) {
-      std::vector<net::Extent> extents;
+      FlatRecord rec;
+      rec.seq = seqs[r];
+      rec.file = 1 + rng.next_below(1000);
       std::uint32_t nblocks = 0;
       std::set<std::pair<std::uint32_t, storage::BlockNo>> seen;
       const std::size_t nextents = 1 + rng.next_below(3);
       for (std::size_t x = 0; x < nextents; ++x) {
         net::Extent e;
+        e.file_block = nblocks;
         e.nblocks = 1 + std::uint32_t(rng.next_below(6));
         e.addr.device = std::uint32_t(rng.next_below(kDevices));
         e.addr.block = rng.next_below(kBlocks - e.nblocks + 1);
@@ -294,30 +309,43 @@ TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
                                    .second;
         }
         nblocks += e.nblocks;
-        extents.push_back(e);
+        rec.extents.push_back(e);
       }
       if (rng.bernoulli(0.25)) {
-        mds::DurableRemoveRecord rec;
-        rec.extents = net::ExtentList(extents);
-        rec.seq = seqs[r];
-        removes.push_back(std::move(rec));
-        continue;
+        rec.kind = mds::DurableRecordKind::kRemove;
+      } else {
+        // Occasionally fewer tokens than blocks: the tail goes unchecked.
+        const std::uint32_t ntokens =
+            rng.bernoulli(0.1) ? std::uint32_t(rng.next_below(nblocks))
+                               : nblocks;
+        for (std::uint32_t k = 0; k < ntokens; ++k) {
+          rec.tokens.push_back(rng.next_below(5));
+        }
       }
-      mds::DurableCommitRecord rec;
-      rec.extents = net::ExtentList(extents);
-      // Occasionally fewer tokens than blocks: the tail goes unchecked.
-      const std::uint32_t ntokens =
-          rng.bernoulli(0.1) ? std::uint32_t(rng.next_below(nblocks)) : nblocks;
-      for (std::uint32_t k = 0; k < ntokens; ++k) {
-        rec.block_tokens.push_back(rng.next_below(5));
-      }
-      rec.seq = seqs[r];
-      commits.push_back(std::move(rec));
+      flat.push_back(std::move(rec));
     }
 
-    const ConsistencyReport want =
-        map_replay(commits, removes, array, recommits);
-    const ConsistencyReport got = check_consistency(commits, removes, array);
+    mds::DurableLog log;
+    for (const FlatRecord& rec : flat) {
+      log.append(rec.kind, rec.seq, rec.file, rec.extents, rec.tokens);
+    }
+    multi_chunk_histories += log.chunk_count() > 1 ? 1 : 0;
+    std::size_t i = 0;
+    for (const mds::DurableRecord rec : log) {
+      ASSERT_LT(i, flat.size()) << history;
+      const FlatRecord& want = flat[i++];
+      ASSERT_EQ(rec.kind(), want.kind) << history;
+      ASSERT_EQ(rec.seq(), want.seq) << history;
+      ASSERT_EQ(rec.file(), want.file) << history;
+      const std::vector<net::Extent> extents(rec.extents().begin(),
+                                             rec.extents().end());
+      ASSERT_EQ(extents, want.extents) << history;
+      ASSERT_TRUE(std::ranges::equal(rec.tokens(), want.tokens)) << history;
+    }
+    ASSERT_EQ(i, flat.size()) << history;
+
+    const ConsistencyReport want = map_replay(flat, array, recommits);
+    const ConsistencyReport got = check_consistency(log, array);
     ASSERT_EQ(got.commits_checked, want.commits_checked) << history;
     ASSERT_EQ(got.blocks_checked, want.blocks_checked) << history;
     ASSERT_EQ(got.inconsistent_blocks, want.inconsistent_blocks) << history;
@@ -326,6 +354,7 @@ TEST(CrashConsistency, FlatReplayMatchesMapReplay) {
   }
   EXPECT_GT(recommits, 0u);
   EXPECT_GT(duplicate_blocks, 0u);
+  EXPECT_GT(multi_chunk_histories, 0u);
   EXPECT_GT(inconsistent_histories, 0u);
   EXPECT_LT(inconsistent_histories, 300u);
 }

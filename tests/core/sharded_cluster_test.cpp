@@ -99,8 +99,9 @@ TEST(ShardedCluster, FilesSpreadAcrossShardsAndRoundTrip) {
 
   // Each shard served commits for its own files only.
   for (std::uint32_t s = 0; s < c.nshards(); ++s) {
-    for (const auto& rec : c.mds(s).durable_commits()) {
-      EXPECT_EQ(net::shard_of_id(rec.file), s);
+    for (const mds::DurableRecord rec : c.mds(s).durable_log()) {
+      if (rec.kind() != mds::DurableRecordKind::kCommit) continue;
+      EXPECT_EQ(net::shard_of_id(rec.file()), s);
     }
   }
 }

@@ -137,8 +137,8 @@ TEST(MdsServer, CommitPublishesExtentsAndJournals) {
   for (const auto& e : rd.extents) total += e.nblocks;
   EXPECT_EQ(total, 8u);
   EXPECT_EQ(rig.mds.provisional_extent_count(), 0u);
-  ASSERT_EQ(rig.mds.durable_commits().size(), 1u);
-  EXPECT_EQ(rig.mds.durable_commits()[0].file, cr.file);
+  ASSERT_EQ(rig.mds.durable_log().commit_count(), 1u);
+  EXPECT_EQ((*rig.mds.durable_log().begin()).file(), cr.file);
   EXPECT_GE(rig.journal.flushes(), 1u);
 
   auto sr = std::get<net::StatResp>(rig.call(net::StatReq{cr.file}));
@@ -163,7 +163,7 @@ TEST(MdsServer, CompoundCommitProcessesAllEntries) {
   }
   (void)rig.call(commit);
   EXPECT_EQ(rig.mds.commit_entries_processed(), 3u);
-  EXPECT_EQ(rig.mds.durable_commits().size(), 3u);
+  EXPECT_EQ(rig.mds.durable_log().commit_count(), 3u);
   for (auto f : files) {
     auto sr = std::get<net::StatResp>(rig.call(net::StatReq{f}));
     EXPECT_EQ(sr.size_bytes, 4 * storage::kBlockSize);

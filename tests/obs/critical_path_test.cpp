@@ -370,6 +370,33 @@ TEST(BlameGolden, SpanCapDoesNotChangeBlame) {
   EXPECT_EQ(json, golden_blame());
 }
 
+// A sync-mode write commits on its own critical path and never enters
+// the commit queue, so a traced sync run starts no blame chain: it reads
+// 0 roots and 0 open chains, not every write queued for good.
+TEST(BlameFold, SyncModeWritesStartNoChain) {
+  ClusterParams p = traced_params();
+  p.client.mode = client::CommitMode::kSync;
+  Cluster c(p);
+  c.start();
+  auto r0 = c.client_sim(0).spawn(churn(c, 0));
+  auto r1 = c.client_sim(1).spawn(churn(c, 1));
+  c.run_until(SimTime::seconds(2));
+  c.check_failures();
+  ASSERT_TRUE(r0.done() && r1.done()) << "workload did not finish";
+
+  CriticalPath cp;
+  cp.analyze(c.obs().tracer);
+  EXPECT_EQ(cp.roots(), 0u);
+  EXPECT_EQ(cp.open_total(), 0u);
+  EXPECT_EQ(cp.completed(), 0u);
+  // The writes were traced all the same.
+  std::uint64_t write_roots = 0;
+  for (const SpanRecord& sp : c.obs().tracer.spans()) {
+    write_roots += sp.stage == Stage::kClientWrite && sp.parent == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(write_roots, 12u);
+}
+
 // A commit batch whose retry ladder runs out while its shard is down goes
 // back onto the queue. Its updates count as in flight while they wait
 // there and are folded exactly once, at the ack that lands after

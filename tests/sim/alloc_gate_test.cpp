@@ -7,10 +7,12 @@
 // process joined before and after it finishes, an RPC round trip between
 // two nodes of a SimDomain through Network::deliver, page cache hits,
 // evicting inserts and a clean page dirtied and cleaned again, and a
-// FlatMap erase and reinsert at a steady size. Further cases pin the point where a FlatMap grows, show that a
-// file's first rewrite allocates no per-file writeback table, and bound
-// the allocations and heap bytes of installing one-block files with
-// ClientFs::preload.
+// FlatMap erase and reinsert at a steady size. Further cases pin the
+// point where a FlatMap grows, show that a file's first rewrite
+// allocates no per-file writeback table, bound the allocations and heap
+// bytes of installing one-block files with ClientFs::preload, and check
+// that the durable image costs what it holds: a disk's sparse page index
+// and a shard's chunked record stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,6 +30,7 @@
 #include "sim/flat_map.hpp"
 #include "sim/future.hpp"
 #include "sim/simulation.hpp"
+#include "storage/disk.hpp"
 
 namespace {
 
@@ -353,6 +356,65 @@ TEST(AllocGate, PreloadingAFleetHostsFilesHoldsAtMostBytesPerFile) {
   }
   const double per_file = double(live_bytes() - before) / kFiles;
   EXPECT_LE(per_file, 600.0);
+}
+
+// A volume costs the pages it holds: storing one block on the last page
+// of a 64 GiB disk allocates that page and the sparse index's first
+// slots, not a table of pointers to the 16 383 pages before it (128 KiB).
+TEST(AllocGate, StoringTheLastPageOfAVolumeAllocatesOnePage) {
+  sim::Simulation sim;
+  storage::Disk disk(sim, storage::DiskParams{});
+  ASSERT_EQ(disk.params().total_blocks, (64ull << 30) / storage::kBlockSize);
+  const storage::ContentToken token = 7;
+  const std::uint64_t allocs = allocations();
+  const std::int64_t before = live_bytes();
+  disk.store(disk.params().total_blocks - 1, {&token, 1});
+  EXPECT_LT(live_bytes() - before, 16 * 1024);
+  EXPECT_LE(allocations() - allocs, 2u);  // the page and the index
+  EXPECT_EQ(disk.load(disk.params().total_blocks - 1, 1)[0], token);
+}
+
+// A shard's durable record stream grows by fixed chunks and its records
+// hold their extents and tokens in the stream: executing a commit of two
+// extents and three tokens, through the same execute() and log path a
+// daemon runs, allocates only when the record opens a new chunk.
+TEST(AllocGate, DurableCommitRecordsAllocateOnlyWhenAChunkFills) {
+  core::Cluster cluster(preload_cluster());
+  mds::MdsServer& mds = cluster.mds(0);
+  const auto cr = std::get<net::CreateResp>(
+      mds.install(0, net::CreateReq{net::kRootDir, "f"}));
+  ASSERT_EQ(cr.status, net::Status::kOk);
+  const std::vector<net::Extent> extents{
+      net::Extent{0, 1, storage::PhysAddr{0, 100}},
+      net::Extent{1, 2, storage::PhysAddr{1, 200}}};
+  constexpr int kWarm = 50;
+  constexpr int kCommits = 4000;
+  std::vector<net::RequestBody> reqs;
+  for (int i = 0; i < kWarm + kCommits; ++i) {
+    net::CommitReq req;
+    req.entries.push_back(net::CommitEntry{
+        cr.file, extents, 3 * storage::kBlockSize,
+        {storage::ContentToken(3 * i + 1), storage::ContentToken(3 * i + 2),
+         storage::ContentToken(3 * i + 3)}});
+    reqs.emplace_back(std::move(req));
+  }
+  for (int i = 0; i < kWarm; ++i) (void)mds.install(0, std::move(reqs[i]));
+  const std::size_t chunks = mds.durable_log().chunk_count();
+  int allocating = 0;
+  for (int i = kWarm; i < kWarm + kCommits; ++i) {
+    const std::size_t had = mds.durable_log().chunk_count();
+    const std::uint64_t before = allocations();
+    (void)mds.install(0, std::move(reqs[i]));
+    const std::uint64_t took = allocations() - before;
+    if (took == 0) continue;
+    ++allocating;
+    EXPECT_EQ(mds.durable_log().chunk_count(), had + 1) << "commit " << i;
+    EXPECT_LE(took, 2u) << "commit " << i;  // the chunk, the chunk index
+  }
+  const std::size_t filled = mds.durable_log().chunk_count() - chunks;
+  EXPECT_GT(filled, 0u) << "too few commits to fill a chunk";
+  EXPECT_EQ(std::size_t(allocating), filled);
+  EXPECT_EQ(mds.durable_log().commit_count(), std::size_t(kWarm + kCommits));
 }
 
 // Each pass writes one block to each of its files in turn, each write
