@@ -35,7 +35,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -70,10 +69,6 @@ class DurableRecord {
   [[nodiscard]] net::FileId file() const { return head_[2]; }
   [[nodiscard]] std::size_t extent_count() const {
     return (head_[0] >> 8) & kMaxExtents;
-  }
-  [[nodiscard]] net::Extent extent(std::size_t i) const {
-    assert(i < extent_count());
-    return decode(body_ + kExtentWords * i);
   }
   // One token per block across the extents, in order (commits only).
   [[nodiscard]] std::span<const storage::ContentToken> tokens() const {
