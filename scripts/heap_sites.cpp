@@ -80,8 +80,10 @@ std::uint32_t site_of(void* const* frames) {
   for (std::size_t i = h & (kMaxSites - 1);; i = (i + 1) & (kMaxSites - 1)) {
     Site& s = g_sites[i];
     if (!s.used) {
-      // A full table folds every new site into one with no frames.
-      if (g_nsites + 1 >= kMaxSites) {
+      // A full table folds every new site into the one with no frames
+      // (frames[0] is null only there), which keeps the last free slot,
+      // so a probe always ends.
+      if (g_nsites + 2 >= kMaxSites && frames[0] != nullptr) {
         void* const none[kMaxDepth] = {};
         return site_of(none);
       }
