@@ -4,12 +4,11 @@
 //
 // Every operator new and delete of the process goes through here. A
 // block carries a header with its requested size and its site, the
-// innermost HEAP_SITES_DEPTH (default 4, at most 8) return addresses of
-// the allocation outside this library. Each site keeps its live bytes
-// and blocks. Whenever the live total passes the highest snapshot by
-// HEAP_SITES_STEP bytes (default 65536), the per-site live bytes are
-// copied into the snapshot, so the snapshot is within one step of the
-// true peak. At exit the snapshot is written to HEAP_SITES_OUT (default
+// innermost kDepth (4) return addresses of the allocation outside this
+// library. Each site keeps its live bytes and blocks. Whenever the live
+// total passes the highest snapshot by kStep bytes (64 KiB), the
+// per-site live bytes are copied into the snapshot, so the snapshot is
+// within one step of the true peak. At exit the snapshot is written to HEAP_SITES_OUT (default
 // heap_sites.raw): one "peak" line, then one line per site with live
 // bytes, live blocks and each frame as "module+offset". Symbol profilers
 // attribute nothing useful here, because coroutine bodies and inlined
@@ -31,12 +30,13 @@
 
 namespace {
 
-constexpr int kMaxDepth = 8;
+constexpr int kDepth = 4;
+constexpr std::int64_t kStep = 65536;
 constexpr std::size_t kMaxSites = 1 << 16;  // open addressing, power of 2
 constexpr std::size_t kHeader = alignof(std::max_align_t) * 2;
 
 struct Site {
-  void* frames[kMaxDepth];
+  void* frames[kDepth];
   std::int64_t live = 0;
   std::int64_t blocks = 0;
   std::int64_t peak_live = 0;  // live at the snapshot
@@ -53,8 +53,6 @@ static_assert(sizeof(Header) <= kHeader);
 Site g_sites[kMaxSites];
 std::size_t g_nsites = 0;
 std::atomic_flag g_lock = ATOMIC_FLAG_INIT;
-int g_depth = 4;
-std::int64_t g_step = 65536;
 std::int64_t g_live = 0;
 std::int64_t g_peak = 0;           // highest live total seen
 std::int64_t g_snapshot = 0;       // live total at the snapshot
@@ -73,7 +71,7 @@ struct Lock {
 
 std::uint32_t site_of(void* const* frames) {
   std::uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (int i = 0; i < g_depth; ++i) {
+  for (int i = 0; i < kDepth; ++i) {
     h = (h ^ reinterpret_cast<std::uintptr_t>(frames[i])) *
         0x100000001B3ull;
   }
@@ -84,16 +82,15 @@ std::uint32_t site_of(void* const* frames) {
       // (frames[0] is null only there), which keeps the last free slot,
       // so a probe always ends.
       if (g_nsites + 2 >= kMaxSites && frames[0] != nullptr) {
-        void* const none[kMaxDepth] = {};
+        void* const none[kDepth] = {};
         return site_of(none);
       }
       ++g_nsites;
       s.used = true;
-      std::memcpy(s.frames, frames, sizeof(void*) * std::size_t(g_depth));
+      std::memcpy(s.frames, frames, sizeof s.frames);
       return std::uint32_t(i);
     }
-    if (std::memcmp(s.frames, frames, sizeof(void*) * std::size_t(g_depth)) ==
-        0) {
+    if (std::memcmp(s.frames, frames, sizeof s.frames) == 0) {
       return std::uint32_t(i);
     }
   }
@@ -113,19 +110,19 @@ bool in_self(void* frame) {
   return a >= g_self_lo && a < g_self_hi;
 }
 
-// The innermost g_depth frames outside this library, null-padded.
+// The innermost kDepth frames outside this library, null-padded.
 void caller_frames(void** out) {
   constexpr int kSkipMax = 4;  // operator new and the helpers below it
-  void* frames[kMaxDepth + kSkipMax] = {};
+  void* frames[kDepth + kSkipMax] = {};
   int got = 0;
   if (g_ready && !t_inside) {
     t_inside = true;
-    got = backtrace(frames, g_depth + kSkipMax);
+    got = backtrace(frames, kDepth + kSkipMax);
     t_inside = false;
   }
   int first = 0;
   while (first < got && in_self(frames[first])) ++first;
-  for (int i = 0; i < g_depth; ++i) {
+  for (int i = 0; i < kDepth; ++i) {
     out[i] = first + i < got ? frames[first + i] : nullptr;
   }
 }
@@ -133,7 +130,7 @@ void caller_frames(void** out) {
 void* tally_new(std::size_t n) noexcept {
   auto* base = static_cast<unsigned char*>(std::malloc(kHeader + n));
   if (base == nullptr) return nullptr;
-  void* frames[kMaxDepth];
+  void* frames[kDepth];
   caller_frames(frames);
   Header h{n, 0};
   {
@@ -144,7 +141,7 @@ void* tally_new(std::size_t n) noexcept {
     ++s.blocks;
     g_live += std::int64_t(n);
     if (g_live > g_peak) g_peak = g_live;
-    if (g_live >= g_snapshot + g_step) snapshot();
+    if (g_live >= g_snapshot + kStep) snapshot();
   }
   std::memcpy(base, &h, sizeof h);
   return base + kHeader;
@@ -188,15 +185,6 @@ int find_self(dl_phdr_info* info, std::size_t, void*) {
 
 __attribute__((constructor)) void init() {
   dl_iterate_phdr(find_self, nullptr);
-  if (const char* d = std::getenv("HEAP_SITES_DEPTH")) {
-    g_depth = std::atoi(d);
-    if (g_depth < 1) g_depth = 1;
-    if (g_depth > kMaxDepth) g_depth = kMaxDepth;
-  }
-  if (const char* s = std::getenv("HEAP_SITES_STEP")) {
-    g_step = std::atoll(s);
-    if (g_step < 1) g_step = 1;
-  }
   void* warm[2];
   backtrace(warm, 2);  // loads the unwinder before the first count
   g_ready = true;
@@ -209,12 +197,12 @@ __attribute__((destructor)) void dump() {
   Lock lock;
   std::fprintf(f, "peak %lld snapshot %lld depth %d\n",
                static_cast<long long>(g_peak),
-               static_cast<long long>(g_snapshot), g_depth);
+               static_cast<long long>(g_snapshot), kDepth);
   for (const Site& s : g_sites) {
     if (!s.used || s.peak_live == 0) continue;
     std::fprintf(f, "%lld %lld", static_cast<long long>(s.peak_live),
                  static_cast<long long>(s.peak_blocks));
-    for (int i = 0; i < g_depth; ++i) {
+    for (int i = 0; i < kDepth; ++i) {
       Dl_info info;
       if (s.frames[i] != nullptr && dladdr(s.frames[i], &info) != 0 &&
           info.dli_fname != nullptr) {

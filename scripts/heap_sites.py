@@ -5,20 +5,19 @@ Builds scripts/heap_sites.cpp into an LD_PRELOAD library, runs COMMAND
 under it, and prints the sites that held the most live operator-new
 bytes at the heap's peak, each with its frames symbolized by addr2line:
 
-  scripts/heap_sites.py [--depth 4] [--top 25] [--step 65536] \\
-      [--out-dir DIR] -- COMMAND [ARGS...]
+  scripts/heap_sites.py [--top 25] [--out-dir DIR] -- COMMAND [ARGS...]
 
 For example, the durable image of the metadata-bound workload:
 
   scripts/heap_sites.py --top 15 -- \\
       .bench_build/perfbench/perfbench_harness --workload meta8-t2 --seed 1
 
-A site is the innermost --depth return addresses of an allocation
-(outside the library). The peak is the highest live total seen; the
-breakdown is a snapshot taken within --step bytes of it. Symbols need a
-build with debug info (perfbench builds RelWithDebInfo). Only operator
-new is counted: malloc and the kernel's page tables are not, so the
-total sits below the process's peak RSS. The library replaces operator
+A site is the innermost 4 return addresses of an allocation (outside
+the library). The peak is the highest live total seen; the breakdown is
+a snapshot taken within 64 KiB of it. Symbols need a build with debug
+info (perfbench builds RelWithDebInfo). Only operator new is counted:
+malloc and the kernel's page tables are not, so the total sits below
+the process's peak RSS. The library replaces operator
 new for the whole process, so a program that replaces it itself (the
 AllocGate test binary) cannot be measured.
 """
@@ -84,12 +83,8 @@ def mib(n):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--depth", type=int, default=4,
-                    help="frames per site (1-8, default 4)")
     ap.add_argument("--top", type=int, default=25,
                     help="sites to print (default 25)")
-    ap.add_argument("--step", type=int, default=65536,
-                    help="snapshot granularity in bytes (default 65536)")
     ap.add_argument("--out-dir",
                     help="where the library and raw tally go "
                          "(default: a temporary directory)")
@@ -103,9 +98,7 @@ def main():
     os.makedirs(out_dir, exist_ok=True)
     so = build(out_dir)
     raw = os.path.join(out_dir, "heap_sites.raw")
-    env = dict(os.environ, LD_PRELOAD=so, HEAP_SITES_OUT=raw,
-               HEAP_SITES_DEPTH=str(args.depth),
-               HEAP_SITES_STEP=str(args.step))
+    env = dict(os.environ, LD_PRELOAD=so, HEAP_SITES_OUT=raw)
     rc = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
     if not os.path.isfile(raw):
         sys.exit("heap_sites: the command wrote no tally (exit %d)" % rc)

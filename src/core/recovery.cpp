@@ -36,7 +36,6 @@ constexpr std::uint32_t kRemoved = std::numeric_limits<std::uint32_t>::max();
   std::uint32_t commit = 0;
   for (const mds::DurableRecord rec : log) {
     const bool remove = rec.kind() == mds::DurableRecordKind::kRemove;
-    if (!remove && rec.kind() != mds::DurableRecordKind::kCommit) continue;
     const auto tokens = rec.tokens();
     std::uint32_t pos = 0;
     for (const net::Extent e : rec.extents()) {
@@ -78,8 +77,17 @@ ConsistencyReport check_consistency(const mds::DurableLog& log,
   // (seq, order) reconstructs the shard's namespace history at that
   // block. One device at a time, so the record buffer holds only the
   // busiest device's share of the history.
-  const auto per_device = log.device_blocks();
-  if (per_device.empty()) return report;
+  std::vector<std::size_t> per_device(array.ndisks());
+  for (const mds::DurableRecord rec : log) {
+    const bool remove = rec.kind() == mds::DurableRecordKind::kRemove;
+    std::size_t tokens = rec.tokens().size();
+    for (const net::Extent e : rec.extents()) {
+      const std::size_t n =
+          remove ? e.nblocks : std::min<std::size_t>(e.nblocks, tokens);
+      per_device[e.addr.device] += n;
+      if (!remove) tokens -= n;
+    }
+  }
   std::vector<BlockRecord> recs;
   recs.reserve(*std::max_element(per_device.begin(), per_device.end()));
   std::vector<std::uint32_t> bad_commits;

